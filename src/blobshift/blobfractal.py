@@ -23,7 +23,6 @@ from .patterns import (
     Blob,
     Cell,
     Pattern,
-    ball_offsets,
     connected_components,
     translate_cell,
     zero_glue,
@@ -97,35 +96,17 @@ def build_hierarchy(pattern: Pattern, radii: Sequence[int]) -> BlobHierarchy:
         raise RadiiNotIncreasing("radii must be nonempty and strictly increasing")
     if any(r < 0 for r in radii):
         raise RadiiNotIncreasing("radii must be nonnegative")
-    levels = []
-    for r in radii:
-        placements = []
-        for comp, padded, truncated in _blob_scan(pattern, r):
-            anchor = min(comp)
-            neg = tuple(-a for a in anchor)
-            blob = Blob(pattern.restrict(padded).translate(neg), r)
-            placements.append(BlobPlacement(anchor, blob, truncated))
-        levels.append(HierarchyLevel(r, tuple(placements)))
-    return BlobHierarchy(pattern, tuple(levels))
+    levels = tuple(
+        HierarchyLevel(r, tuple(BlobPlacement(*found)
+                                for found in _blob_scan(pattern, r)))
+        for r in radii)
+    return BlobHierarchy(pattern, levels)
 
 
 def _constituents(pattern: Pattern, placement: BlobPlacement, r: int):
     """The r-blob placements inside one bigger placement's support."""
-    cells = placement.absolute_support()
-    offsets = ball_offsets(pattern.dimension, r)
-    out = []
-    for comp in connected_components(cells, r):
-        anchor = min(comp)
-        neg = tuple(-a for a in anchor)
-        padded = set()
-        for cell in comp:
-            for off in offsets:
-                p = translate_cell(cell, off)
-                if p in pattern:
-                    padded.add(p)
-        blob = Blob(pattern.restrict(padded).translate(neg), r)
-        out.append(BlobPlacement(anchor, blob, False))
-    return out
+    return [BlobPlacement(*found) for found in
+            _blob_scan(pattern, r, placement.absolute_support())]
 
 
 def verify_axioms(hierarchy: BlobHierarchy) -> tuple[LevelPairReport, ...]:

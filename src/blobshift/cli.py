@@ -41,6 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(minimum: int):
+    """argparse type for an integer no smaller than minimum."""
+    def integer(raw: str) -> int:
+        if int(raw) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return int(raw)
+    return integer
+
+
 def _read(path: str, inputs: dict) -> str:
     try:
         data = Path(path).read_bytes()
@@ -397,8 +406,8 @@ def _build_parser() -> _Parser:
 
     p = add("blobs", _cmd_blobs, help="blob decomposition of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--pad", type=int, default=0,
+    p.add_argument("--radius", type=_at_least(0), required=True)
+    p.add_argument("--pad", type=_at_least(0), default=0,
                    help="zero-pad the window by this radius first")
 
     p = add("glue", _cmd_glue, help="zero-glue two patterns")
@@ -408,15 +417,15 @@ def _build_parser() -> _Parser:
 
     p = add("width", _cmd_width, help="essential width lower bound and sparsity")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_at_least(0), required=True)
 
     p = add("fractal", _cmd_fractal, help="blob hierarchy verification")
     p.add_argument("action", choices=("verify", "classify"))
     p.add_argument("--pattern", required=True)
-    p.add_argument("--pad", type=int, default=0,
+    p.add_argument("--pad", type=_at_least(0), default=0,
                    help="zero-pad the window by this radius first")
     p.add_argument("--radii", help="comma-separated strictly increasing radii")
-    p.add_argument("--threshold", type=int, default=50)
+    p.add_argument("--threshold", type=_at_least(1), default=50)
     p.add_argument("--render-dir", dest="render_dir",
                    help="write one PBM per level blob into this directory")
 
@@ -428,8 +437,8 @@ def _build_parser() -> _Parser:
     p = add("pathcover", _cmd_pathcover, help="paths drawn on supports")
     p.add_argument("action", choices=("geodesic", "ascend", "guided"))
     p.add_argument("--pattern")
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--window", type=int, default=1,
+    p.add_argument("--radius", type=_at_least(0), default=1)
+    p.add_argument("--window", type=_at_least(1), default=1,
                    help="ascension window for ascend")
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--length", type=int, default=64)

@@ -9,7 +9,6 @@ there is no floating-point drift.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,9 +18,9 @@ from .patterns import (
     BINARY,
     Cell,
     Pattern,
-    ball_offsets,
+    bfs,
     connected_components,
-    translate_cell,
+    neighbours,
 )
 
 
@@ -44,46 +43,8 @@ class CellPath:
         return [c[-1] for c in self.cells]
 
 
-@dataclass(frozen=True)
-class SupportGraph:
-    """Support cells with edges between cells at L1 distance <= r."""
-
-    nodes: frozenset
-    r: int
-
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        out = []
-        for off in ball_offsets(len(cell), self.r):
-            if any(off):
-                nb = translate_cell(cell, off)
-                if nb in self.nodes:
-                    out.append(nb)
-        return sorted(out)
-
-
-def support_graph(pattern: Pattern, r: int) -> SupportGraph:
-    return SupportGraph(pattern.support(), r)
-
-
 def _l1(a: Cell, b: Cell) -> int:
     return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def _bfs(nodes: frozenset, start: Cell, r: int):
-    """Distances and parents from start; ties explored in sorted order."""
-    offsets = sorted(o for o in ball_offsets(len(start), r) if any(o))
-    dist = {start: 0}
-    parent: dict[Cell, Cell] = {}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        for off in offsets:
-            nb = translate_cell(cell, off)
-            if nb in nodes and nb not in dist:
-                dist[nb] = dist[cell] + 1
-                parent[nb] = cell
-                queue.append(nb)
-    return dist, parent
 
 
 def _farthest(dist: dict) -> Cell:
@@ -103,9 +64,9 @@ def geodesic_witness(pattern: Pattern, r: int) -> CellPath:
         raise EmptySupport("geodesic witness needs a nonzero cell")
     comps = connected_components(support, r)
     comp = max(comps, key=lambda c: (len(c), sorted(c)[0]))
-    dist, _ = _bfs(comp, min(comp), r)
+    dist, _ = bfs(comp, min(comp), r)
     a = _farthest(dist)
-    dist, parent = _bfs(comp, a, r)
+    dist, parent = bfs(comp, a, r)
     b = _farthest(dist)
     cells = [b]
     while cells[-1] != a:
@@ -129,7 +90,7 @@ def find_ascending_path(pattern: Pattern, r: int, m: int,
     support = pattern.support()
     if not support:
         return None
-    graph = SupportGraph(support, r)
+    around = neighbours(pattern.dimension, r)
     best: list[Cell] | None = None
     spent = 0
 
@@ -142,8 +103,8 @@ def find_ascending_path(pattern: Pattern, r: int, m: int,
                 best = list(path)
             extensions = []
             t = len(path)
-            for nb in graph.neighbors(path[-1]):
-                if nb in used:
+            for nb in around(path[-1]):
+                if nb not in support or nb in used:
                     continue
                 if t >= m and nb[-1] <= path[t - m][-1]:
                     continue

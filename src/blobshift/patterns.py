@@ -7,6 +7,11 @@ nonzero symbol. Blobs are padded connected pieces of the support, stored
 translated to a canonical origin so equality and hashing are
 translation-invariant.
 
+Neighbourhood geometry has two kernels over :func:`neighbours`:
+:func:`dilate` grows a cell set by L1 radius r in r breadth-first layers
+of unit steps (padding, blob scans), and :func:`bfs` walks r-adjacent
+cells of a node set in sorted order (components, geodesics).
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
 Coordinates are Python integers, hence arbitrary precision; padded domains
@@ -14,11 +19,13 @@ cannot wrap around.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import GlueConflict, PaddingUnavailable, UnsupportedFormat
+from .errors import GlueConflict, PaddingUnavailable, SizeLimit, UnsupportedFormat
+from .limits import cell_cap
 
 Cell = tuple[int, ...]
 
@@ -43,20 +50,71 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"), "0")
 
 
-def ball_offsets(dim: int, r: int) -> list[Cell]:
-    """All offsets of L1 norm at most r in the given dimension."""
+def neighbours(dim: int, r: int):
+    """Function mapping a cell to the cells at L1 distance 1..r, sorted.
+
+    The only enumeration of L1 offsets, specialised per dimension because
+    it is the inner loop of every walk; the origin's image is the offsets.
+    """
     if dim == 1:
-        return [(d,) for d in range(-r, r + 1)]
-    out = []
-    for dx in range(-r, r + 1):
-        rest = r - abs(dx)
-        for dy in range(-rest, rest + 1):
-            out.append((dx, dy))
-    return out
+        steps = [d for d in range(-r, r + 1) if d]
+        return lambda cell: [(cell[0] + d,) for d in steps]
+    offsets = [(dx, dy) for dx in range(-r, r + 1)
+               for dy in range(abs(dx) - r, r - abs(dx) + 1) if dx or dy]
+    return lambda cell: [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]
 
 
 def translate_cell(cell: Cell, v: Cell) -> Cell:
     return tuple(a + b for a, b in zip(cell, v))
+
+
+def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
+    """Every cell within L1 distance r of some given cell.
+
+    L1 distance is unit-step distance, so this runs r breadth-first
+    layers of unit steps. A layer whose size bound would take the set
+    past the cell cap raises :class:`SizeLimit` before it is built.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    out = set(cells)
+    if not out:
+        return out
+    dim = len(next(iter(out)))
+    step = neighbours(dim, 1)
+    cap = cell_cap()
+    frontier = list(out)
+    for _ in range(r):
+        if len(out) + 2 * dim * len(frontier) > cap:
+            raise SizeLimit(f"dilation by {r} could pass the {cap}-cell cap")
+        layer = []
+        for cell in frontier:
+            for nb in step(cell):
+                if nb not in out:
+                    out.add(nb)
+                    layer.append(nb)
+        frontier = layer
+    return out
+
+
+def bfs(nodes, start: Cell, r: int) -> tuple[dict, dict]:
+    """Distances and parents from start over r-adjacent cells of nodes.
+
+    Neighbours are explored in sorted order, so parent ties are stable.
+    """
+    around = neighbours(len(start), r)
+    dist = {start: 0}
+    parent: dict[Cell, Cell] = {}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        d = dist[cell] + 1
+        for nb in around(cell):
+            if nb in nodes and nb not in dist:
+                dist[nb] = d
+                parent[nb] = cell
+                queue.append(nb)
+    return dist, parent
 
 
 class Pattern:
@@ -238,27 +296,13 @@ def connected_components(cells: Iterable[Cell], r: int) -> list[frozenset]:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     cellset = set(cells)
-    if not cellset:
-        return []
-    dim = len(next(iter(cellset)))
-    offsets = [o for o in ball_offsets(dim, r) if any(o)]
     seen: set[Cell] = set()
     components = []
     for start in sorted(cellset):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            cell = frontier.pop()
-            for off in offsets:
-                nb = translate_cell(cell, off)
-                if nb in cellset and nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        components.append(frozenset(comp))
+        if start not in seen:
+            comp = frozenset(bfs(cellset, start, r)[0])
+            seen |= comp
+            components.append(comp)
     return components
 
 
@@ -271,31 +315,29 @@ def blobs(pattern: Pattern, r: int) -> list[tuple[Blob, Cell]]:
     pattern's domain: a finite window can certify blobs, not guess them.
     """
     out = []
-    for comp, padded, truncated in _blob_scan(pattern, r):
+    for anchor, blob, truncated in _blob_scan(pattern, r):
         if truncated:
             raise PaddingUnavailable(
-                f"padding of component at {min(comp)} exits the domain")
-        anchor = min(comp)
-        neg = tuple(-a for a in anchor)
-        out.append((Blob(pattern.restrict(padded).translate(neg), r), anchor))
+                f"padding of component at {anchor} exits the domain")
+        out.append((blob, anchor))
     return out
 
 
-def _blob_scan(pattern: Pattern, r: int):
-    """Yield (component, padded cells within domain, truncated flag)."""
-    dim = pattern.dimension
-    offsets = ball_offsets(dim, r)
-    for comp in connected_components(pattern.support(), r):
-        padded = set()
-        truncated = False
-        for cell in comp:
-            for off in offsets:
-                p = translate_cell(cell, off)
-                if p in pattern:
-                    padded.add(p)
-                else:
-                    truncated = True
-        yield comp, padded, truncated
+def _blob_scan(pattern: Pattern, r: int, cells: Iterable[Cell] | None = None):
+    """Yield (anchor, blob, truncated) per r-component of cells.
+
+    Cells default to the support. The blob is the component's r-dilation
+    cut to the domain with its least cell, the anchor, at the origin.
+    """
+    comps = connected_components(
+        pattern.support() if cells is None else cells, r)
+    for comp in comps:
+        anchor = min(comp)
+        ball = dilate(comp, r)
+        inside = [c for c in ball if c in pattern]
+        neg = tuple(-a for a in anchor)
+        blob = Blob(pattern.restrict(inside).translate(neg), r)
+        yield anchor, blob, len(inside) < len(ball)
 
 
 def zero_glue(p: Pattern, q: Pattern) -> Pattern:
@@ -420,16 +462,8 @@ def sparse_not_uniform_family(n: int) -> Pattern:
 
 def pad(pattern: Pattern, r: int) -> Pattern:
     """Extend the domain by the radius-r ball around it, filled with zeros."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if len(pattern) == 0:
-        return pattern
-    values = dict(pattern.items())
-    zero = pattern.alphabet.zero
-    offsets = ball_offsets(pattern.dimension, r)
-    for cell in pattern.cells():
-        for off in offsets:
-            values.setdefault(translate_cell(cell, off), zero)
+    values = dict.fromkeys(dilate(pattern.cells(), r), pattern.alphabet.zero)
+    values.update(pattern.items())
     return Pattern(pattern.alphabet, values)
 
 
@@ -481,21 +515,34 @@ def format_pattern(pattern: Pattern) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_ints(line: str) -> list[int]:
+    """The integer fields after a header line's keyword."""
+    try:
+        return [int(v) for v in line.split()[1:]]
+    except ValueError:
+        raise UnsupportedFormat(
+            f"header line {line!r} needs integer fields") from None
+
+
 def parse_pattern(text: str) -> Pattern:
     lines = [ln for ln in text.splitlines()]
     if len(lines) < 2 or not lines[0].startswith("dims "):
         raise UnsupportedFormat("pattern text must start with a dims line")
-    dims = lines[0].split()[1:]
+    dims = _header_ints(lines[0])
     if not lines[1].startswith("alphabet "):
         raise UnsupportedFormat("second line must declare the alphabet")
     chars = lines[1][len("alphabet "):].strip()
     if not chars:
         raise UnsupportedFormat("alphabet must list at least the zero symbol")
+    if len(set(chars)) != len(chars):
+        raise UnsupportedFormat(f"alphabet {chars!r} repeats a symbol")
     alphabet = Alphabet(tuple(chars), chars[0])
     body = lines[2:]
     origin = [0, 0]
     if body and body[0].startswith("origin "):
-        origin = [int(v) for v in body[0].split()[1:]]
+        origin = _header_ints(body[0])
+        if len(origin) != len(dims):
+            raise UnsupportedFormat("origin needs one integer per dimension")
         body = body[1:]
     rows = [ln for ln in body if ln != ""]
 
@@ -509,7 +556,7 @@ def parse_pattern(text: str) -> Pattern:
         return ch
 
     if len(dims) == 1:
-        width = int(dims[0])
+        width = dims[0]
         if width == 0:
             return Pattern(alphabet, {})
         if len(rows) != 1 or len(rows[0]) != width:
@@ -522,13 +569,12 @@ def parse_pattern(text: str) -> Pattern:
                 values[(origin[0] + x,)] = symbol
         return Pattern(alphabet, values)
     if len(dims) == 2:
-        width, height = int(dims[0]), int(dims[1])
+        width, height = dims
         if width == 0 and height == 0:
             return Pattern(alphabet, {})
         if len(rows) != height or any(len(r) != width for r in rows):
             raise UnsupportedFormat("row grid does not match declared dims")
-        ox = origin[0]
-        oy = origin[1] if len(origin) > 1 else 0
+        ox, oy = origin
         values = {}
         for rix, row in enumerate(rows):
             y = oy + height - 1 - rix

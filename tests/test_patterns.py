@@ -4,16 +4,24 @@ from itertools import combinations
 
 import pytest
 
-from blobshift.errors import GlueConflict, PaddingUnavailable, UnsupportedFormat
+from blobshift.blobfractal import build_hierarchy
+from blobshift.errors import (
+    GlueConflict,
+    PaddingUnavailable,
+    SizeLimit,
+    UnsupportedFormat,
+)
 from blobshift.patterns import (
     BINARY,
     Pattern,
     blobs,
     connected_components,
     density_window,
+    dilate,
     essential_width_lower_bound,
     format_pattern,
     interval_cover_count,
+    neighbours,
     occurrences,
     pad,
     parse_pattern,
@@ -76,6 +84,106 @@ def test_components_radius_zero_is_singletons():
     cells = {(0,), (1,), (7,)}
     assert connected_components(cells, 0) == [
         frozenset({(0,)}), frozenset({(1,)}), frozenset({(7,)})]
+
+
+# ------------------------------------------------------ dilation kernel
+
+
+def ball_oracle(dim, r):
+    """Brute-force enumeration of every offset of L1 norm at most r."""
+    if dim == 1:
+        return [(d,) for d in range(-r, r + 1)]
+    out = []
+    for dx in range(-r, r + 1):
+        rest = r - abs(dx)
+        for dy in range(-rest, rest + 1):
+            out.append((dx, dy))
+    return out
+
+
+def dilate_oracle(cells, r, dim):
+    return {tuple(a + b for a, b in zip(c, off))
+            for c in cells for off in ball_oracle(dim, r)}
+
+
+def random_cells(rng, dim):
+    """A random 1D or 2D cell set of 0 to 8 cells."""
+    span = 30 if dim == 1 else 10
+    return {tuple(rng.randrange(span) for _ in range(dim))
+            for _ in range(rng.randrange(0, 9))}
+
+
+def random_window(rng, dim):
+    """Random support inside a domain padded by a random radius 0-6."""
+    support = random_cells(rng, dim)
+    margin = rng.randrange(0, 7)
+    domain = dilate_oracle(support, margin, dim) | random_cells(rng, dim)
+    return Pattern(BINARY, {c: ("1" if c in support else "0") for c in domain})
+
+
+def test_neighbours_are_the_sorted_nonzero_ball():
+    for dim in (1, 2):
+        for r in range(7):
+            want = sorted(o for o in ball_oracle(dim, r) if any(o))
+            assert neighbours(dim, r)((0,) * dim) == want
+            cell = (5, -3)[:dim]
+            assert neighbours(dim, r)(cell) == [
+                tuple(a + b for a, b in zip(cell, o)) for o in want]
+
+
+def test_dilate_and_pad_match_oracle(rng):
+    for dim in (1, 2):
+        for cells in [set()] + [random_cells(rng, dim) for _ in range(15)]:
+            core = Pattern(BINARY, {c: rng.choice("01") for c in cells})
+            for r in range(7):
+                want = dilate_oracle(cells, r, dim)
+                assert dilate(cells, r) == want
+                padded = pad(core, r)
+                assert padded.domain == want
+                assert all(padded.value(c) == core.get(c, "0") for c in want)
+
+
+def blob_scan_oracle(pattern, r):
+    """(anchor, truncated, absolute padded cells) per component."""
+    out = []
+    for comp in components_oracle(pattern.support(), r):
+        ball = dilate_oracle(comp, r, pattern.dimension)
+        out.append((min(comp), not ball <= pattern.domain,
+                    ball & pattern.domain))
+    return out
+
+
+def absolute_domain(blob, anchor):
+    return {tuple(c + a for c, a in zip(cell, anchor))
+            for cell in blob.pattern.cells()}
+
+
+def test_blobs_and_hierarchy_match_oracle(rng):
+    for dim in (1, 2):
+        zeros = Pattern(BINARY, {(0,) * dim: "0"})
+        for p in [zeros] + [random_window(rng, dim) for _ in range(15)]:
+            hierarchy = build_hierarchy(p, range(7))
+            for level in hierarchy.levels:
+                want = blob_scan_oracle(p, level.radius)
+                got = [(pl.anchor, pl.truncated,
+                        absolute_domain(pl.blob, pl.anchor))
+                       for pl in level.placements]
+                assert got == want
+                if any(truncated for _, truncated, _ in want):
+                    with pytest.raises(PaddingUnavailable):
+                        blobs(p, level.radius)
+                else:
+                    assert [(anchor, absolute_domain(blob, anchor))
+                            for blob, anchor in blobs(p, level.radius)] == \
+                        [(anchor, cells) for anchor, _, cells in want]
+
+
+def test_pad_checks_the_cell_cap(monkeypatch):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "100")
+    assert len(pad(Pattern(BINARY, {(0, 0): "1"}), 4)) == 41
+    square = Pattern(BINARY, {(x, y): "1" for x in range(5) for y in range(5)})
+    with pytest.raises(SizeLimit):
+        pad(square, 10)
 
 
 # ---------------------------------------------------------------------- blobs

@@ -251,6 +251,25 @@ def test_cli_usage_error_is_exit_one(capsys):
     assert main(["glue", "--pattern", "only-one.pat"]) == 1
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["blobs", "--pattern", "word.pat", "--radius", "-1"], 1),
+    (["blobs", "--pattern", "word.pat", "--radius", "1", "--pad", "-2"], 1),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--window", "0"], 1),
+    (["blobs", "--pattern", "bad_dims.pat", "--radius", "1"], 2),
+    (["blobs", "--pattern", "bad_origin.pat", "--radius", "1"], 2),
+])
+def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
+                                                  argv, code):
+    (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
+    (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
+    monkeypatch.chdir(files)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+
+
 def test_cell_cap_env_override(monkeypatch):
     from blobshift.errors import SizeLimit
     from blobshift.substitution import iterate_1d, thinning_substitution
@@ -259,6 +278,16 @@ def test_cell_cap_env_override(monkeypatch):
         iterate_1d(thinning_substitution(2), "1", 5)
     monkeypatch.delenv("BLOBSHIFT_CELL_CAP")
     assert len(iterate_1d(thinning_substitution(2), "1", 5)) == 4 ** 5
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_cell_cap_env_is_a_domain_error(files, capsys, monkeypatch, raw):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", raw)
+    code = main(["gen", "--subst", str(files / "plus.sub"), "--seed", "1",
+                 "--iters", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == \
+        "BlobshiftError"
 
 
 def test_cli_reports_are_schema_one(files, capsys):
