@@ -17,6 +17,7 @@ from .errors import (
     GlueConflict,
     InjectionNotDistinct,
     InjectionNotPrime,
+    InvariantViolation,
     NoPrimeInRange,
     NotInvertible,
     NotZeroPreserving,
@@ -33,6 +34,7 @@ __all__ = [
     "GlueConflict",
     "InjectionNotDistinct",
     "InjectionNotPrime",
+    "InvariantViolation",
     "NoPrimeInRange",
     "NotInvertible",
     "NotZeroPreserving",

@@ -14,6 +14,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import (
+    InvariantViolation,
     NotInvertible,
     NotZeroPreserving,
     SizeLimit,
@@ -94,21 +95,77 @@ class FiniteConfig:
         return self.alphabet.zero
 
 
-def step(rule: CARule, config: FiniteConfig) -> FiniteConfig:
-    """One application of the rule; support grows at most rho per side."""
+# -- the stepping kernel -------------------------------------------------------
+#
+# Every probe steps words, not cells: the image of a word is read off a
+# table of blocks, each mapping a (2 rho + 8)-window to its 8 image cells.
+# The table fills on first sight of a window, so a rule pays only for the
+# windows its trajectories reach.
+
+_BLOCK = 8
+
+
+class _BlockTable(dict):
+    """(2 rho + 8)-window -> its 8 image cells, computed when first asked."""
+
+    def __init__(self, rule: CARule):
+        super().__init__()
+        self.table = rule.table
+        self.width = 2 * rule.radius + 1
+
+    def __missing__(self, window: str) -> str:
+        table, width = self.table, self.width
+        block = "".join([table[window[j:j + width]] for j in range(_BLOCK)])
+        self[window] = block
+        return block
+
+
+def _stepper(rule: CARule):
+    """(step_word, step_cycle) for the rule, sharing one block table.
+
+    step_word(word) returns the image of a finite configuration's word as
+    (trimmed image word, offset change); the image word is "" when it is
+    all zero. step_cycle(word) returns the image of the cyclic word.
+    """
     rho = rule.radius
     zero = rule.alphabet.zero
+    span = 2 * rho + _BLOCK
+    blocks = _BlockTable(rule)
+    join = "".join
+    margin = zero * (2 * rho)
+    # tails[k] closes a finite word's padding with k more zeros, so the
+    # last block's window is full
+    tails = [margin + zero * k for k in range(_BLOCK)]
+
+    def image(padded: str, n: int) -> str:
+        # padded[j:j + 2 rho + 1] is image cell j's window, for j up to n
+        # rounded up to whole blocks
+        return join([blocks[padded[k:k + span]]
+                     for k in range(0, n, _BLOCK)])[:n]
+
+    def step_word(word: str) -> tuple[str, int]:
+        n = len(word) + 2 * rho
+        out = image(margin + word + tails[-n % _BLOCK], n)
+        core = out.lstrip(zero)
+        return core.rstrip(zero), n - len(core) - rho
+
+    def step_cycle(word: str) -> str:
+        n = len(word)
+        total = -(-n // _BLOCK) * _BLOCK + 2 * rho
+        start = -rho % n
+        return image((word * (total // n + 2))[start:start + total], n)
+
+    return step_word, step_cycle
+
+
+def step(rule: CARule, config: FiniteConfig) -> FiniteConfig:
+    """One application of the rule; support grows at most rho per side."""
     if config.is_zero():
         return config
-    lo = config.offset - rho
-    hi = config.offset + len(config.word) + rho
-    padded = zero * (2 * rho) + config.word + zero * (2 * rho)
-    width = 2 * rho + 1
-    out = []
-    for i in range(lo, hi):
-        start = i - config.offset + rho
-        out.append(rule.table[padded[start:start + width]])
-    return FiniteConfig.make("".join(out), lo, rule.alphabet)
+    word, shift = _stepper(rule)[0](config.word)
+    if not word:
+        return FiniteConfig(rule.alphabet, 0, "")
+    return FiniteConfig(rule.alphabet, config.offset + shift, word)
 
 
 def evolve(rule: CARule, config: FiniteConfig,
@@ -118,31 +175,72 @@ def evolve(rule: CARule, config: FiniteConfig,
         raise ValueError("steps must be nonnegative")
     if not rule.zero_preserving:
         raise NotZeroPreserving("finite evolution needs a zero-preserving rule")
+    step_word, _ = _stepper(rule)
+    rho = rule.radius
+    lo, hi = config.offset, config.offset + len(config.word)
+    zero = FiniteConfig(rule.alphabet, 0, "")
     out = [config]
-    for t in range(steps):
-        nxt = step(rule, out[-1])
-        if not nxt.is_zero():
-            # light cone: support stays within rho*t of the original
-            assert nxt.offset >= config.offset - rule.radius * (t + 1)
-            assert (nxt.offset + len(nxt.word)
-                    <= config.offset + len(config.word) + rule.radius * (t + 1))
-        out.append(nxt)
+    word, offset = config.word, config.offset
+    for t in range(1, steps + 1):
+        if word:
+            word, shift = step_word(word)
+            offset += shift
+        # light cone: support stays within rho*t of the original
+        if word and (offset < lo - rho * t
+                     or offset + len(word) > hi + rho * t):
+            raise InvariantViolation(
+                f"step {t} left the light cone of {config.word!r}")
+        out.append(FiniteConfig(rule.alphabet, offset, word) if word else zero)
     return out
 
 
-def canonical_configs(alphabet: Alphabet, max_width: int) -> Iterator[FiniteConfig]:
-    """Nonzero canonical configurations by width, then lexicographically."""
+def _canonical_words(alphabet: Alphabet, max_width: int) -> Iterator[str]:
+    """Words of the nonzero canonical configurations, in enumeration order."""
     zero = alphabet.zero
     nonzero = [s for s in alphabet.symbols if s != zero]
     for width in range(1, max_width + 1):
         if width == 1:
-            for s in nonzero:
-                yield FiniteConfig(alphabet, 0, s)
+            yield from nonzero
             continue
         for first in nonzero:
             for middle in product(alphabet.symbols, repeat=width - 2):
+                inner = first + "".join(middle)
                 for last in nonzero:
-                    yield FiniteConfig(alphabet, 0, first + "".join(middle) + last)
+                    yield inner + last
+
+
+def canonical_configs(alphabet: Alphabet, max_width: int) -> Iterator[FiniteConfig]:
+    """Nonzero canonical configurations by width, then lexicographically."""
+    for word in _canonical_words(alphabet, max_width):
+        yield FiniteConfig(alphabet, 0, word)
+
+
+def _check_probe_size(max_width: int, max_time: int) -> None:
+    if max_width < 1 or max_time < 1:
+        raise ValueError("max_width and max_time must be at least 1")
+
+
+def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
+                  max_time: int) -> Iterator[tuple]:
+    """What becomes of each canonical seed within max_time steps.
+
+    Yields (seed, n, m) when f^n(seed) is the seed shifted by m (the first
+    such n), (seed, n, None) when f^n(seed) is zero, and (seed, None,
+    None) when neither happens by max_time.
+    """
+    for seed in _canonical_words(alphabet, max_width):
+        word, offset = seed, 0
+        for n in range(1, max_time + 1):
+            word, shift = step_word(word)
+            if not word:
+                yield seed, n, None
+                break
+            offset += shift
+            if word == seed:
+                yield seed, n, -offset
+                break
+        else:
+            yield seed, None, None
 
 
 def find_glider(rule: CARule, max_width: int,
@@ -153,16 +251,14 @@ def find_glider(rule: CARule, max_width: int,
     m. Finite nonzero configurations are never shift-periodic, so every
     revisit qualifies, including m = 0.
     """
+    _check_probe_size(max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("glider search needs a zero-preserving rule")
-    for seed in canonical_configs(rule.alphabet, max_width):
-        current = seed
-        for n in range(1, max_time + 1):
-            current = step(rule, current)
-            if current.word == seed.word:
-                return seed, n, -current.offset
-            if current.is_zero():
-                break
+    step_word, _ = _stepper(rule)
+    for seed, n, m in _finite_fates(step_word, rule.alphabet,
+                                    max_width, max_time):
+        if m is not None:
+            return FiniteConfig(rule.alphabet, 0, seed), n, m
     return None
 
 
@@ -176,31 +272,22 @@ class NilpotencyVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def _cycle_step(rule: CARule, word: str) -> str:
-    """The rule acting on a cyclic word (a spatially periodic point)."""
-    n = len(word)
-    rho = rule.radius
-    out = []
-    for i in range(n):
-        nb = "".join(word[(i + d) % n] for d in range(-rho, rho + 1))
-        out.append(rule.table[nb])
-    return "".join(out)
-
-
 def _cyclic_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
-    """One representative per rotation class, all-zero excluded."""
+    """One representative per rotation class, all-zero excluded.
+
+    The representative is the least rotation; classes come in the order
+    their first member is enumerated.
+    """
     zero = alphabet.zero
-    seen = set()
     for length in range(1, max_len + 1):
+        seen = {zero * length}
         for tup in product(alphabet.symbols, repeat=length):
             word = "".join(tup)
-            if word == zero * length:
+            if word in seen:
                 continue
-            canon = min(word[i:] + word[:i] for i in range(length))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            yield canon
+            rotations = {word[i:] + word[:i] for i in range(length)}
+            seen |= rotations
+            yield min(rotations)
 
 
 def nilpotency_probe(rule: CARule, max_width: int,
@@ -212,34 +299,32 @@ def nilpotency_probe(rule: CARule, max_width: int,
     too. A glider or a surviving cycle is a definite counterexample; a
     survivor without either is inconclusive at this probe size.
     """
+    _check_probe_size(max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("the probe needs a zero-preserving rule")
-    deaths = [0]
+    step_word, step_cycle = _stepper(rule)
+    deaths = 0
     survivor = None
-    for seed in canonical_configs(rule.alphabet, max_width):
-        current = seed
-        died = False
-        for t in range(1, max_time + 1):
-            current = step(rule, current)
-            if current.is_zero():
-                deaths.append(t)
-                died = True
-                break
-            if current.word == seed.word:
-                return NilpotencyVerdict(
-                    "not_nilpotent",
-                    witness={"kind": "glider", "word": seed.word,
-                             "time": t, "shift": -current.offset})
-        if not died:
-            survivor = survivor or seed.word
+    for seed, n, m in _finite_fates(step_word, rule.alphabet,
+                                    max_width, max_time):
+        if m is not None:
+            return NilpotencyVerdict(
+                "not_nilpotent",
+                witness={"kind": "glider", "word": seed,
+                         "time": n, "shift": m})
+        if n is None:
+            survivor = survivor or seed
+        else:
+            deaths = max(deaths, n)
     zero = rule.alphabet.zero
     for word in _cyclic_words(rule.alphabet, max_width):
+        dead = zero * len(word)
         current = word
         seen = {current}
         for t in range(1, max_time + 1):
-            current = _cycle_step(rule, current)
-            if current == zero * len(current):
-                deaths.append(t)
+            current = step_cycle(current)
+            if current == dead:
+                deaths = max(deaths, t)
                 break
             if current in seen:
                 return NilpotencyVerdict(
@@ -249,7 +334,7 @@ def nilpotency_probe(rule: CARule, max_width: int,
         else:
             survivor = survivor or word
     if survivor is None:
-        return NilpotencyVerdict("nilpotent_on_probe", steps=max(deaths))
+        return NilpotencyVerdict("nilpotent_on_probe", steps=deaths)
     return NilpotencyVerdict("inconclusive",
                              witness={"survivor": survivor})
 

@@ -50,6 +50,33 @@ def _at_least(minimum: int):
     return integer
 
 
+def _slope(raw: str) -> Fraction:
+    """argparse type for a rational slope p/q in [0, 1]."""
+    num, _, den = raw.partition("/")
+    try:
+        alpha = Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not p/q") from None
+    if not 0 <= alpha <= 1:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return alpha
+
+
+def _int_list(raw: str) -> list[int]:
+    try:
+        return [int(v) for v in raw.split(",")]
+    except ValueError:
+        raise _UsageError(f"bad integer list {raw!r}") from None
+
+
+def _checked(call, *args):
+    """Run a library call whose ValueError reports a bad argument."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _read(path: str, inputs: dict) -> str:
     try:
         data = Path(path).read_bytes()
@@ -280,17 +307,16 @@ def _cmd_pathcover(args, argv, inputs):
             "cells": _cells_in_order(path) if path else [],
         })
     # guided
-    if args.slope:
-        num, _, den = args.slope.partition("/")
-        alpha = Fraction(int(num), int(den or "1"))
-        offsets = [int(c) for c in pathcover.sturmian_word(alpha, args.length)]
+    if args.slope is not None:
+        offsets = [int(c) for c in
+                   pathcover.sturmian_word(args.slope, args.length)]
         steps = [1] * args.length
     else:
         if not args.steps or not args.offsets:
             raise _UsageError("guided needs --slope or --steps with --offsets")
-        steps = [int(v) for v in args.steps.split(",")]
-        offsets = [int(v) for v in args.offsets.split(",")]
-    pattern = pathcover.trace_guided_path(steps, offsets, args.length)
+        steps = _int_list(args.steps)
+        offsets = _int_list(args.offsets)
+    pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
     if args.format in render.PATTERN_FORMATS:
         _emit(args, render.render_pattern(pattern, args.format))
         return 0
@@ -318,6 +344,8 @@ def _cmd_ca(args, argv, inputs):
         return _report(args, argv, inputs, {
             "tag": verdict.tag, "steps": verdict.steps,
             "witness": verdict.witness})
+    if not set(args.config) <= set(rule.alphabet.symbols):
+        raise _UsageError(f"--config {args.config!r} leaves the alphabet")
     config = automata.FiniteConfig.make(args.config, args.offset, rule.alphabet)
     profile = automata.asymptotic_profile(rule, config, args.horizon)
     return _report(args, argv, inputs, {"profile": profile})
@@ -334,14 +362,14 @@ def _cmd_tfg(args, argv, inputs):
 def _cmd_primes(args, argv, inputs):
     if args.action == "lang":
         window = primes.sieve(args.limit)
-        words = sorted(primes.late_language(window, args.length, args.threshold))
+        words = sorted(_checked(primes.late_language, window, args.length,
+                                args.threshold))
         return _report(args, argv, inputs, {
             "length": args.length, "threshold": args.threshold,
             "limit": args.limit, "words": words})
     if args.action == "crt":
-        injection = ([int(v) for v in args.injection.split(",")]
-                     if args.injection else None)
-        witness = primes.crt_zero_run(args.n, injection)
+        injection = _int_list(args.injection) if args.injection else None
+        witness = _checked(primes.crt_zero_run, args.n, injection)
         return _report(args, argv, inputs, {
             "n": witness.n, "injection": list(witness.injection),
             "k": witness.k, "modulus": witness.modulus,
@@ -352,17 +380,18 @@ def _cmd_primes(args, argv, inputs):
         return _report(args, argv, inputs, {
             "n": args.n, "limit": args.limit, "prime": found})
     if args.action == "dirichlet":
-        k, modulus, p = primes.dirichlet_isolated(args.n, args.scan_limit)
+        k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
+                                 args.scan_limit)
         return _report(args, argv, inputs, {
             "n": args.n, "k": k, "modulus": modulus, "prime": p})
     if args.action == "gaps":
         window = primes.sieve(args.limit)
         return _report(args, argv, inputs, {
             "threshold": args.threshold, "limit": args.limit,
-            "gap_floor": primes.gap_floor(window, args.threshold)})
+            "gap_floor": _checked(primes.gap_floor, window, args.threshold)})
     # export
     window = primes.sieve(args.limit)
-    pattern = primes.char_pattern(window, args.start, args.end)
+    pattern = _checked(primes.char_pattern, window, args.start, args.end)
     _emit(args, format_pattern(pattern).encode())
     return 0
 
@@ -399,8 +428,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--subst", required=True)
     p.add_argument("--seed")
     p.add_argument("--seed-file", dest="seed_file")
-    p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--iters", type=_at_least(0), required=True)
+    p.add_argument("--cap", type=_at_least(1), default=None)
     p.add_argument("--format", default="json",
                    choices=("json", "text", "pbm"))
 
@@ -432,7 +461,7 @@ def _build_parser() -> _Parser:
     p = add("classify-path", _cmd_classify_path,
             help="classify the path space of a move substitution")
     p.add_argument("--subst", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_at_least(1), required=True)
 
     p = add("pathcover", _cmd_pathcover, help="paths drawn on supports")
     p.add_argument("action", choices=("geodesic", "ascend", "guided"))
@@ -441,8 +470,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=_at_least(1), default=1,
                    help="ascension window for ascend")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--slope", help="rational slope p/q for Sturmian offsets")
+    p.add_argument("--length", type=_at_least(0), default=64)
+    p.add_argument("--slope", type=_slope,
+                   help="rational slope p/q in [0, 1] for Sturmian offsets")
     p.add_argument("--steps", help="comma-separated vertical steps")
     p.add_argument("--offsets", help="comma-separated horizontal offsets")
     p.add_argument("--format", default="json",
@@ -451,28 +481,33 @@ def _build_parser() -> _Parser:
     p = add("ca", _cmd_ca, help="cellular automaton probes")
     p.add_argument("action", choices=("glider", "nilpotent", "profile"))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-width", dest="max_width", type=int, default=4)
-    p.add_argument("--max-time", dest="max_time", type=int, default=16)
+    p.add_argument("--max-width", dest="max_width", type=_at_least(1),
+                   default=4)
+    p.add_argument("--max-time", dest="max_time", type=_at_least(1),
+                   default=16)
     p.add_argument("--config", default="1")
     p.add_argument("--offset", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=32)
+    p.add_argument("--horizon", type=_at_least(0), default=32)
 
     p = add("tfg", _cmd_tfg, help="topological full group order search")
     p.add_argument("action", choices=("order",))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-order", dest="max_order", type=int, default=8)
-    p.add_argument("--max-period", dest="max_period", type=int, default=4)
+    p.add_argument("--max-order", dest="max_order", type=_at_least(1),
+                   default=8)
+    p.add_argument("--max-period", dest="max_period", type=_at_least(1),
+                   default=4)
 
     p = add("primes", _cmd_primes, help="prime subshift probes")
     p.add_argument("action", choices=("lang", "crt", "isolated",
                                       "dirichlet", "gaps", "export"))
-    p.add_argument("--limit", type=int, default=10 ** 6)
-    p.add_argument("--length", type=int, default=3)
-    p.add_argument("--threshold", type=int, default=10 ** 5)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--limit", type=_at_least(2), default=10 ** 6)
+    p.add_argument("--length", type=_at_least(1), default=3)
+    p.add_argument("--threshold", type=_at_least(0), default=10 ** 5)
+    p.add_argument("--n", type=_at_least(0), default=1)
     p.add_argument("--injection")
-    p.add_argument("--scan-limit", dest="scan_limit", type=int, default=10 ** 5)
-    p.add_argument("--start", type=int, default=0)
+    p.add_argument("--scan-limit", dest="scan_limit", type=_at_least(0),
+                   default=10 ** 5)
+    p.add_argument("--start", type=_at_least(0), default=0)
     p.add_argument("--end", type=int, default=None)
 
     p = add("render", _cmd_render, help="render a pattern or a move word")

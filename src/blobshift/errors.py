@@ -58,5 +58,9 @@ class EmptySupport(BlobshiftError):
     """The operation needs at least one nonzero cell."""
 
 
+class InvariantViolation(BlobshiftError):
+    """A result-certifying check failed: the computation itself is wrong."""
+
+
 class UnsupportedFormat(BlobshiftError):
     """Unknown render or serialization format."""

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     InjectionNotDistinct,
     InjectionNotPrime,
+    InvariantViolation,
     NoPrimeInRange,
     SizeLimit,
 )
@@ -190,7 +192,7 @@ def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
     start = k + ((floor - k + modulus - 1) // modulus) * modulus if k < floor else k
     for i in range(n):
         if not is_composite(start + i):
-            raise AssertionError(f"run member {start + i} is not composite")
+            raise InvariantViolation(f"run member {start + i} is not composite")
     return CRTWitness(n, tuple(injection), k, modulus, start)
 
 
@@ -218,7 +220,7 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
     Indices -n..-1, 1..n inject into primes above 2n; solving
     k = i mod injection(i) makes every p in the class k + N Z satisfy
     that p - i and p + i are divisible by the injected primes. gcd(k, N)
-    is 1 by construction (asserted), the progression is walked up to
+    is 1 by construction (checked), the progression is walked up to
     scan_limit steps, and the first prime found is verified isolated.
     Returns (k, N, p).
     """
@@ -237,8 +239,9 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
             raise InjectionNotPrime(f"{p} is not above 2n")
     k, modulus = crt_solve([i % p for i, p in zip(indices, injection)],
                            injection)
-    from math import gcd
-    assert gcd(k, modulus) == 1, "the construction guarantees coprimality"
+    if gcd(k, modulus) != 1:
+        raise InvariantViolation(
+            f"gcd({k}, {modulus}) is not 1, against the construction")
     for ell in range(scan_limit + 1):
         p = k + ell * modulus
         if p > max(injection) and is_prime(p):

@@ -1,6 +1,11 @@
 """CA evolution, glider and nilpotency probes, full-group order search."""
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +13,10 @@ from blobshift.errors import NotInvertible, NotZeroPreserving
 from blobshift.automata import (
     CARule,
     FiniteConfig,
+    NilpotencyVerdict,
     TFGElement,
+    _cyclic_words,
+    _stepper,
     asymptotic_profile,
     block_swap_element,
     canonical_configs,
@@ -252,3 +260,225 @@ def test_decrement_alphabet():
     rule = decrement_rule()
     assert rule.alphabet == Alphabet(("0", "1", "2"), "0")
     assert rule.zero_preserving
+
+
+# ------------------------------------------------- the block-table kernel
+#
+# The per-cell loops the kernel replaced, kept as oracles.
+
+
+def oracle_step(rule, config):
+    rho = rule.radius
+    zero = rule.alphabet.zero
+    if config.is_zero():
+        return config
+    lo = config.offset - rho
+    hi = config.offset + len(config.word) + rho
+    padded = zero * (2 * rho) + config.word + zero * (2 * rho)
+    width = 2 * rho + 1
+    out = []
+    for i in range(lo, hi):
+        start = i - config.offset + rho
+        out.append(rule.table[padded[start:start + width]])
+    return FiniteConfig.make("".join(out), lo, rule.alphabet)
+
+
+def oracle_cycle_step(rule, word):
+    n = len(word)
+    rho = rule.radius
+    out = []
+    for i in range(n):
+        nb = "".join(word[(i + d) % n] for d in range(-rho, rho + 1))
+        out.append(rule.table[nb])
+    return "".join(out)
+
+
+def oracle_cyclic_words(alphabet, max_len):
+    zero = alphabet.zero
+    seen = set()
+    for length in range(1, max_len + 1):
+        for tup in product(alphabet.symbols, repeat=length):
+            word = "".join(tup)
+            if word == zero * length:
+                continue
+            canon = min(word[i:] + word[:i] for i in range(length))
+            if canon in seen:
+                continue
+            seen.add(canon)
+            yield canon
+
+
+def oracle_find_glider(rule, max_width, max_time):
+    for seed in canonical_configs(rule.alphabet, max_width):
+        current = seed
+        for n in range(1, max_time + 1):
+            current = oracle_step(rule, current)
+            if current.word == seed.word:
+                return seed, n, -current.offset
+            if current.is_zero():
+                break
+    return None
+
+
+def oracle_nilpotency_probe(rule, max_width, max_time):
+    deaths = [0]
+    survivor = None
+    for seed in canonical_configs(rule.alphabet, max_width):
+        current = seed
+        died = False
+        for t in range(1, max_time + 1):
+            current = oracle_step(rule, current)
+            if current.is_zero():
+                deaths.append(t)
+                died = True
+                break
+            if current.word == seed.word:
+                return NilpotencyVerdict(
+                    "not_nilpotent",
+                    witness={"kind": "glider", "word": seed.word,
+                             "time": t, "shift": -current.offset})
+        if not died:
+            survivor = survivor or seed.word
+    zero = rule.alphabet.zero
+    for word in oracle_cyclic_words(rule.alphabet, max_width):
+        current = word
+        seen = {current}
+        for t in range(1, max_time + 1):
+            current = oracle_cycle_step(rule, current)
+            if current == zero * len(current):
+                deaths.append(t)
+                break
+            if current in seen:
+                return NilpotencyVerdict(
+                    "not_nilpotent",
+                    witness={"kind": "periodic", "word": word, "time": t})
+            seen.add(current)
+        else:
+            survivor = survivor or word
+    if survivor is None:
+        return NilpotencyVerdict("nilpotent_on_probe", steps=max(deaths))
+    return NilpotencyVerdict("inconclusive", witness={"survivor": survivor})
+
+
+KERNEL_ALPHABETS = (BINARY, Alphabet(("1", "0"), "1"),
+                    Alphabet(("b", "a", "c"), "b"))
+
+
+def random_rule(rng, alphabet, radius, zero_preserving=True):
+    symbols = alphabet.symbols
+    table = {}
+    for t in product(symbols, repeat=2 * radius + 1):
+        word = "".join(t)
+        table[word] = rng.choice(symbols)
+    if zero_preserving:
+        table[alphabet.zero * (2 * radius + 1)] = alphabet.zero
+    return CARule(alphabet, radius, table)
+
+
+def random_word(rng, alphabet, length):
+    return "".join(rng.choice(alphabet.symbols) for _ in range(length))
+
+
+def test_kernel_step_matches_per_cell_oracle():
+    rng = random.Random(41)
+    for _ in range(150):
+        alphabet = rng.choice(KERNEL_ALPHABETS)
+        rule = random_rule(rng, alphabet, rng.randrange(3),
+                           zero_preserving=rng.random() < 0.8)
+        for _ in range(10):
+            # lengths 1-40 cover one block, several, and a ragged tail
+            word = random_word(rng, alphabet, rng.randrange(1, 41))
+            config = FiniteConfig.make(word, rng.randrange(-20, 20), alphabet)
+            assert step(rule, config) == oracle_step(rule, config)
+
+
+def test_kernel_cycle_step_matches_per_cell_oracle():
+    rng = random.Random(43)
+    for _ in range(150):
+        alphabet = rng.choice(KERNEL_ALPHABETS)
+        rule = random_rule(rng, alphabet, rng.randrange(3),
+                           zero_preserving=rng.random() < 0.8)
+        _, step_cycle = _stepper(rule)
+        for length in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 40):
+            # lengths below 2 rho + 1 wrap the window more than once
+            word = random_word(rng, alphabet, length)
+            assert step_cycle(word) == oracle_cycle_step(rule, word)
+
+
+def test_kernel_evolve_matches_iterated_oracle():
+    rng = random.Random(47)
+    for _ in range(40):
+        alphabet = rng.choice(KERNEL_ALPHABETS)
+        rule = random_rule(rng, alphabet, rng.randrange(3))
+        config = FiniteConfig.make(random_word(rng, alphabet, 12), 3, alphabet)
+        expected = [config]
+        for _ in range(20):
+            expected.append(oracle_step(rule, expected[-1]))
+        assert evolve(rule, config, 20) == expected
+
+
+def test_cyclic_words_sequence_unchanged():
+    for alphabet in KERNEL_ALPHABETS:
+        for width in range(1, 7):
+            assert (list(_cyclic_words(alphabet, width))
+                    == list(oracle_cyclic_words(alphabet, width)))
+
+
+def test_probes_match_per_cell_oracle():
+    rng = random.Random(53)
+    verdicts = set()
+    for ix in range(200):
+        alphabet = KERNEL_ALPHABETS[ix % 3]
+        radius = rng.randrange(3)
+        rule = random_rule(rng, alphabet, radius)
+        width = 6 if len(alphabet.symbols) == 2 else 4
+        time = rng.choice((1, 4, 12))
+        assert (find_glider(rule, width, time)
+                == oracle_find_glider(rule, width, time))
+        verdict = nilpotency_probe(rule, width, time)
+        assert verdict == oracle_nilpotency_probe(rule, width, time)
+        verdicts.add(verdict.witness.get("kind", verdict.tag))
+    for rule in (xor_rule(), shift_rule(), identity_rule(), decrement_rule()):
+        assert find_glider(rule, 6, 16) == oracle_find_glider(rule, 6, 16)
+        assert (nilpotency_probe(rule, 6, 16)
+                == oracle_nilpotency_probe(rule, 6, 16))
+    # the random rules reach every kind of verdict
+    assert verdicts >= {"glider", "periodic", "inconclusive",
+                        "nilpotent_on_probe"}
+
+
+@pytest.mark.parametrize("width,time", [(0, 4), (3, 0), (-1, -3)])
+def test_probes_reject_empty_probe_sizes(width, time):
+    with pytest.raises(ValueError):
+        nilpotency_probe(xor_rule(), width, time)
+    with pytest.raises(ValueError):
+        find_glider(xor_rule(), width, time)
+
+
+def test_certifying_checks_survive_python_O():
+    script = textwrap.dedent("""
+        from blobshift import automata, primes
+        from blobshift.errors import InvariantViolation
+
+        # a stepper that jumps five cells left breaks the light cone
+        automata._stepper = lambda rule: (lambda word: (word, -5), None)
+        try:
+            automata.evolve(automata.xor_rule(),
+                            automata.FiniteConfig.make("1"), 3)
+        except InvariantViolation:
+            print("light cone")
+
+        # 9 = 3 * 3 passed off as prime shares a factor with index 3
+        real = primes.is_prime
+        primes.is_prime = lambda n: n == 9 or real(n)
+        try:
+            primes.dirichlet_isolated(3, 10, [7, 11, 13, 17, 19, 9])
+        except InvariantViolation:
+            print("gcd")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["light", "cone", "gcd"]

@@ -257,6 +257,25 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["pathcover", "ascend", "--pattern", "word.pat", "--window", "0"], 1),
     (["blobs", "--pattern", "bad_dims.pat", "--radius", "1"], 2),
     (["blobs", "--pattern", "bad_origin.pat", "--radius", "1"], 2),
+    (["gen", "--subst", "plus.sub", "--iters", "-1"], 1),
+    (["primes", "crt", "--n", "0"], 1),
+    (["primes", "dirichlet", "--n", "0"], 1),
+    (["primes", "lang", "--limit", "1"], 1),
+    (["primes", "lang", "--limit", "100", "--threshold", "99"], 1),
+    (["pathcover", "guided", "--slope", "x"], 1),
+    (["pathcover", "guided", "--slope", "1/0"], 1),
+    (["pathcover", "guided", "--slope", "3/2"], 1),
+    (["pathcover", "guided", "--slope", "1/2", "--length", "-1"], 1),
+    (["pathcover", "guided", "--steps", "1,x", "--offsets", "0,1"], 1),
+    (["primes", "crt", "--n", "2", "--injection", "5,x"], 1),
+    (["classify-path", "--subst", "tau1.sub", "--horizon", "0"], 1),
+    (["ca", "nilpotent", "--rule", "shift.ca", "--max-width", "-1",
+      "--max-time", "-3"], 1),
+    (["ca", "nilpotent", "--rule", "shift.ca", "--max-width", "0"], 1),
+    (["ca", "glider", "--rule", "shift.ca", "--max-time", "0"], 1),
+    (["ca", "profile", "--rule", "shift.ca", "--horizon", "-2"], 1),
+    (["ca", "profile", "--rule", "shift.ca", "--config", "102"], 1),
+    (["tfg", "order", "--rule", "shift.ca", "--max-order", "0"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
