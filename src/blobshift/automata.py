@@ -20,7 +20,27 @@ from .errors import (
     SizeLimit,
     UnsupportedFormat,
 )
-from .patterns import Alphabet, BINARY
+from .limits import cell_cap
+from .patterns import (
+    Alphabet,
+    BINARY,
+    alphabet_field,
+    arrow,
+    header_ints,
+    text_parser,
+)
+
+
+def _check_table(alphabet: Alphabet, radius: int, table: Mapping) -> None:
+    """Every key is a (2 radius + 1)-word and every such word is a key."""
+    width = 2 * radius + 1
+    for word in table:
+        if len(word) != width:
+            raise ValueError(f"table key {word!r} is not a {width}-word")
+    # with every key width cells long, only an empty table, never total,
+    # leaves the power unbounded by the input
+    if not table or len(table) != len(alphabet.symbols) ** width:
+        raise ValueError("table must be total")
 
 
 @dataclass(frozen=True)
@@ -34,15 +54,10 @@ class CARule:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        width = 2 * self.radius + 1
-        for word, out in self.table.items():
-            if len(word) != width:
-                raise ValueError(f"table key {word!r} is not a {width}-word")
+        _check_table(self.alphabet, self.radius, self.table)
+        for out in self.table.values():
             if out not in self.alphabet.symbols:
                 raise ValueError(f"table value {out!r} not in the alphabet")
-        expected = len(self.alphabet.symbols) ** width
-        if len(self.table) != expected:
-            raise ValueError("rule table must be total")
 
     @property
     def zero_preserving(self) -> bool:
@@ -357,18 +372,10 @@ class TFGElement:
     table: Mapping[str, int]
 
     def __post_init__(self):
-        width = 2 * self.radius + 1
-        for word, shift in self.table.items():
-            if len(word) != width:
-                raise ValueError(f"table key {word!r} is not a {width}-word")
+        _check_table(self.alphabet, self.radius, self.table)
+        for shift in self.table.values():
             if abs(shift) > self.radius:
                 raise ValueError("shift exceeds the radius")
-        expected = len(self.alphabet.symbols) ** width
-        if len(self.table) != expected:
-            raise ValueError("cocycle table must be total")
-
-    def shift_of(self, window: str) -> int:
-        return self.table[window]
 
 
 def tfg_validate(element: TFGElement) -> TFGElement:
@@ -513,64 +520,61 @@ def tfg_order_search(element: TFGElement, max_order: int,
 # -- rule files -----------------------------------------------------------------
 #
 # "ca <alphabet> radius <rho>" then "<word> -> <symbol>" lines for local
-# rules or "<word> -> shift <k>" lines for cocycle tables; a final
-# "* -> ..." wildcard supplies the default.
+# rules or "<word> -> shift <k>" lines for cocycle tables; a
+# "* -> ..." wildcard line supplies the default for every other word.
 
 
-def _parse_rule_lines(text: str):
+def _parse_rule_lines(text: str, value) -> tuple[Alphabet, int, dict]:
+    """(alphabet, radius, table) of a rule file, value() reading each image."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("ca "):
         raise UnsupportedFormat("rule text must start with 'ca'")
     head = lines[0].split()
     if len(head) != 4 or head[2] != "radius":
         raise UnsupportedFormat("header must read 'ca <alphabet> radius <rho>'")
-    chars = head[1]
-    alphabet = Alphabet(tuple(chars), chars[0])
-    radius = int(head[3])
-    entries = []
-    default = None
-    for line in lines[1:]:
-        left, arrow, right = line.partition("->")
-        if not arrow:
-            raise UnsupportedFormat(f"expected '->' in {line!r}")
-        left, right = left.strip(), right.strip()
-        if left == "*":
-            default = right
-        else:
-            entries.append((left, right))
-    return alphabet, radius, entries, default
+    alphabet = alphabet_field(head[1])
+    (radius,) = header_ints(lines[0], 3)
+    if radius < 0:
+        raise UnsupportedFormat("radius must be nonnegative")
+    entries = [arrow(line) for line in lines[1:]]
+    for left, _ in entries:
+        # a foreign window could stand in for a missing one and pass the count
+        if left != "*" and not set(left) <= set(alphabet.symbols):
+            raise UnsupportedFormat(f"window {left!r} leaves the alphabet")
+    defaults = [right for left, right in entries if left == "*"]
+    table = {}
+    if defaults:
+        width = 2 * radius + 1
+        cap = cell_cap()
+        # the wildcard writes |A|^width words of width cells; past
+        # cap.bit_length() letters a power of |A| >= 2 is over the cap anyway
+        cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * width
+        if cells > cap:
+            raise SizeLimit(f"wildcard at radius {radius} passes the"
+                            f" {cap}-cell cap")
+        fill = value(defaults[-1])
+        table = {"".join(t): fill
+                 for t in product(alphabet.symbols, repeat=width)}
+    table.update((left, value(right)) for left, right in entries
+                 if left != "*")
+    return alphabet, radius, table
 
 
+def _shift(right: str) -> int:
+    shift = header_ints(right) if right.split()[:1] == ["shift"] else []
+    if len(shift) != 1:
+        raise UnsupportedFormat(f"expected 'shift <k>', got {right!r}")
+    return shift[0]
+
+
+@text_parser
 def parse_ca_rule(text: str) -> CARule:
-    alphabet, radius, entries, default = _parse_rule_lines(text)
-    width = 2 * radius + 1
-    table = {}
-    if default is not None:
-        table = {"".join(t): default
-                 for t in product(alphabet.symbols, repeat=width)}
-    for word, out in entries:
-        table[word] = out
-    return CARule(alphabet, radius, table)
+    return CARule(*_parse_rule_lines(text, str))
 
 
+@text_parser
 def parse_tfg_element(text: str) -> TFGElement:
-    alphabet, radius, entries, default = _parse_rule_lines(text)
-
-    def shift_of(right: str) -> int:
-        parts = right.split()
-        if len(parts) != 2 or parts[0] != "shift":
-            raise UnsupportedFormat(f"expected 'shift <k>', got {right!r}")
-        return int(parts[1])
-
-    width = 2 * radius + 1
-    table = {}
-    if default is not None:
-        value = shift_of(default)
-        table = {"".join(t): value
-                 for t in product(alphabet.symbols, repeat=width)}
-    for word, right in entries:
-        table[word] = shift_of(right)
-    return TFGElement(alphabet, radius, table)
+    return TFGElement(*_parse_rule_lines(text, _shift))
 
 
 # -- canned rules ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import BlobshiftError
+from .errors import BlobshiftError, UnsupportedFormat
 from . import automata, blobfractal, pathcover, paths, primes, render, substitution
 from .patterns import (
     Pattern,
@@ -83,7 +83,10 @@ def _read(path: str, inputs: dict) -> str:
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
     inputs[path] = hashlib.sha256(data).hexdigest()[:16]
-    return data.decode()
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise UnsupportedFormat(f"{path} is not UTF-8 text") from None
 
 
 def _jsonable(value):
@@ -138,6 +141,15 @@ def _report(args, command: list[str], inputs: dict, result: dict) -> int:
     return 0
 
 
+def _pattern_report(args, argv, inputs, pattern: Pattern, result: dict) -> int:
+    """The pattern rendered as --format asks, or a report ending with it."""
+    if args.format in render.PATTERN_FORMATS:
+        _emit(args, render.render_pattern(pattern, args.format))
+        return 0
+    return _report(args, argv, inputs,
+                   {**result, "pattern": format_pattern(pattern)})
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -154,14 +166,8 @@ def _cmd_gen(args, argv, inputs):
             symbol = args.seed or subst.alphabet.symbols[0]
             seed = Pattern(subst.alphabet, {(0, 0): symbol})
         pattern = substitution.iterate_2d(subst, seed, args.iters, cap=args.cap)
-    if args.format in render.PATTERN_FORMATS:
-        _emit(args, render.render_pattern(pattern, args.format))
-        return 0
-    return _report(args, argv, inputs, {
-        "cells": len(pattern),
-        "support": len(pattern.support()),
-        "pattern": format_pattern(pattern),
-    })
+    return _pattern_report(args, argv, inputs, pattern, {
+        "cells": len(pattern), "support": len(pattern.support())})
 
 
 def _cmd_blobs(args, argv, inputs):
@@ -184,14 +190,8 @@ def _cmd_glue(args, argv, inputs):
     p = parse_pattern(_read(args.pattern[0], inputs))
     q = parse_pattern(_read(args.pattern[1], inputs))
     glued = zero_glue(p, q)
-    if args.format in render.PATTERN_FORMATS:
-        _emit(args, render.render_pattern(glued, args.format))
-        return 0
-    return _report(args, argv, inputs, {
-        "cells": len(glued),
-        "support": len(glued.support()),
-        "pattern": format_pattern(glued),
-    })
+    return _pattern_report(args, argv, inputs, glued, {
+        "cells": len(glued), "support": len(glued.support())})
 
 
 def _cmd_width(args, argv, inputs):
@@ -291,6 +291,8 @@ def _cmd_classify_path(args, argv, inputs):
 
 
 def _cmd_pathcover(args, argv, inputs):
+    if args.action != "guided" and not args.pattern:
+        raise _UsageError(f"{args.action} needs --pattern")
     if args.action == "geodesic":
         pattern = parse_pattern(_read(args.pattern, inputs))
         path = pathcover.geodesic_witness(pattern, args.radius)
@@ -317,13 +319,8 @@ def _cmd_pathcover(args, argv, inputs):
         steps = _int_list(args.steps)
         offsets = _int_list(args.offsets)
     pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
-    if args.format in render.PATTERN_FORMATS:
-        _emit(args, render.render_pattern(pattern, args.format))
-        return 0
-    return _report(args, argv, inputs, {
-        "support": len(pattern.support()),
-        "pattern": format_pattern(pattern),
-    })
+    return _pattern_report(args, argv, inputs, pattern,
+                           {"support": len(pattern.support())})
 
 
 def _cells_in_order(path) -> list:
@@ -398,7 +395,7 @@ def _cmd_primes(args, argv, inputs):
 
 def _cmd_render(args, argv, inputs):
     if args.moves:
-        word = paths.parse_moves(args.moves)
+        word = _checked(paths.parse_moves, args.moves)
         if args.format != "svg-paths":
             raise _UsageError("move words render as --format svg-paths")
         _emit(args, render.render_moves(word))
@@ -469,7 +466,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=_at_least(0), default=1)
     p.add_argument("--window", type=_at_least(1), default=1,
                    help="ascension window for ascend")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_at_least(1), default=200_000)
     p.add_argument("--length", type=_at_least(0), default=64)
     p.add_argument("--slope", type=_slope,
                    help="rational slope p/q in [0, 1] for Sturmian offsets")

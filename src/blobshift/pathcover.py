@@ -85,8 +85,8 @@ def find_ascending_path(pattern: Pattern, r: int, m: int,
     path of length at least 2m was found within the node budget, nothing
     stronger.
     """
-    if m < 1:
-        raise ValueError("window must be at least 1")
+    if m < 1 or budget < 1:
+        raise ValueError("window and budget must be at least 1")
     support = pattern.support()
     if not support:
         return None

@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GlueConflict, PaddingUnavailable, SizeLimit, UnsupportedFormat
@@ -155,15 +157,7 @@ class Pattern:
         The bottom-left grid corner lands at the origin; ``.`` is read as
         the zero symbol and ``?`` leaves a cell outside the domain.
         """
-        values: dict[Cell, str] = {}
-        height = len(rows)
-        for rix, row in enumerate(rows):
-            y = height - 1 - rix
-            for x, ch in enumerate(row):
-                if ch == "?":
-                    continue
-                values[(x, y)] = alphabet.zero if ch == "." else ch
-        return cls(alphabet, values)
+        return cls(alphabet, read_rows(rows, alphabet))
 
     # -- basic views ------------------------------------------------------
 
@@ -467,14 +461,93 @@ def pad(pattern: Pattern, r: int) -> Pattern:
     return Pattern(pattern.alphabet, values)
 
 
-# -- text format -------------------------------------------------------------
+# -- text codec --------------------------------------------------------------
 #
+# A grid is text rows, top row first, a 1D pattern being one row; "." is
+# an alias for zero and "?" marks a cell outside the domain. Pattern
+# files put a header before the rows:
 # line 1: "dims W" (1D) or "dims W H" (2D)
 # line 2: "alphabet <zero><others...>" as single characters
 # optional line 3: "origin X" or "origin X Y" when the domain's bounding
 # corner is not the origin (keeps round trips bit-exact for translates)
-# then the rows, top to bottom; "." is an alias for zero, "?" marks cells
-# outside the domain.
+# Substitution and rule files share the header fields and "->" lines.
+
+
+def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
+    """The pattern's bounding-box rows, top row first.
+
+    chars maps each symbol, and None for a cell outside the domain, to
+    one character; by default zero is "." and a hole "?", the inverse of
+    :func:`read_rows`.
+    """
+    alpha = pattern.alphabet
+    if chars is None:
+        chars = {s: s for s in alpha.symbols} | {alpha.zero: ".", None: "?"}
+    box = pattern.bounding_box()
+    if box is None:
+        return []
+    lo, hi = box
+    get = pattern.get
+    xs = range(lo[0], hi[0] + 1)
+    # one empty tail in 1D, the heights from the top down in 2D
+    tails = product(*(range(h, l - 1, -1) for l, h in zip(lo[1:], hi[1:])))
+    return ["".join([chars[get((x,) + tail)] for x in xs]) for tail in tails]
+
+
+def read_rows(rows: list[str], alphabet: Alphabet,
+              origin: Cell = (0, 0)) -> dict[Cell, str]:
+    """Cell -> symbol of text rows, top row first, unchecked.
+
+    The grid's bottom-left corner lands at the origin, whose length is
+    the dimension; a 1D grid is a single row.
+    """
+    zero = alphabet.zero
+    x0, rest = origin[0], origin[1:]
+    top = len(rows) - 1
+    values = {}
+    for rix, row in enumerate(rows):
+        tail = tuple(o + top - rix for o in rest)
+        for x, ch in enumerate(row):
+            if ch != "?":
+                values[(x0 + x,) + tail] = zero if ch == "." else ch
+    return values
+
+
+def alphabet_field(chars: str) -> Alphabet:
+    """The alphabet a header lists as one word, zero symbol first."""
+    if not chars or len(set(chars)) != len(chars):
+        raise UnsupportedFormat(
+            f"alphabet {chars!r} must list distinct symbols, zero first")
+    return Alphabet(tuple(chars), chars[0])
+
+
+def header_ints(line: str, start: int = 1,
+                stop: int | None = None) -> list[int]:
+    """The integer fields line.split()[start:stop] of a header line."""
+    try:
+        return [int(v) for v in line.split()[start:stop]]
+    except ValueError:
+        raise UnsupportedFormat(
+            f"header line {line!r} needs integer fields") from None
+
+
+def arrow(line: str) -> tuple[str, str]:
+    """The stripped sides of a "left -> right" line."""
+    left, sep, right = line.partition("->")
+    if not sep:
+        raise UnsupportedFormat(f"expected 'left -> right', got {line!r}")
+    return left.strip(), right.strip()
+
+
+def text_parser(parse):
+    """Make a constructor's ValueError inside parse an UnsupportedFormat."""
+    @wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise UnsupportedFormat(str(exc)) from exc
+    return checked
 
 
 def format_pattern(pattern: Pattern) -> str:
@@ -484,103 +557,38 @@ def format_pattern(pattern: Pattern) -> str:
                 f"text format needs single-character symbols, got {symbol!r}")
     alpha = pattern.alphabet
     others = [s for s in alpha.symbols if s != alpha.zero]
-    alpha_line = "alphabet " + alpha.zero + "".join(others)
-    box = pattern.bounding_box()
-    if box is None:
-        header = "dims 0" if pattern.dimension == 1 else "dims 0 0"
-        return header + "\n" + alpha_line + "\n"
-    lo, hi = box
-
-    def cell_char(cell: Cell) -> str:
-        symbol = pattern.get(cell)
-        if symbol is None:
-            return "?"
-        return "." if symbol == alpha.zero else symbol
-
-    lines = []
-    if pattern.dimension == 1:
-        lines.append(f"dims {hi[0] - lo[0] + 1}")
-        lines.append(alpha_line)
-        if lo[0] != 0:
-            lines.append(f"origin {lo[0]}")
-        lines.append("".join(cell_char((x,)) for x in range(lo[0], hi[0] + 1)))
-    else:
-        lines.append(f"dims {hi[0] - lo[0] + 1} {hi[1] - lo[1] + 1}")
-        lines.append(alpha_line)
-        if lo != (0, 0):
-            lines.append(f"origin {lo[0]} {lo[1]}")
-        for y in range(hi[1], lo[1] - 1, -1):
-            lines.append("".join(cell_char((x, y))
-                                 for x in range(lo[0], hi[0] + 1)))
+    dim = pattern.dimension
+    lo, hi = pattern.bounding_box() or ((0,) * dim, (-1,) * dim)
+    lines = ["dims " + " ".join(str(h - l + 1) for l, h in zip(lo, hi)),
+             "alphabet " + alpha.zero + "".join(others)]
+    if any(lo):
+        lines.append("origin " + " ".join(map(str, lo)))
+    lines += write_rows(pattern)
     return "\n".join(lines) + "\n"
 
 
-def _header_ints(line: str) -> list[int]:
-    """The integer fields after a header line's keyword."""
-    try:
-        return [int(v) for v in line.split()[1:]]
-    except ValueError:
-        raise UnsupportedFormat(
-            f"header line {line!r} needs integer fields") from None
-
-
+@text_parser
 def parse_pattern(text: str) -> Pattern:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if len(lines) < 2 or not lines[0].startswith("dims "):
         raise UnsupportedFormat("pattern text must start with a dims line")
-    dims = _header_ints(lines[0])
+    dims = header_ints(lines[0])
     if not lines[1].startswith("alphabet "):
         raise UnsupportedFormat("second line must declare the alphabet")
-    chars = lines[1][len("alphabet "):].strip()
-    if not chars:
-        raise UnsupportedFormat("alphabet must list at least the zero symbol")
-    if len(set(chars)) != len(chars):
-        raise UnsupportedFormat(f"alphabet {chars!r} repeats a symbol")
-    alphabet = Alphabet(tuple(chars), chars[0])
+    alphabet = alphabet_field(lines[1][len("alphabet "):].strip())
+    if len(dims) not in (1, 2):
+        raise UnsupportedFormat("dims line must declare one or two extents")
     body = lines[2:]
-    origin = [0, 0]
+    origin = [0] * len(dims)
     if body and body[0].startswith("origin "):
-        origin = _header_ints(body[0])
+        origin = header_ints(body[0])
         if len(origin) != len(dims):
             raise UnsupportedFormat("origin needs one integer per dimension")
         body = body[1:]
+    if not any(dims):
+        return Pattern(alphabet, {})
     rows = [ln for ln in body if ln != ""]
-
-    def decode(ch: str) -> str | None:
-        if ch == "?":
-            return None
-        if ch == ".":
-            return alphabet.zero
-        if ch not in alphabet.symbols:
-            raise UnsupportedFormat(f"character {ch!r} not in the alphabet")
-        return ch
-
-    if len(dims) == 1:
-        width = dims[0]
-        if width == 0:
-            return Pattern(alphabet, {})
-        if len(rows) != 1 or len(rows[0]) != width:
-            raise UnsupportedFormat("1D pattern needs exactly one row of"
-                                    " the declared width")
-        values = {}
-        for x, ch in enumerate(rows[0]):
-            symbol = decode(ch)
-            if symbol is not None:
-                values[(origin[0] + x,)] = symbol
-        return Pattern(alphabet, values)
-    if len(dims) == 2:
-        width, height = dims
-        if width == 0 and height == 0:
-            return Pattern(alphabet, {})
-        if len(rows) != height or any(len(r) != width for r in rows):
-            raise UnsupportedFormat("row grid does not match declared dims")
-        ox, oy = origin
-        values = {}
-        for rix, row in enumerate(rows):
-            y = oy + height - 1 - rix
-            for x, ch in enumerate(row):
-                symbol = decode(ch)
-                if symbol is not None:
-                    values[(ox + x, y)] = symbol
-        return Pattern(alphabet, values)
-    raise UnsupportedFormat("dims line must declare one or two extents")
+    width, height = (dims + [1])[:2]
+    if len(rows) != height or any(len(row) != width for row in rows):
+        raise UnsupportedFormat("rows do not match the declared dims")
+    return Pattern(alphabet, read_rows(rows, alphabet, tuple(origin)))

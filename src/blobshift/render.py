@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedFormat
 from .paths import MoveWord, integrate
-from .patterns import Pattern, format_pattern
+from .patterns import Pattern, format_pattern, write_rows
 
 PATTERN_FORMATS = ("text", "pbm")
 
@@ -22,27 +22,12 @@ def render_pattern(pattern: Pattern, fmt: str) -> bytes:
 
 
 def _pbm(pattern: Pattern) -> bytes:
-    box = pattern.bounding_box()
-    if box is None:
-        return b"P1\n0 0\n"
-    lo, hi = box
-    if pattern.dimension == 1:
-        width, height = hi[0] - lo[0] + 1, 1
-        rows = [[_bit(pattern, (x,)) for x in range(lo[0], hi[0] + 1)]]
-    else:
-        width = hi[0] - lo[0] + 1
-        height = hi[1] - lo[1] + 1
-        rows = [[_bit(pattern, (x, y)) for x in range(lo[0], hi[0] + 1)]
-                for y in range(hi[1], lo[1] - 1, -1)]
-    body = "\n".join("".join(row) for row in rows)
-    return f"P1\n{width} {height}\n{body}\n".encode()
-
-
-def _bit(pattern: Pattern, cell) -> str:
-    symbol = pattern.get(cell)
-    if symbol is None or symbol == pattern.alphabet.zero:
-        return "0"
-    return "1"
+    alpha = pattern.alphabet
+    bits = dict.fromkeys(alpha.symbols, "1") | {alpha.zero: "0", None: "0"}
+    rows = write_rows(pattern, bits)
+    width = len(rows[0]) if rows else 0
+    body = "".join(row + "\n" for row in rows)
+    return f"P1\n{width} {len(rows)}\n{body}".encode()
 
 
 def render_moves(word: MoveWord, scale: int = 4) -> bytes:

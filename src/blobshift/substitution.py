@@ -13,7 +13,16 @@ from typing import Mapping
 
 from .errors import SizeLimit, UnsupportedFormat
 from .limits import cell_cap
-from .patterns import Alphabet, BINARY, Pattern
+from .patterns import (
+    Alphabet,
+    BINARY,
+    Pattern,
+    alphabet_field,
+    arrow,
+    header_ints,
+    text_parser,
+    write_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -24,6 +33,8 @@ class Substitution1D:
     rules: Mapping[str, str]
 
     def __post_init__(self):
+        if unknown := set(self.rules) - set(self.alphabet.symbols):
+            raise ValueError(f"rule for {min(unknown)!r} outside the alphabet")
         for symbol in self.alphabet.symbols:
             image = self.rules.get(symbol)
             if not image:
@@ -49,12 +60,15 @@ class Substitution2D:
         s = self.expansion
         if s < 2:
             raise ValueError("expansion must be at least 2")
-        full = {(x, y) for x in range(s) for y in range(s)}
+        if unknown := set(self.rules) - set(self.alphabet.symbols):
+            raise ValueError(f"rule for {min(unknown)!r} outside the alphabet")
         for symbol in self.alphabet.symbols:
             block = self.rules.get(symbol)
             if block is None:
                 raise ValueError(f"missing rule for {symbol!r}")
-            if block.domain != frozenset(full):
+            # s*s cells inside the s-by-s box fill it; no s*s set is built
+            if (len(block) != s * s
+                    or block.bounding_box() != ((0, 0), (s - 1, s - 1))):
                 raise ValueError(
                     f"rule for {symbol!r} must be a full {s}x{s} block")
 
@@ -271,25 +285,18 @@ def block_side(spec: BlockHierarchySpec, i: int) -> int:
 # 2D rules: "a ->" followed by expansion-many rows (top to bottom)
 
 
+@text_parser
 def parse_substitution(text: str) -> Substitution1D | Substitution2D:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("subst "):
         raise UnsupportedFormat("substitution text must start with 'subst'")
     head = lines[0].split()
     if len(head) >= 3 and head[1] == "1d":
-        chars = head[2]
-        alphabet = Alphabet(tuple(chars), chars[0])
-        rules = {}
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            left, _, right = line.partition("->")
-            rules[left.strip()] = right.strip()
-        return Substitution1D(alphabet, rules)
+        rules = dict(arrow(ln) for ln in lines[1:] if ln.strip())
+        return Substitution1D(alphabet_field(head[2]), rules)
     if len(head) >= 4 and head[1] == "2d":
-        expansion = int(head[2])
-        chars = head[3]
-        alphabet = Alphabet(tuple(chars), chars[0])
+        (expansion,) = header_ints(lines[0], 2, 3)
+        alphabet = alphabet_field(head[3])
         rules = {}
         ix = 1
         while ix < len(lines):
@@ -297,14 +304,12 @@ def parse_substitution(text: str) -> Substitution1D | Substitution2D:
             ix += 1
             if not line:
                 continue
-            left, arrow, _ = line.partition("->")
-            if not arrow:
-                raise UnsupportedFormat(f"expected a rule line, got {line!r}")
+            symbol, _ = arrow(line)
             rows = lines[ix:ix + expansion]
             ix += expansion
             if len(rows) != expansion:
                 raise UnsupportedFormat("2D rule block is incomplete")
-            rules[left.strip()] = Pattern.from_rows(rows, alphabet)
+            rules[symbol] = Pattern.from_rows(rows, alphabet)
         return Substitution2D(alphabet, expansion, rules)
     raise UnsupportedFormat("malformed substitution header")
 
@@ -314,17 +319,10 @@ def format_substitution(subst: Substitution1D | Substitution2D) -> str:
     chars = alpha.zero + "".join(s for s in alpha.symbols if s != alpha.zero)
     if isinstance(subst, Substitution1D):
         lines = [f"subst 1d {chars}"]
+        lines += [f"{s} -> {subst.rules[s]}" for s in alpha.symbols]
+    else:
+        lines = [f"subst 2d {subst.expansion} {chars}"]
         for symbol in alpha.symbols:
-            lines.append(f"{symbol} -> {subst.rules[symbol]}")
-        return "\n".join(lines) + "\n"
-    lines = [f"subst 2d {subst.expansion} {chars}"]
-    s = subst.expansion
-    for symbol in alpha.symbols:
-        lines.append(f"{symbol} ->")
-        block = subst.rules[symbol]
-        for y in range(s - 1, -1, -1):
-            row = "".join(
-                "." if block.value((x, y)) == alpha.zero else block.value((x, y))
-                for x in range(s))
-            lines.append(row)
+            lines.append(f"{symbol} ->")
+            lines += write_rows(subst.rules[symbol])
     return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from blobshift.errors import NotInvertible, NotZeroPreserving
+from blobshift.errors import (NotInvertible, NotZeroPreserving, SizeLimit,
+                             UnsupportedFormat)
 from blobshift.automata import (
     CARule,
     FiniteConfig,
@@ -254,6 +255,38 @@ def test_parse_tfg_element():
 def test_rule_table_must_be_total():
     with pytest.raises(ValueError):
         CARule(BINARY, 1, {"000": "0"})
+
+
+@pytest.mark.parametrize("parse,image", [(parse_ca_rule, "0"),
+                                         (parse_tfg_element, "shift 0")])
+def test_rule_wildcard_checks_the_cell_cap(monkeypatch, parse, image):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "100")
+    with pytest.raises(SizeLimit):
+        parse(f"ca 01 radius 3\n* -> {image}\n")
+    assert parse(f"ca 01 radius 1\n* -> {image}\n").radius == 1
+
+
+def test_rule_file_skips_blank_lines_anywhere():
+    rule = parse_ca_rule("\n\nca 01 radius 1\n\n* -> 0\n  \n001 -> 1\n"
+                         "011 -> 1\n101 -> 1\n111 -> 1\n\n")
+    assert rule.table == shift_rule().table
+
+
+@pytest.mark.parametrize("text", [
+    "ca 01 radius 1\n001 -> 1\n",
+    "ca 01 radius x\n* -> 0\n",
+    "ca 01 radius 1\n* -> 2\n",
+    "ca 00 radius 1\n* -> 0\n",
+    "ca 01 radius -1\n* -> 0\n",
+    "ca 01 radius 100000\n",
+    "ca 01 radius 1\n* -> 0\n001\n",
+    "ca 01 radius 0\n0 -> 0\nx -> 0\n",
+])
+def test_malformed_rule_files_are_unsupported_format(text):
+    with pytest.raises(UnsupportedFormat):
+        parse_ca_rule(text)
+    with pytest.raises(UnsupportedFormat):
+        parse_tfg_element(text.replace("-> 0", "-> shift 0"))
 
 
 def test_decrement_alphabet():

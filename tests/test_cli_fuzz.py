@@ -1,10 +1,19 @@
-"""Fuzzing the CLI's integer arguments: every value ends in exit 0, 1 or 2."""
+"""Fuzzing the CLI's integer arguments and the text parsers.
+
+Every argument value ends in exit 0, 1 or 2; every text either parses or
+raises UnsupportedFormat or SizeLimit.
+"""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from blobshift.automata import parse_ca_rule, parse_tfg_element
 from blobshift.cli import main
+from blobshift.errors import SizeLimit, UnsupportedFormat
+from blobshift.patterns import (Alphabet, Pattern, format_pattern,
+                                parse_pattern)
+from blobshift.substitution import parse_substitution
 
 XOR_CA = "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n"
 SWAP_TFG = ("ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
@@ -60,3 +69,124 @@ def test_integer_arguments_never_escape(files, capsys, data):
     code = main(argv)
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+# -- the text parsers ------------------------------------------------------------
+#
+# Each format's strategy writes a file of the right shape from its own
+# tokens, mostly well formed, then edits up to two lines into noise.
+
+SMALL = st.one_of(st.integers(-1, 3), st.integers()).map(str)
+NOISE = st.one_of(
+    st.lists(st.sampled_from(["dims", "alphabet", "origin", "subst", "1d",
+                              "2d", "ca", "radius", "->", "*", "shift", "0",
+                              "1", "2", ".", "?", "01", "x", "-1"]),
+             max_size=5).map(" ".join),
+    st.text(max_size=8))
+
+
+def mostly(draw, value, other):
+    """value three times in four, else a draw from other."""
+    return value if draw(st.integers(0, 3)) else draw(other)
+
+
+def alphabet_word(draw):
+    return "".join(draw(st.lists(st.sampled_from("01a2"), min_size=1,
+                                 max_size=3, unique=True)))
+
+
+def cells(draw, chars, n):
+    return draw(st.text(chars, min_size=n, max_size=n))
+
+
+@st.composite
+def pattern_file(draw):
+    chars = alphabet_word(draw)
+    dims = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    width, height = (dims + [1])[:2]
+    lines = ["dims " + " ".join(map(str, dims)), "alphabet " + chars]
+    if draw(st.booleans()):
+        lines.append("origin " + " ".join(draw(SMALL) for _ in dims))
+    return lines + [cells(draw, chars + ".?", width) for _ in range(height)]
+
+
+@st.composite
+def substitution_file(draw):
+    chars = alphabet_word(draw)
+    symbols = draw(st.permutations(chars))[mostly(draw, 0, st.just(1)):]
+    symbols += draw(st.lists(st.sampled_from(chars + "2"), max_size=1))
+    if draw(st.booleans()):
+        return [f"subst 1d {chars}"] + [
+            f"{s} -> " + cells(draw, chars, mostly(draw, 2, st.integers(0, 3)))
+            for s in symbols]
+    side = mostly(draw, 2, st.integers(1, 3))
+    lines = [f"subst 2d {mostly(draw, side, SMALL)} {chars}"]
+    for s in symbols:
+        lines += [f"{s} ->"] + [cells(draw, chars + ".", side)
+                                for _ in range(side)]
+    return lines
+
+
+def rule_file(image):
+    @st.composite
+    def rule(draw):
+        chars = alphabet_word(draw)
+        radius = draw(st.integers(-1, 2))
+        width = max(2 * radius + 1, 0)
+        lines = [f"ca {chars} radius {mostly(draw, radius, SMALL)}"]
+        if mostly(draw, True, st.just(False)):
+            lines.append(f"* -> {draw(image(chars))}")
+        return lines + [f"{cells(draw, chars, width)} -> {draw(image(chars))}"
+                        for _ in range(draw(st.integers(0, 4)))]
+    return rule()
+
+
+def edited(files):
+    """A file's lines with up to two of them replaced by noise."""
+    @st.composite
+    def text(draw):
+        lines = draw(files)
+        for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+            if lines:
+                lines[draw(st.integers(0, len(lines) - 1))] = draw(NOISE)
+        return "\n".join(lines) + "\n"
+    return text()
+
+
+FORMATS = {
+    parse_pattern: edited(pattern_file()),
+    parse_substitution: edited(substitution_file()),
+    parse_ca_rule: edited(rule_file(
+        lambda chars: st.sampled_from(chars + "2"))),
+    parse_tfg_element: edited(rule_file(lambda chars: st.integers(-2, 2).map(
+        lambda k: f"shift {k}"))),
+}
+
+
+@pytest.mark.parametrize("parse", list(FORMATS), ids=lambda f: f.__name__)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_format_errors(parse, data):
+    text = data.draw(FORMATS[parse])
+    try:
+        parse(text)
+    except (UnsupportedFormat, SizeLimit):
+        pass
+
+
+@st.composite
+def patterns(draw):
+    symbols = draw(st.lists(st.sampled_from("01ab#"), min_size=1, max_size=4,
+                            unique=True))
+    alphabet = Alphabet(tuple(symbols), symbols[0])
+    dim = draw(st.sampled_from((1, 2)))
+    values = draw(st.dictionaries(
+        st.tuples(*[st.integers(-20, 20)] * dim), st.sampled_from(symbols),
+        max_size=30))
+    return Pattern(alphabet, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=patterns())
+def test_format_then_parse_round_trips(pattern):
+    assert parse_pattern(format_pattern(pattern)) == pattern

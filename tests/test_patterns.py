@@ -495,6 +495,15 @@ def test_parse_rejects_garbage():
         parse_pattern("dims 2\nalphabet 01\n111\n")
 
 
+def test_from_rows_keeps_value_errors_and_parse_maps_them():
+    with pytest.raises(ValueError):
+        Pattern.from_rows(["12"])
+    with pytest.raises(UnsupportedFormat):
+        parse_pattern("dims 2\nalphabet 01\n12\n")
+    with pytest.raises(UnsupportedFormat):
+        parse_pattern("dims 2\nalphabet \n..\n")
+
+
 def test_rows_of_splits_by_height():
     p = Pattern.from_rows(["11", ".."])
     rows = rows_of(p)

@@ -6,7 +6,8 @@ import pytest
 from blobshift.cli import main
 from blobshift.errors import UnsupportedFormat
 from blobshift.paths import parse_moves
-from blobshift.patterns import BINARY, Pattern, parse_pattern
+from blobshift.patterns import (BINARY, Alphabet, Pattern, format_pattern,
+                                 parse_pattern)
 from blobshift.render import render_moves, render_pattern
 from blobshift.substitution import iterate_1d
 from blobshift.paths import deep_zigzag
@@ -86,6 +87,32 @@ def test_render_moves_polyline_points():
     assert svg.count("<polyline") == 1
     points = svg.split('points="')[1].split('"')[0].split()
     assert len(points) == 6 ** 4 + 1
+
+
+TERNARY = Alphabet(("0", "1", "2"), "0")
+
+
+@pytest.mark.parametrize("pattern,text,pbm", [
+    (Pattern.from_word("0110"), "dims 4\nalphabet 01\n.11.\n",
+     "P1\n4 1\n0110\n"),
+    (Pattern(BINARY, {(-3,): "1", (-1,): "0"}),
+     "dims 3\nalphabet 01\norigin -3\n1?.\n", "P1\n3 1\n100\n"),
+    (Pattern.from_rows(["1.", ".1"]), "dims 2 2\nalphabet 01\n1.\n.1\n",
+     "P1\n2 2\n10\n01\n"),
+    (Pattern.from_rows(["1.?", ".21"], TERNARY).translate((2, -5)),
+     "dims 3 2\nalphabet 012\norigin 2 -5\n1.?\n.21\n",
+     "P1\n3 2\n100\n011\n"),
+    (Pattern.from_rows(["?a", "b?"], Alphabet(("a", "b"), "b")),
+     "dims 2 2\nalphabet ba\n?a\n.?\n", "P1\n2 2\n01\n00\n"),
+    (Pattern(BINARY, {}), "dims 0\nalphabet 01\n", "P1\n0 0\n"),
+])
+def test_render_golden_bytes(pattern, text, pbm):
+    assert render_pattern(pattern, "text") == text.encode()
+    assert format_pattern(pattern) == text
+    assert render_pattern(pattern, "pbm") == pbm.encode()
+    back = parse_pattern(text)
+    assert dict(back.items()) == dict(pattern.items())
+    assert back.alphabet.zero == pattern.alphabet.zero
 
 
 def test_render_unknown_format():
@@ -276,6 +303,10 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["ca", "profile", "--rule", "shift.ca", "--horizon", "-2"], 1),
     (["ca", "profile", "--rule", "shift.ca", "--config", "102"], 1),
     (["tfg", "order", "--rule", "shift.ca", "--max-order", "0"], 1),
+    (["render", "--moves", "+x", "--format", "svg-paths"], 1),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--budget", "-5"], 1),
+    (["pathcover", "ascend"], 1),
+    (["pathcover", "geodesic"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
@@ -287,6 +318,51 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     assert "Traceback" not in err
     if code == 2:
         assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("ca", "ca 01 radius 1\n001 -> 1\n"),
+    ("ca", "ca 01 radius x\n* -> 0\n"),
+    ("ca", "ca 01 radius 1\n* -> 2\n"),
+    ("ca", "ca 00 radius 1\n* -> 0\n"),
+    ("ca", "ca 01 radius 1\n* -> 0\n001 -> 5\n"),
+    ("ca", "ca 01 radius 1\n* -> 0\n001 1\n"),
+    ("ca", "ca 01 radius 0\n0 -> 0\nx -> 1\n"),
+    ("tfg", "ca 01 radius 0\n0 -> shift 0\nx -> shift 0\n"),
+    ("tfg", "ca 01 radius 1\n* -> shift x\n"),
+    ("tfg", "ca 01 radius 1\n* -> shift 5\n"),
+    ("tfg", "ca 01 radius 1\n* -> 0\n"),
+    ("gen", "subst 2d x 01\n"),
+    ("gen", "subst 2d 2 01\n0 ->\n..\n..\n1 ->\n12\n..\n"),
+    ("gen", "subst 2d 2 01\n0 ->\n..\n..\n1 ->\n11\n11\n2 ->\n..\n..\n"),
+    ("gen", "subst 1d 01\n0 -> 00\n1 -> 12\n"),
+    ("gen", "subst 1d 01\n0 -> 00\n1 -> 10\n2 -> 1\n"),
+    ("gen", "subst 1d 01\n0 -> 00\n1 10\n"),
+    ("gen", "subst 1d 00\n0 -> 00\n"),
+    ("render", "dims 2\nalphabet 01\n12\n"),
+    ("render", "dims 2\nalphabet \n..\n"),
+    ("render", "dims 2\nalphabet 01\n\xff1\n"),
+])
+def test_cli_malformed_files_are_unsupported_format(tmp_path, capsys,
+                                                    command, text):
+    path = str(tmp_path / "input")
+    (tmp_path / "input").write_bytes(text.encode("latin-1"))
+    argv = {"ca": ["ca", "glider", "--rule", path],
+            "tfg": ["tfg", "order", "--rule", path],
+            "gen": ["gen", "--subst", path, "--seed", "1", "--iters", "1"],
+            "render": ["render", "--pattern", path]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+
+
+def test_cli_wildcard_past_the_cell_cap_is_a_size_limit(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "100")
+    (tmp_path / "r3.ca").write_text("ca 01 radius 3\n* -> 0\n")
+    assert main(["ca", "glider", "--rule", str(tmp_path / "r3.ca")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "SizeLimit"
 
 
 def test_cell_cap_env_override(monkeypatch):

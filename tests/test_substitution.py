@@ -8,6 +8,7 @@ from blobshift.patterns import BINARY, Alphabet, Pattern, connected_components, 
 from blobshift.substitution import (
     BlockHierarchySpec,
     Substitution1D,
+    Substitution2D,
     block_side,
     block_spec,
     build_unbounded_rows,
@@ -217,6 +218,31 @@ def test_density_word_omits_oversized_word():
 
 
 # ---------------------------------------------------------------- file format
+
+
+@pytest.mark.parametrize("subst,text", [
+    (cantor_substitution(), "subst 1d 01\n0 -> 000\n1 -> 101\n"),
+    (Substitution1D(Alphabet(("a", "b"), "b"), {"a": "ab", "b": "a"}),
+     "subst 1d ba\na -> ab\nb -> a\n"),
+    (plus_substitution(),
+     "subst 2d 3 01\n0 ->\n...\n...\n...\n1 ->\n.1.\n111\n.1.\n"),
+    (Substitution2D(Alphabet(("0", "1", "2"), "0"), 2, {
+        "0": Pattern.from_rows(["..", ".."], Alphabet(("0", "1", "2"), "0")),
+        "1": Pattern.from_rows(["12", ".."], Alphabet(("0", "1", "2"), "0")),
+        "2": Pattern.from_rows([".2", "1."], Alphabet(("0", "1", "2"), "0"))}),
+     "subst 2d 2 012\n0 ->\n..\n..\n1 ->\n12\n..\n2 ->\n.2\n1.\n"),
+])
+def test_format_substitution_golden_bytes(subst, text):
+    assert format_substitution(subst) == text
+    assert parse_substitution(text).rules.keys() == subst.rules.keys()
+
+
+def test_rules_for_symbols_outside_the_alphabet_are_refused():
+    with pytest.raises(ValueError):
+        Substitution1D(BINARY, {"0": "00", "1": "10", "2": "1"})
+    block = Pattern.from_rows(["..", ".."])
+    with pytest.raises(ValueError):
+        Substitution2D(BINARY, 2, {"0": block, "1": block, "2": block})
 
 
 def test_substitution_round_trip_1d():
