@@ -412,9 +412,8 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     radius = outer.radius + inner.radius
     width = 2 * radius + 1
     symbols = outer.alphabet.symbols
-    count = len(symbols) ** width
-    if count > 2 ** 22:
-        raise SizeLimit(f"composed table would have {count} entries")
+    _check_table_cap(outer.alphabet, width,
+                     f"composed table at radius {radius}")
     iw = 2 * inner.radius + 1
     ow = 2 * outer.radius + 1
     table = {}
@@ -426,6 +425,15 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
         c_outer = outer.table[word[oc:oc + ow]]
         table[word] = c_inner + c_outer
     return TFGElement(outer.alphabet, radius, table)
+
+
+def _check_table_cap(alphabet: Alphabet, width: int, what: str) -> None:
+    """Raise SizeLimit when |A|^width words of width cells pass the cap."""
+    cap = cell_cap()
+    # past cap.bit_length() letters a power of |A| >= 2 is over the cap anyway
+    cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * width
+    if cells > cap:
+        raise SizeLimit(f"{what} passes the {cap}-cell cap")
 
 
 def identity_element(alphabet: Alphabet = BINARY) -> TFGElement:
@@ -545,13 +553,7 @@ def _parse_rule_lines(text: str, value) -> tuple[Alphabet, int, dict]:
     table = {}
     if defaults:
         width = 2 * radius + 1
-        cap = cell_cap()
-        # the wildcard writes |A|^width words of width cells; past
-        # cap.bit_length() letters a power of |A| >= 2 is over the cap anyway
-        cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * width
-        if cells > cap:
-            raise SizeLimit(f"wildcard at radius {radius} passes the"
-                            f" {cap}-cell cap")
+        _check_table_cap(alphabet, width, f"wildcard at radius {radius}")
         fill = value(defaults[-1])
         table = {"".join(t): fill
                  for t in product(alphabet.symbols, repeat=width)}

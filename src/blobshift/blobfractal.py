@@ -82,7 +82,9 @@ class LevelPairReport:
 class FractalVerdict:
     """Finite-scale classification: candidate tags only."""
 
-    tag: str  # finite_point | unbounded_component | blob_fractal
+    # finite_point | unbounded_component | blob_fractal (at least one
+    # level pair passes the axioms) | inconclusive (none passes)
+    tag: str
     radius: int | None = None
     witness_length: int | None = None
     levels_verified: int | None = None
@@ -173,6 +175,10 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
              component_threshold: int) -> FractalVerdict:
     """Finite / unbounded-component / blob-fractal candidate trichotomy.
 
+    `blob_fractal` needs at least one level pair that passes the axioms;
+    a window that gives neither a finite point, a long component nor a
+    passing pair is `inconclusive`.
+
     An r-component whose geodesic witness reaches the threshold wins
     first: a window-filling component can masquerade as a single padded
     blob, so the size check must precede the finite-point reading.
@@ -210,8 +216,9 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
             verified += 1
         else:
             break
-    return FractalVerdict("blob_fractal", levels_verified=verified,
-                          report=tuple(report))
+    # the first level holds for any window; the tag needs a passing pair
+    tag = "blob_fractal" if verified >= 2 else "inconclusive"
+    return FractalVerdict(tag, levels_verified=verified, report=tuple(report))
 
 
 def auto_radii(pattern: Pattern, start: int = 1,

@@ -155,15 +155,26 @@ def _pattern_report(args, argv, inputs, pattern: Pattern, result: dict) -> int:
 
 def _cmd_gen(args, argv, inputs):
     subst = substitution.parse_substitution(_read(args.subst, inputs))
+    symbols = subst.alphabet.symbols
     if isinstance(subst, substitution.Substitution1D):
-        seed = args.seed or subst.alphabet.symbols[0]
+        if args.seed_file:
+            raise _UsageError("--seed-file needs a 2D substitution")
+        seed = args.seed or symbols[0]
+        if not set(seed) <= set(symbols):
+            raise _UsageError(f"--seed {seed!r} leaves the alphabet")
         word = substitution.iterate_1d(subst, seed, args.iters, cap=args.cap)
         pattern = Pattern.from_word(word, subst.alphabet)
     else:
         if args.seed_file:
             seed = parse_pattern(_read(args.seed_file, inputs))
+            if any(len(c) != 2 or v not in symbols for c, v in seed.items()):
+                raise _UsageError("--seed-file needs a 2D pattern over the "
+                                  "substitution's alphabet")
         else:
-            symbol = args.seed or subst.alphabet.symbols[0]
+            symbol = args.seed or symbols[0]
+            if symbol not in symbols:
+                raise _UsageError(f"--seed {symbol!r} is not one symbol "
+                                  "of the alphabet")
             seed = Pattern(subst.alphabet, {(0, 0): symbol})
         pattern = substitution.iterate_2d(subst, seed, args.iters, cap=args.cap)
     return _pattern_report(args, argv, inputs, pattern, {
@@ -300,11 +311,13 @@ def _cmd_pathcover(args, argv, inputs):
             "length": len(path), "cells": _cells_in_order(path)})
     if args.action == "ascend":
         pattern = parse_pattern(_read(args.pattern, inputs))
-        path = pathcover.find_ascending_path(
-            pattern, args.radius, args.window, budget=args.budget)
+        path, spent, complete = pathcover._ascend(
+            pattern, args.radius, args.window, args.budget)
         return _report(args, argv, inputs, {
             "found": path is not None,
             "budget": args.budget,
+            "spent": spent,
+            "complete": complete,
             "length": len(path) if path else 0,
             "cells": _cells_in_order(path) if path else [],
         })

@@ -81,42 +81,83 @@ def find_ascending_path(pattern: Pattern, r: int, m: int,
 
     Depth-first search over the support with lexicographic tie-breaks;
     the height condition is enforced as heights[t] > heights[t-m] at each
-    extension, which covers every window. Absence means no qualifying
-    path of length at least 2m was found within the node budget, nothing
-    stronger.
+    extension, which covers every window. Only paths of at least 2m
+    cells count. The search visits at most `budget` nodes.
+
+    The result is certified (the search is complete) when the path
+    spans the largest r-component of the support, since no simple r-path
+    can be longer, or when every node was visited within the budget: the
+    path is then a longest one, and `None` means no qualifying path
+    exists. Otherwise the budget ran out first: the path is the longest
+    found within budget, and `None` means none was found, nothing
+    stronger. :func:`_ascend` also reports the nodes spent and whether
+    the search completed.
+    """
+    return _ascend(pattern, r, m, budget)[0]
+
+
+def _ascend(pattern: Pattern, r: int, m: int,
+            budget: int) -> tuple[CellPath | None, int, bool]:
+    """The ascending-path search: (path or None, nodes spent, complete).
+
+    Backtracking: one path list and one used set, a stack of pending
+    extension iterators, and each step undone on the way back. The
+    search returns as soon as the best path has the size of the largest
+    r-component, because a simple r-path stays inside one component and
+    the best changes only for a strictly longer path.
     """
     if m < 1 or budget < 1:
         raise ValueError("window and budget must be at least 1")
     support = pattern.support()
     if not support:
-        return None
+        return None, 0, True
     around = neighbours(pattern.dimension, r)
+    longest = max(len(c) for c in connected_components(support, r))
     best: list[Cell] | None = None
+    best_len = 2 * m - 1  # a path counts from 2m cells on
     spent = 0
 
+    def extensions(path: list[Cell], used: set) -> list[Cell]:
+        t = len(path)
+        floor = path[t - m][-1] if t >= m else None
+        return [nb for nb in around(path[-1])
+                if nb in support and nb not in used
+                and (floor is None or nb[-1] > floor)]
+
+    # `best` is copied from `path` only when the search backs out of it
+    # or stops, so a run of ever longer paths costs no copy per node
+    fresh = False
     for start in sorted(support):
-        stack: list[tuple[list[Cell], set]] = [([start], {start})]
-        while stack and spent < budget:
-            path, used = stack.pop()
-            spent += 1
-            if len(path) >= 2 * m and (best is None or len(path) > len(best)):
-                best = list(path)
-            extensions = []
-            t = len(path)
-            for nb in around(path[-1]):
-                if nb not in support or nb in used:
-                    continue
-                if t >= m and nb[-1] <= path[t - m][-1]:
-                    continue
-                extensions.append(nb)
-            # reversed: the stack pops the lexicographically least first
-            for nb in reversed(extensions):
-                stack.append((path + [nb], used | {nb}))
         if spent >= budget:
-            break
-    if best is None:
-        return None
-    return CellPath(tuple(best), r)
+            return _cell_path(best, r), spent, False
+        path, used = [start], {start}
+        spent += 1
+        pending = [iter(extensions(path, used))]
+        while pending:
+            nb = next(pending[-1], None)
+            if nb is None:
+                if fresh:
+                    best, fresh = path[:best_len], False
+                pending.pop()
+                used.discard(path.pop())
+                continue
+            if spent >= budget:
+                if fresh:
+                    best = path[:best_len]
+                return _cell_path(best, r), spent, False
+            path.append(nb)
+            used.add(nb)
+            spent += 1
+            if len(path) > best_len:
+                best_len, fresh = len(path), True
+                if best_len == longest:
+                    return _cell_path(path, r), spent, True
+            pending.append(iter(extensions(path, used)))
+    return _cell_path(best, r), spent, True
+
+
+def _cell_path(cells: list[Cell] | None, r: int) -> CellPath | None:
+    return None if cells is None else CellPath(tuple(cells), r)
 
 
 def road_check(pattern: Pattern, path: CellPath, bound: int) -> bool:

@@ -235,6 +235,16 @@ def test_torsion_soundness_replay():
     assert all(v == 0 for v in square.table.values())
 
 
+def test_compose_checks_the_cell_cap(monkeypatch):
+    # the square of the swap has radius 2: 2^5 windows of 5 cells
+    swap = block_swap_element()
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "159")
+    with pytest.raises(SizeLimit):
+        compose(swap, swap)
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "160")
+    assert compose(swap, swap).radius == 2
+
+
 # ----------------------------------------------------------------- rule files
 
 

@@ -180,6 +180,15 @@ def test_classify_cantor_blob_fractal():
     assert verdict.levels_verified >= 4
 
 
+def test_classify_without_a_passing_pair_is_inconclusive():
+    # two isolated ones 51 cells apart: no level pair passes the axioms
+    p = pad(Pattern(BINARY, {(0,): "1", (51,): "1"}), 30)
+    verdict = classify(p, (1, 2, 4), 100)
+    assert [pair.passed() for pair in verdict.report] == [False, False]
+    assert verdict.tag == "inconclusive"
+    assert verdict.levels_verified == 1
+
+
 def test_classify_plus_unbounded():
     verdict = classify(plus_pattern(4), (1, 2), 50)
     assert verdict.tag == "unbounded_component"

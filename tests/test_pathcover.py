@@ -1,5 +1,7 @@
 """Paths on supports: geodesics, ascending search, roads, guided traces."""
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,11 +10,13 @@ from blobshift.patterns import (
     BINARY,
     Pattern,
     essential_width_lower_bound,
+    neighbours,
     rows_of,
     sparsity,
 )
 from blobshift.pathcover import (
     CellPath,
+    _ascend,
     find_ascending_path,
     geodesic_witness,
     road_check,
@@ -115,6 +119,87 @@ def test_ascending_window_replay():
     heights = path.heights()
     for j in range(len(heights) - 2):
         assert heights[j + 2] > heights[j]
+
+
+def copying_dfs(pattern, r, m, budget):
+    """The search before backtracking: (cells, nodes spent, finished early).
+
+    Each node carries its own copy of the path and of the used set.
+    """
+    support = pattern.support()
+    around = neighbours(pattern.dimension, r)
+    best, spent = None, 0
+    for start in sorted(support):
+        stack = [([start], {start})]
+        while stack and spent < budget:
+            path, used = stack.pop()
+            spent += 1
+            if len(path) >= 2 * m and (best is None or len(path) > len(best)):
+                best = list(path)
+            t = len(path)
+            extensions = [nb for nb in around(path[-1])
+                          if nb in support and nb not in used
+                          and not (t >= m and nb[-1] <= path[t - m][-1])]
+            for nb in reversed(extensions):
+                stack.append((path + [nb], used | {nb}))
+        if spent >= budget:
+            break
+    return best, spent, spent < budget
+
+
+def random_pattern(rng, dim, size):
+    """Up to `size` ones scattered near the origin, whose cell is always set."""
+    span = rng.randint(1, 5)
+    values = {(0,) * dim: "0"}
+    for _ in range(size):
+        if dim == 1:
+            values[(rng.randint(-2 * span, 2 * span),)] = "1"
+        else:
+            values[(rng.randint(-span, span), rng.randint(-span, span))] = "1"
+    return Pattern(BINARY, values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ascending_matches_the_copying_search(dim):
+    rng = random.Random(60 + dim)
+    for r, m in product((1, 2, 3), repeat=2):
+        for k in range(8):
+            p = random_pattern(rng, dim, rng.randint(1, 14) if k else 0)
+            for budget in (1, 2, 5, 30, 300, 3000):
+                want, old_spent, finished = copying_dfs(p, r, m, budget)
+                got, spent, complete = _ascend(p, r, m, budget)
+                assert find_ascending_path(p, r, m, budget) == got
+                assert (list(got.cells) if got else None) == want
+                assert spent <= old_spent
+                # an unfinished search has spent its whole budget
+                assert complete or spent == budget
+                assert complete or not finished
+
+
+@pytest.mark.parametrize("budget", [10 ** 4, 10 ** 6])
+def test_ascending_staircase_stops_at_its_component_size(budget):
+    # the staircase is one 1-component; the path spanning it is provably
+    # longest, so the search ends after visiting exactly its cells
+    offsets = [int(c) for c in sturmian_word(GOLDEN, 1000)]
+    p = trace_guided_path([1] * 1000, offsets, 1000)
+    assert len(p.support()) == 1619
+    path, spent, complete = _ascend(p, 1, 3, budget)
+    assert len(path) == 1619
+    assert (spent, complete) == (1619, True)
+
+
+def test_ascending_budget_cut_is_not_complete():
+    offsets = [int(c) for c in sturmian_word(GOLDEN, 200)]
+    p = trace_guided_path([1] * 200, offsets, 200)
+    path, spent, complete = _ascend(p, 1, 3, 100)
+    assert (len(path), spent, complete) == (100, 100, False)
+
+
+def test_ascending_absence_can_be_complete():
+    row = Pattern(BINARY, {(x, 0): "1" for x in range(10)})
+    assert _ascend(row, 1, 1, 1000) == (None, 10, True)
+    assert _ascend(row, 1, 1, 5) == (None, 5, False)
+    assert _ascend(Pattern.from_word("000"), 1, 1, 5) == (None, 0, True)
 
 
 # ----------------------------------------------------------------- road check

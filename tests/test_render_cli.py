@@ -259,6 +259,21 @@ def test_cli_pathcover_geodesic(capsys, tmp_path):
     assert report["result"]["length"] == 5
 
 
+def test_cli_pathcover_ascend_reports_its_work(capsys, tmp_path):
+    p = Pattern(BINARY, {(0, y): "1" for y in range(5)})
+    (tmp_path / "col.pat").write_text(format_pattern(p))
+    argv = ["pathcover", "ascend", "--pattern", str(tmp_path / "col.pat"),
+            "--radius", "1", "--window", "1"]
+    result = run_json(capsys, *argv)["result"]
+    assert list(result) == ["found", "budget", "spent", "complete",
+                            "length", "cells"]
+    assert (result["length"], result["spent"], result["complete"]) == (
+        5, 5, True)
+    result = run_json(capsys, *argv, "--budget", "3")["result"]
+    assert (result["length"], result["spent"], result["complete"]) == (
+        3, 3, False)
+
+
 def test_cli_render_moves_svg(capsys):
     code, out = run_cli(capsys, "render", "--moves", "++--++",
                         "--format", "svg-paths")
@@ -307,11 +322,18 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["pathcover", "ascend", "--pattern", "word.pat", "--budget", "-5"], 1),
     (["pathcover", "ascend"], 1),
     (["pathcover", "geodesic"], 1),
+    (["gen", "--subst", "tau1.sub", "--seed", "x", "--iters", "1"], 1),
+    (["gen", "--subst", "plus.sub", "--seed", "7", "--iters", "1"], 1),
+    (["gen", "--subst", "plus.sub", "--seed-file", "a.pat", "--iters", "1"], 1),
+    (["gen", "--subst", "tau1.sub", "--seed-file", "a.pat", "--iters", "1"], 1),
+    (["gen", "--subst", "plus.sub", "--seed-file", "ternary.pat", "--iters",
+      "1"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
     (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
     (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
+    (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
     monkeypatch.chdir(files)
     assert main(argv) == code
     err = capsys.readouterr().err
