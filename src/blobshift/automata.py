@@ -104,11 +104,6 @@ class FiniteConfig:
         zero = self.alphabet.zero
         return sum(1 for c in self.word if c != zero)
 
-    def cell(self, i: int) -> str:
-        if self.offset <= i < self.offset + len(self.word):
-            return self.word[i - self.offset]
-        return self.alphabet.zero
-
 
 # -- the stepping kernel -------------------------------------------------------
 #
@@ -230,9 +225,11 @@ def canonical_configs(alphabet: Alphabet, max_width: int) -> Iterator[FiniteConf
         yield FiniteConfig(alphabet, 0, word)
 
 
-def _check_probe_size(max_width: int, max_time: int) -> None:
+def _check_probe_size(alphabet: Alphabet, max_width: int,
+                      max_time: int) -> None:
     if max_width < 1 or max_time < 1:
         raise ValueError("max_width and max_time must be at least 1")
+    _check_table_cap(alphabet, max_width, f"probe of width {max_width}")
 
 
 def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
@@ -266,7 +263,7 @@ def find_glider(rule: CARule, max_width: int,
     m. Finite nonzero configurations are never shift-periodic, so every
     revisit qualifies, including m = 0.
     """
-    _check_probe_size(max_width, max_time)
+    _check_probe_size(rule.alphabet, max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("glider search needs a zero-preserving rule")
     step_word, _ = _stepper(rule)
@@ -314,7 +311,7 @@ def nilpotency_probe(rule: CARule, max_width: int,
     too. A glider or a surviving cycle is a definite counterexample; a
     survivor without either is inconclusive at this probe size.
     """
-    _check_probe_size(max_width, max_time)
+    _check_probe_size(rule.alphabet, max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("the probe needs a zero-preserving rule")
     step_word, step_cycle = _stepper(rule)
@@ -388,12 +385,8 @@ def tfg_validate(element: TFGElement) -> TFGElement:
     cover the widest case.
     """
     rho = element.radius
-    if rho == 0:
-        shifts = set(element.table.values())
-        if len(shifts) > 1:
-            word = min(element.table)
-            raise NotInvertible(word, 0)
-        return element
+    _check_table_cap(element.alphabet, 4 * rho + 1,
+                     f"injectivity check at radius {rho}")
     symbols = element.alphabet.symbols
     width = 2 * rho + 1
     for j in range(1, 2 * rho + 1):
@@ -504,6 +497,8 @@ def tfg_order_search(element: TFGElement, max_order: int,
         if n < max_order:
             power = compose(element, power)
 
+    _check_table_cap(element.alphabet, max_period,
+                     f"drift search up to period {max_period}")
     for period in range(1, max_period + 1):
         for tup in product(element.alphabet.symbols, repeat=period):
             word = "".join(tup)

@@ -105,58 +105,64 @@ def build_hierarchy(pattern: Pattern, radii: Sequence[int]) -> BlobHierarchy:
     return BlobHierarchy(pattern, levels)
 
 
-def _constituents(pattern: Pattern, placement: BlobPlacement, r: int):
-    """The r-blob placements inside one bigger placement's support."""
-    return [BlobPlacement(*found) for found in
-            _blob_scan(pattern, r, placement.absolute_support())]
-
-
 def verify_axioms(hierarchy: BlobHierarchy) -> tuple[LevelPairReport, ...]:
-    """Check the three nesting axioms on every consecutive level pair."""
-    if len(hierarchy.levels) < 2:
+    """Check the three nesting axioms on every consecutive level pair.
+
+    For r < R every r-component of the support lies inside one
+    R-component, so an upper blob's constituents are the lower placements
+    anchored in its support, in the order a scan of that support finds.
+    """
+    levels = hierarchy.levels
+    if len(levels) < 2:
         raise ValueError("axiom checks need at least two levels")
+    if any(b.radius <= a.radius for a, b in zip(levels, levels[1:])):
+        raise RadiiNotIncreasing("level radii must be strictly increasing")
     pattern = hierarchy.source
     reports = []
-    for lower, upper in zip(hierarchy.levels, hierarchy.levels[1:]):
+    for lower, upper in zip(levels, levels[1:]):
         lower_set = set(lower.distinct())
-        checked = 0
-        skipped = 0
+        targets = {ix: pl.absolute_support()
+                   for ix, pl in enumerate(upper.placements)
+                   if not pl.truncated}
+        owner = {c: ix for ix, target in targets.items() for c in target}
+        constituents = {ix: [] for ix in targets}
+        for part in lower.placements:
+            if part.anchor in owner:
+                constituents[owner[part.anchor]].append(part)
+        checked = len(targets)
+        skipped = len(upper.placements) - checked
         glue_exact = True
         contains_all = True
         splits = True
         counterexample = None
-        for pl in upper.placements:
-            if pl.truncated:
-                skipped += 1
-                continue
-            checked += 1
-            parts = _constituents(pattern, pl, lower.radius)
+        for ix, parts in constituents.items():
+            anchor = list(upper.placements[ix].anchor)
             part_blobs = {p.blob for p in parts}
 
             if len(parts) < 2 and splits:
                 splits = False
                 counterexample = counterexample or {
-                    "axiom": "splits_in_two", "anchor": list(pl.anchor),
+                    "axiom": "splits_in_two", "anchor": anchor,
                     "constituents": len(parts)}
             missing = lower_set - part_blobs
             if missing and contains_all:
                 contains_all = False
                 counterexample = counterexample or {
-                    "axiom": "contains_all", "anchor": list(pl.anchor),
+                    "axiom": "contains_all", "anchor": anchor,
                     "missing": len(missing)}
             unknown = part_blobs - lower_set
             if unknown and glue_exact:
                 # a constituent the lower level never recorded untruncated
                 glue_exact = False
                 counterexample = counterexample or {
-                    "axiom": "glue_exact", "anchor": list(pl.anchor),
+                    "axiom": "glue_exact", "anchor": anchor,
                     "reason": "constituent missing from the lower level"}
             if glue_exact:
                 rebuilt = None
                 for part in parts:
                     piece = part.blob.pattern.translate(part.anchor)
                     rebuilt = piece if rebuilt is None else zero_glue(rebuilt, piece)
-                target = pl.absolute_support()
+                target = targets[ix]
                 ok = (rebuilt is not None
                       and rebuilt.support() == target
                       and all(rebuilt.value(c) == pattern.value(c)
@@ -164,7 +170,7 @@ def verify_axioms(hierarchy: BlobHierarchy) -> tuple[LevelPairReport, ...]:
                 if not ok:
                     glue_exact = False
                     counterexample = counterexample or {
-                        "axiom": "glue_exact", "anchor": list(pl.anchor)}
+                        "axiom": "glue_exact", "anchor": anchor}
         reports.append(LevelPairReport(
             lower.radius, upper.radius, checked, skipped,
             glue_exact, contains_all, splits, counterexample))
@@ -185,25 +191,28 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
     """
     if component_threshold <= 0:
         raise ValueError("component threshold must be positive")
-    hierarchy = build_hierarchy(pattern, radii_schedule)
+    return _classify(build_hierarchy(pattern, radii_schedule),
+                     component_threshold)
+
+
+def _classify(hierarchy: BlobHierarchy,
+              component_threshold: int) -> FractalVerdict:
+    """:func:`classify` on a hierarchy already built."""
+    pattern = hierarchy.source
     if not pattern.support():
         return FractalVerdict("finite_point")
 
-    for r in radii_schedule:
-        witness = geodesic_witness(pattern, r)
+    for level in hierarchy.levels:
+        witness = geodesic_witness(pattern, level.radius)
         if len(witness) >= component_threshold:
-            return FractalVerdict("unbounded_component", radius=r,
+            return FractalVerdict("unbounded_component", radius=level.radius,
                                   witness_length=len(witness))
 
+    # a level with a single blob holds the whole support
     suffix = 0
-    prev_support = None
     for level in reversed(hierarchy.levels):
         if len(level.placements) != 1 or level.placements[0].truncated:
             break
-        support = level.placements[0].absolute_support()
-        if prev_support is not None and support != prev_support:
-            break
-        prev_support = support
         suffix += 1
     if suffix >= 2:
         return FractalVerdict("finite_point",
@@ -221,17 +230,16 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
     return FractalVerdict(tag, levels_verified=verified, report=tuple(report))
 
 
-def auto_radii(pattern: Pattern, start: int = 1,
-               max_levels: int = 12) -> list[int]:
-    """Double the radius until the blob count stabilizes.
+def auto_radii(pattern: Pattern) -> list[int]:
+    """Double the radius from 1 until the blob count stabilizes, 12 at most.
 
     A heuristic schedule; failing the axioms under it never refutes
     fractal structure, it only means the radii grew too slowly.
     """
     radii = []
-    r = start
+    r = 1
     prev = None
-    for _ in range(max_levels):
+    for _ in range(12):
         radii.append(r)
         count = len(connected_components(pattern.support(), r))
         if prev is not None and count == prev and count <= 1:

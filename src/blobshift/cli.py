@@ -264,14 +264,14 @@ def _cmd_fractal(args, argv, inputs):
                "distinct": len(lvl.distinct())}
               for lvl in hierarchy.levels]
     if args.action == "verify":
-        report = blobfractal.verify_axioms(hierarchy)
+        report = _checked(blobfractal.verify_axioms, hierarchy)
         result = {
             "radii": radii,
             "levels": levels,
             "pairs": _pair_reports(report),
         }
     else:
-        verdict = blobfractal.classify(pattern, radii, args.threshold)
+        verdict = blobfractal._classify(hierarchy, args.threshold)
         result = {
             "radii": radii,
             "levels": levels,
@@ -304,6 +304,8 @@ def _cmd_classify_path(args, argv, inputs):
 def _cmd_pathcover(args, argv, inputs):
     if args.action != "guided" and not args.pattern:
         raise _UsageError(f"{args.action} needs --pattern")
+    if args.action != "guided" and args.format != "json":
+        raise _UsageError(f"{args.action} reports only as --format json")
     if args.action == "geodesic":
         pattern = parse_pattern(_read(args.pattern, inputs))
         path = pathcover.geodesic_witness(pattern, args.radius)

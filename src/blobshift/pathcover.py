@@ -203,19 +203,18 @@ def trace_guided_path(vertical_steps: Sequence[int], offsets: Sequence[int],
     return Pattern(BINARY, {c: "1" for c in cells})
 
 
-def sturmian_word(alpha: Fraction, length: int,
-                  rho: Fraction = Fraction(0)) -> str:
-    """Mechanical 0/1 word of slope alpha and intercept rho.
+def sturmian_word(alpha: Fraction, length: int) -> str:
+    """Mechanical 0/1 word of slope alpha and intercept 0.
 
-    Symbol i is floor((i+1) alpha + rho) - floor(i alpha + rho), computed
-    with exact rationals.
+    Symbol i is floor((i+1) alpha) - floor(i alpha), computed with exact
+    rationals.
     """
     if not 0 <= alpha <= 1:
         raise ValueError("slope must lie in [0, 1]")
     out = []
-    prev = _floor(rho)
+    prev = 0
     for i in range(1, length + 1):
-        cur = _floor(alpha * i + rho)
+        cur = _floor(alpha * i)
         out.append(str(cur - prev))
         prev = cur
     return "".join(out)

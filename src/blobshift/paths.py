@@ -262,43 +262,29 @@ def cut_path_search(language: Iterable[MoveWord], r: int,
         {f for l in range(1, horizon // 2 + 1) for f in factors[l]},
         key=lambda f: (len(f), f))
     for cand in candidates:
-        if _is_cut(cand, factors, length, moves, r, horizon):
+        if _is_cut(cand, factors, moves, r, horizon):
             return MoveWord(cand, bound)
     return None
 
 
-def _is_cut(cand, factors, length, moves, r, horizon) -> bool:
-    heights = list(accumulate(cand))
-    # rightward: walk continues from the candidate's final height
-    stack = [(cand, heights[-1])]
-    while stack:
-        word, h = stack.pop()
-        if len(word) >= horizon:
-            continue
-        for m in moves:
-            nxt = word + (m,)
-            l = min(len(nxt), length)
-            if nxt[-l:] not in factors[l]:
+def _is_cut(cand, factors, moves, r, horizon) -> bool:
+    # rightward the walk continues from the candidate's final height;
+    # leftward the heights before the start are relative to the start.
+    # Extensions stay within the horizon, hence within the language length.
+    for sign, start in ((1, sum(cand)), (-1, 0)):
+        stack = [(cand, start)]
+        while stack:
+            word, h = stack.pop()
+            if len(word) >= horizon:
                 continue
-            nh = h + m
-            if 0 <= nh <= r - 1:
-                return False
-            stack.append((nxt, nh))
-    # leftward: heights before the start, still relative to the start
-    stack = [(cand, 0)]
-    while stack:
-        word, h = stack.pop()
-        if len(word) >= horizon:
-            continue
-        for m in moves:
-            nxt = (m,) + word
-            l = min(len(nxt), length)
-            if nxt[:l] not in factors[l]:
-                continue
-            nh = h - m
-            if 0 <= nh <= r - 1:
-                return False
-            stack.append((nxt, nh))
+            for m in moves:
+                nxt = word + (m,) if sign > 0 else (m,) + word
+                if nxt not in factors[len(nxt)]:
+                    continue
+                nh = h + sign * m
+                if 0 <= nh <= r - 1:
+                    return False
+                stack.append((nxt, nh))
     return True
 
 

@@ -45,9 +45,6 @@ class Alphabet:
         if self.zero not in self.symbols:
             raise ValueError("zero symbol must be a member of the alphabet")
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
 
 BINARY = Alphabet(("0", "1"), "0")
 
@@ -194,9 +191,6 @@ class Pattern:
                 c for c, s in self._values.items() if s != zero)
         return self._support
 
-    def is_zero(self) -> bool:
-        return not self.support()
-
     def bounding_box(self) -> tuple[Cell, Cell] | None:
         """(min corner, max corner) of the domain, or None when empty."""
         if not self._values:
@@ -209,10 +203,6 @@ class Pattern:
     def translate(self, v: Cell) -> "Pattern":
         return Pattern(self.alphabet,
                        {translate_cell(c, v): s for c, s in self._values.items()})
-
-    def restrict(self, cells: Iterable[Cell]) -> "Pattern":
-        vals = self._values
-        return Pattern(self.alphabet, {c: vals[c] for c in cells})
 
     def to_word(self) -> str:
         """The 1D pattern's symbols in cell order; domain must be an interval."""
@@ -317,20 +307,20 @@ def blobs(pattern: Pattern, r: int) -> list[tuple[Blob, Cell]]:
     return out
 
 
-def _blob_scan(pattern: Pattern, r: int, cells: Iterable[Cell] | None = None):
-    """Yield (anchor, blob, truncated) per r-component of cells.
+def _blob_scan(pattern: Pattern, r: int):
+    """Yield (anchor, blob, truncated) per r-component of the support.
 
-    Cells default to the support. The blob is the component's r-dilation
-    cut to the domain with its least cell, the anchor, at the origin.
+    The blob is the component's r-dilation cut to the domain, built in
+    one pass with its least cell, the anchor, at the origin.
     """
-    comps = connected_components(
-        pattern.support() if cells is None else cells, r)
-    for comp in comps:
+    values = pattern._values
+    for comp in connected_components(pattern.support(), r):
         anchor = min(comp)
-        ball = dilate(comp, r)
-        inside = [c for c in ball if c in pattern]
         neg = tuple(-a for a in anchor)
-        blob = Blob(pattern.restrict(inside).translate(neg), r)
+        ball = dilate(comp, r)
+        inside = {translate_cell(c, neg): values[c]
+                  for c in ball if c in values}
+        blob = Blob(Pattern(pattern.alphabet, inside), r)
         yield anchor, blob, len(inside) < len(ball)
 
 

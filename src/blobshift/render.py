@@ -30,8 +30,9 @@ def _pbm(pattern: Pattern) -> bytes:
     return f"P1\n{width} {len(rows)}\n{body}".encode()
 
 
-def render_moves(word: MoveWord, scale: int = 4) -> bytes:
+def render_moves(word: MoveWord) -> bytes:
     """SVG polyline of the walk, one point per height, y drawn downward."""
+    scale = 4  # pixels per step and per unit of height
     heights = integrate(word).heights
     top = max(heights)
     points = " ".join(f"{i * scale},{(top - h) * scale}"

@@ -260,7 +260,7 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int,
     if i < 1:
         raise ValueError("i must be at least 1")
     cap = cell_cap() if cap is None else cap
-    side = spec.seed_side * (spec.k + 1) ** (i - 1)
+    side = block_side(spec, i)
     if side * side > cap:
         raise SizeLimit(f"level {i} pattern would have {side * side} cells")
     level = {jj: spec.seeds[jj - 1] for jj in range(1, spec.k + 1)}

@@ -1,14 +1,31 @@
 """Blob hierarchies: levels, the three axioms, the trichotomy."""
+import random
+
 import pytest
 
 from blobshift.blobfractal import (
+    BlobHierarchy,
+    BlobPlacement,
+    FractalVerdict,
+    HierarchyLevel,
+    LevelPairReport,
     auto_radii,
     build_hierarchy,
     classify,
     verify_axioms,
 )
 from blobshift.errors import RadiiNotIncreasing
-from blobshift.patterns import BINARY, Pattern, pad
+from blobshift.pathcover import geodesic_witness
+from blobshift.patterns import (
+    BINARY,
+    Alphabet,
+    Blob,
+    Pattern,
+    connected_components,
+    dilate,
+    pad,
+    zero_glue,
+)
 from blobshift.substitution import (
     cantor_substitution,
     iterate_1d,
@@ -27,6 +44,140 @@ def cantor_pattern(level: int) -> Pattern:
 def plus_pattern(level: int) -> Pattern:
     p = iterate_2d(plus_substitution(), Pattern(BINARY, {(0, 0): "1"}), level)
     return pad(p, 2)
+
+
+# -------------------------------------------------------------------- oracles
+#
+# The axioms checked by rescanning: every upper blob's support is split
+# into r-components afresh, each blob cut from the window and then moved
+# to its anchor.
+
+
+def oracle_scan(pattern: Pattern, r: int, cells) -> list[BlobPlacement]:
+    out = []
+    for comp in connected_components(cells, r):
+        anchor = min(comp)
+        ball = dilate(comp, r)
+        inside = {c: pattern.value(c) for c in ball if c in pattern}
+        piece = Pattern(pattern.alphabet, inside)
+        blob = Blob(piece.translate(tuple(-a for a in anchor)), r)
+        out.append(BlobPlacement(anchor, blob, len(inside) < len(ball)))
+    return out
+
+
+def oracle_hierarchy(pattern: Pattern, radii) -> BlobHierarchy:
+    return BlobHierarchy(pattern, tuple(
+        HierarchyLevel(r, tuple(oracle_scan(pattern, r, pattern.support())))
+        for r in radii))
+
+
+def oracle_constituents(pattern: Pattern, placement: BlobPlacement, r: int):
+    return oracle_scan(pattern, r, placement.absolute_support())
+
+
+def oracle_verify_axioms(hierarchy: BlobHierarchy):
+    pattern = hierarchy.source
+    reports = []
+    for lower, upper in zip(hierarchy.levels, hierarchy.levels[1:]):
+        lower_set = set(lower.distinct())
+        checked = skipped = 0
+        glue_exact = contains_all = splits = True
+        counterexample = None
+        for pl in upper.placements:
+            if pl.truncated:
+                skipped += 1
+                continue
+            checked += 1
+            parts = oracle_constituents(pattern, pl, lower.radius)
+            part_blobs = {p.blob for p in parts}
+            if len(parts) < 2 and splits:
+                splits = False
+                counterexample = counterexample or {
+                    "axiom": "splits_in_two", "anchor": list(pl.anchor),
+                    "constituents": len(parts)}
+            missing = lower_set - part_blobs
+            if missing and contains_all:
+                contains_all = False
+                counterexample = counterexample or {
+                    "axiom": "contains_all", "anchor": list(pl.anchor),
+                    "missing": len(missing)}
+            if part_blobs - lower_set and glue_exact:
+                glue_exact = False
+                counterexample = counterexample or {
+                    "axiom": "glue_exact", "anchor": list(pl.anchor),
+                    "reason": "constituent missing from the lower level"}
+            if glue_exact:
+                rebuilt = None
+                for part in parts:
+                    piece = part.blob.pattern.translate(part.anchor)
+                    rebuilt = piece if rebuilt is None else zero_glue(rebuilt, piece)
+                target = pl.absolute_support()
+                if not (rebuilt is not None and rebuilt.support() == target
+                        and all(rebuilt.value(c) == pattern.value(c)
+                                for c in target)):
+                    glue_exact = False
+                    counterexample = counterexample or {
+                        "axiom": "glue_exact", "anchor": list(pl.anchor)}
+        reports.append(LevelPairReport(
+            lower.radius, upper.radius, checked, skipped,
+            glue_exact, contains_all, splits, counterexample))
+    return tuple(reports)
+
+
+def oracle_classify(pattern: Pattern, radii, threshold: int) -> FractalVerdict:
+    hierarchy = oracle_hierarchy(pattern, radii)
+    if not pattern.support():
+        return FractalVerdict("finite_point")
+    for r in radii:
+        witness = geodesic_witness(pattern, r)
+        if len(witness) >= threshold:
+            return FractalVerdict("unbounded_component", radius=r,
+                                  witness_length=len(witness))
+    suffix = 0
+    prev_support = None
+    for level in reversed(hierarchy.levels):
+        if len(level.placements) != 1 or level.placements[0].truncated:
+            break
+        support = level.placements[0].absolute_support()
+        if prev_support is not None and support != prev_support:
+            break
+        prev_support = support
+        suffix += 1
+    if suffix >= 2:
+        return FractalVerdict("finite_point", levels_verified=suffix)
+    report = oracle_verify_axioms(hierarchy) if len(radii) >= 2 else ()
+    verified = 1
+    for pair in report:
+        if not pair.passed():
+            break
+        verified += 1
+    tag = "blob_fractal" if verified >= 2 else "inconclusive"
+    return FractalVerdict(tag, levels_verified=verified, report=report)
+
+
+def placements_in_full(hierarchy: BlobHierarchy) -> list:
+    """Every level's placements with the whole blob pattern, padding too."""
+    return [(lvl.radius, [(pl.anchor, pl.blob.radius, pl.blob.pattern,
+                           pl.truncated) for pl in lvl.placements])
+            for lvl in hierarchy.levels]
+
+
+def random_window(rng: random.Random) -> Pattern:
+    """A 1D or 2D, binary or ternary window, padded, sometimes with holes."""
+    alphabet = rng.choice([BINARY, Alphabet(("0", "1", "2"), "0")])
+    density = rng.choice([0.1, 0.25, 0.5])
+    dim = rng.choice([1, 2])
+    cells = ([(x,) for x in range(rng.randint(1, 40))] if dim == 1 else
+             [(x, y) for x in range(rng.randint(1, 9))
+              for y in range(rng.randint(1, 9))])
+    values = {c: (rng.choice(alphabet.symbols[1:])
+                  if rng.random() < density else "0") for c in cells}
+    window = pad(Pattern(alphabet, values), rng.randint(0, 6))
+    if rng.random() < 0.3:
+        holes = rng.sample(sorted(window.cells()), len(window) // 10)
+        window = Pattern(alphabet, {c: v for c, v in window.items()
+                                    if c not in holes})
+    return window
 
 
 # ------------------------------------------------------------------ hierarchy
@@ -126,14 +277,44 @@ def test_plus_fractal_fails_split_axiom():
 def test_axiom_counts_conserved_inside_parents():
     p = cantor_pattern(5)
     h = build_hierarchy(p, (2, 4, 10))
-    from blobshift.blobfractal import _constituents
     for lower, upper in zip(h.levels, h.levels[1:]):
         for pl in upper.placements:
             if pl.truncated:
                 continue
-            parts = _constituents(p, pl, lower.radius)
+            parts = oracle_constituents(p, pl, lower.radius)
             assert sum(len(q.blob.support()) for q in parts) == \
                 len(pl.blob.support())
+
+
+def test_hand_built_hierarchy_needs_increasing_radii():
+    p = cantor_pattern(4)
+    low, high = build_hierarchy(p, (2, 4)).levels
+    for levels in ((high, low), (low, low)):
+        with pytest.raises(RadiiNotIncreasing):
+            verify_axioms(BlobHierarchy(p, levels))
+
+
+def test_hierarchy_axioms_and_verdicts_match_the_rescanning_oracle():
+    rng = random.Random(0xA710)
+    passing = pairs = 0
+    tags = set()
+    for _ in range(320):
+        window = random_window(rng)
+        radii = sorted(rng.sample(range(9), rng.randint(2, 4)))
+        h = build_hierarchy(window, radii)
+        assert placements_in_full(h) == \
+            placements_in_full(oracle_hierarchy(window, radii))
+        report = verify_axioms(h)
+        assert report == oracle_verify_axioms(h)
+        pairs += len(report)
+        passing += sum(pair.passed() for pair in report)
+        threshold = rng.choice([3, 8, 50])
+        verdict = classify(window, radii, threshold)
+        assert verdict == oracle_classify(window, radii, threshold)
+        tags.add(verdict.tag)
+    assert pairs > 600 and passing > 20, (pairs, passing)
+    assert tags == {"finite_point", "unbounded_component", "blob_fractal",
+                    "inconclusive"}
 
 
 def test_heterogeneous_parents_fail_contains_all():

@@ -6,6 +6,7 @@ from itertools import accumulate
 import pytest
 
 from blobshift.paths import (
+    _is_cut,
     HeightWord,
     MoveWord,
     always_up,
@@ -186,6 +187,68 @@ def test_cut_path_floor_zigzag_absent():
     word = iterate_1d(floor_zigzag(), "+", 9)
     lang = factor_language(word, 20)
     assert cut_path_search(lang, 1, 16) is None
+
+
+def oracle_is_cut(cand, factors, length, moves, r, horizon) -> bool:
+    """The one-sided cut searches written out once per direction."""
+    heights = list(accumulate(cand))
+    stack = [(cand, heights[-1])]
+    while stack:
+        word, h = stack.pop()
+        if len(word) >= horizon:
+            continue
+        for m in moves:
+            nxt = word + (m,)
+            l = min(len(nxt), length)
+            if nxt[-l:] not in factors[l]:
+                continue
+            nh = h + m
+            if 0 <= nh <= r - 1:
+                return False
+            stack.append((nxt, nh))
+    stack = [(cand, 0)]
+    while stack:
+        word, h = stack.pop()
+        if len(word) >= horizon:
+            continue
+        for m in moves:
+            nxt = (m,) + word
+            l = min(len(nxt), length)
+            if nxt[:l] not in factors[l]:
+                continue
+            nh = h - m
+            if 0 <= nh <= r - 1:
+                return False
+            stack.append((nxt, nh))
+    return True
+
+
+def test_is_cut_matches_the_oracle():
+    rng = random.Random(41)
+    drift = [1 if c == "+" else -1
+             for c in iterate_1d(drift_zigzag(), "+", 7)]
+    cases = [({tuple(drift[i:i + 20]) for i in range(len(drift) - 19)}, 1, 16)]
+    for _ in range(300):
+        length = rng.randint(1, 9)
+        steps = rng.choice([(-1, 1), (-1, 0, 1), (-2, -1, 1, 2), (0, 1),
+                            (-1, 0, 2)])
+        words = {tuple(rng.choice(steps) for _ in range(length))
+                 for _ in range(rng.randint(1, 12))}
+        cases.append((words, rng.randint(1, 3), rng.randint(1, length)))
+    outcomes = Counter()
+    for words, r, horizon in cases:
+        length = len(next(iter(words)))
+        factors = {l: {w[i:i + l] for w in words
+                       for i in range(length - l + 1)}
+                   for l in range(1, length + 1)}
+        moves = sorted({m for w in words for m in w})
+        for l in range(1, horizon // 2 + 1):
+            for cand in factors[l]:
+                got = _is_cut(cand, factors, moves, r, horizon)
+                assert got == oracle_is_cut(cand, factors, length, moves,
+                                            r, horizon), (words, cand)
+                outcomes[got] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
 # -------------------------------------------------------------- serialization

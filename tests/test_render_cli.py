@@ -328,18 +328,34 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["gen", "--subst", "tau1.sub", "--seed-file", "a.pat", "--iters", "1"], 1),
     (["gen", "--subst", "plus.sub", "--seed-file", "ternary.pat", "--iters",
       "1"], 1),
+    (["pathcover", "geodesic", "--pattern", "word.pat", "--format", "pbm"], 1),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--format", "text"], 1),
+    (["tfg", "order", "--rule", "r6.tfg"], 2),
+    (["tfg", "order", "--rule", "swap.tfg", "--max-order", "1",
+      "--max-period", "40"], 2),
+    (["ca", "nilpotent", "--rule", "xor.ca", "--max-width", "40",
+      "--max-time", "2"], 2),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", "2"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
     (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
     (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
     (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
+    (files / "r6.tfg").write_text("ca 01 radius 6\n* -> shift 0\n")
+    (files / "swap.tfg").write_text(
+        "ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
+        "100 -> shift -1\n101 -> shift -1\n")
+    (files / "xor.ca").write_text(
+        "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n")
     monkeypatch.chdir(files)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
-        assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+        # the probes enumerate past the cell cap; the files do not parse
+        kind = "SizeLimit" if argv[0] in ("ca", "tfg") else "UnsupportedFormat"
+        assert json.loads(err)["error"]["kind"] == kind
 
 
 @pytest.mark.parametrize("command,text", [
