@@ -185,8 +185,13 @@ def evolve(rule: CARule, config: FiniteConfig,
         raise ValueError("steps must be nonnegative")
     if not rule.zero_preserving:
         raise NotZeroPreserving("finite evolution needs a zero-preserving rule")
-    step_word, _ = _stepper(rule)
     rho = rule.radius
+    # the trajectory holds steps + 1 configurations, each at least one entry
+    cap = cell_cap()
+    if _light_cone(max(len(config.word), 1), steps, rho) > cap:
+        raise SizeLimit(f"a trajectory of {steps} steps passes the "
+                        f"{cap}-cell cap")
+    step_word, _ = _stepper(rule)
     lo, hi = config.offset, config.offset + len(config.word)
     zero = FiniteConfig(rule.alphabet, 0, "")
     out = [config]
@@ -225,11 +230,21 @@ def canonical_configs(alphabet: Alphabet, max_width: int) -> Iterator[FiniteConf
         yield FiniteConfig(alphabet, 0, word)
 
 
-def _check_probe_size(alphabet: Alphabet, max_width: int,
-                      max_time: int) -> None:
+def _light_cone(width: int, steps: int, rho: int) -> int:
+    """Cells of a trajectory from a width-cell word, steps steps long.
+
+    Step t holds at most width + 2 rho t cells.
+    """
+    return (steps + 1) * width + rho * steps * (steps + 1)
+
+
+def _check_probe_size(rule: CARule, max_width: int, max_time: int) -> None:
+    """Each of the |A|^max_width seeds may run its whole light cone."""
     if max_width < 1 or max_time < 1:
         raise ValueError("max_width and max_time must be at least 1")
-    _check_table_cap(alphabet, max_width, f"probe of width {max_width}")
+    _check_table_cap(rule.alphabet, max_width,
+                     f"probe of width {max_width} and time {max_time}",
+                     _light_cone(max_width, max_time, rule.radius))
 
 
 def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
@@ -263,7 +278,7 @@ def find_glider(rule: CARule, max_width: int,
     m. Finite nonzero configurations are never shift-periodic, so every
     revisit qualifies, including m = 0.
     """
-    _check_probe_size(rule.alphabet, max_width, max_time)
+    _check_probe_size(rule, max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("glider search needs a zero-preserving rule")
     step_word, _ = _stepper(rule)
@@ -311,7 +326,7 @@ def nilpotency_probe(rule: CARule, max_width: int,
     too. A glider or a surviving cycle is a definite counterexample; a
     survivor without either is inconclusive at this probe size.
     """
-    _check_probe_size(rule.alphabet, max_width, max_time)
+    _check_probe_size(rule, max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("the probe needs a zero-preserving rule")
     step_word, step_cycle = _stepper(rule)
@@ -420,11 +435,16 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     return TFGElement(outer.alphabet, radius, table)
 
 
-def _check_table_cap(alphabet: Alphabet, width: int, what: str) -> None:
-    """Raise SizeLimit when |A|^width words of width cells pass the cap."""
+def _check_table_cap(alphabet: Alphabet, width: int, what: str,
+                     per_word: int | None = None) -> None:
+    """Raise SizeLimit when |A|^width words of per_word cells pass the cap.
+
+    per_word defaults to width, the cells of the word itself.
+    """
     cap = cell_cap()
+    per_word = width if per_word is None else per_word
     # past cap.bit_length() letters a power of |A| >= 2 is over the cap anyway
-    cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * width
+    cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * per_word
     if cells > cap:
         raise SizeLimit(f"{what} passes the {cap}-cell cap")
 

@@ -9,7 +9,6 @@ error, 2 domain error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +16,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BlobshiftError, UnsupportedFormat
-from . import automata, blobfractal, pathcover, paths, primes, render, substitution
 from .patterns import (
     Pattern,
     blobs,
@@ -78,6 +76,8 @@ def _checked(call, *args):
 
 
 def _read(path: str, inputs: dict) -> str:
+    import hashlib
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -143,6 +143,8 @@ def _report(args, command: list[str], inputs: dict, result: dict) -> int:
 
 def _pattern_report(args, argv, inputs, pattern: Pattern, result: dict) -> int:
     """The pattern rendered as --format asks, or a report ending with it."""
+    from . import render
+
     if args.format in render.PATTERN_FORMATS:
         _emit(args, render.render_pattern(pattern, args.format))
         return 0
@@ -151,9 +153,14 @@ def _pattern_report(args, argv, inputs, pattern: Pattern, result: dict) -> int:
 
 
 # -- subcommand handlers -------------------------------------------------------
+#
+# Each handler imports the library modules it runs, so a command loads only
+# its own: most of a short command's time is compiling and importing them.
 
 
 def _cmd_gen(args, argv, inputs):
+    from . import substitution
+
     subst = substitution.parse_substitution(_read(args.subst, inputs))
     symbols = subst.alphabet.symbols
     if isinstance(subst, substitution.Substitution1D):
@@ -239,6 +246,8 @@ def _pair_reports(report):
 def _render_levels(args, hierarchy):
     if not getattr(args, "render_dir", None):
         return None
+    from . import render
+
     outdir = Path(args.render_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -252,6 +261,8 @@ def _render_levels(args, hierarchy):
 
 
 def _cmd_fractal(args, argv, inputs):
+    from . import blobfractal
+
     pattern = parse_pattern(_read(args.pattern, inputs))
     if args.pad:
         pattern = pad(pattern, args.pad)
@@ -287,6 +298,8 @@ def _cmd_fractal(args, argv, inputs):
 
 
 def _cmd_classify_path(args, argv, inputs):
+    from . import paths, substitution
+
     subst = substitution.parse_substitution(_read(args.subst, inputs))
     if not isinstance(subst, substitution.Substitution1D):
         raise _UsageError("classify-path needs a 1D substitution")
@@ -302,6 +315,8 @@ def _cmd_classify_path(args, argv, inputs):
 
 
 def _cmd_pathcover(args, argv, inputs):
+    from . import pathcover
+
     if args.action != "guided" and not args.pattern:
         raise _UsageError(f"{args.action} needs --pattern")
     if args.action != "guided" and args.format != "json":
@@ -343,6 +358,8 @@ def _cells_in_order(path) -> list:
 
 
 def _cmd_ca(args, argv, inputs):
+    from . import automata
+
     rule = automata.parse_ca_rule(_read(args.rule, inputs))
     if args.action == "glider":
         hit = automata.find_glider(rule, args.max_width, args.max_time)
@@ -364,6 +381,8 @@ def _cmd_ca(args, argv, inputs):
 
 
 def _cmd_tfg(args, argv, inputs):
+    from . import automata
+
     element = automata.parse_tfg_element(_read(args.rule, inputs))
     automata.tfg_validate(element)
     verdict = automata.tfg_order_search(element, args.max_order, args.max_period)
@@ -372,6 +391,8 @@ def _cmd_tfg(args, argv, inputs):
 
 
 def _cmd_primes(args, argv, inputs):
+    from . import primes
+
     if args.action == "lang":
         window = primes.sieve(args.limit)
         words = sorted(_checked(primes.late_language, window, args.length,
@@ -409,7 +430,11 @@ def _cmd_primes(args, argv, inputs):
 
 
 def _cmd_render(args, argv, inputs):
+    from . import render
+
     if args.moves:
+        from . import paths
+
         word = _checked(paths.parse_moves, args.moves)
         if args.format != "svg-paths":
             raise _UsageError("move words render as --format svg-paths")

@@ -20,9 +20,8 @@ from .errors import (
     NoPrimeInRange,
     SizeLimit,
 )
+from .limits import cell_cap
 from .patterns import BINARY, Pattern
-
-DEFAULT_SIEVE_CAP = 10 ** 8
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -66,13 +65,13 @@ class PrimeWindow:
     char_word: str
 
 
-def sieve(limit: int, cap: int | None = None) -> PrimeWindow:
-    """Sieve of Eratosthenes up to the limit."""
+def sieve(limit: int) -> PrimeWindow:
+    """Sieve of Eratosthenes up to the limit, one cell per integer 0..limit."""
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    cap = DEFAULT_SIEVE_CAP if cap is None else cap
-    if limit > cap:
-        raise SizeLimit(f"sieve limit {limit} exceeds the cap {cap}")
+    cap = cell_cap()
+    if limit + 1 > cap:
+        raise SizeLimit(f"sieve limit {limit} passes the {cap}-cell cap")
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     i = 2

@@ -6,9 +6,13 @@ svg-paths: a move word as a single polyline, one point per visited height.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import UnsupportedFormat
-from .paths import MoveWord, integrate
 from .patterns import Pattern, format_pattern, write_rows
+
+if TYPE_CHECKING:
+    from .paths import MoveWord
 
 PATTERN_FORMATS = ("text", "pbm")
 
@@ -32,8 +36,10 @@ def _pbm(pattern: Pattern) -> bytes:
 
 def render_moves(word: MoveWord) -> bytes:
     """SVG polyline of the walk, one point per height, y drawn downward."""
+    from . import paths
+
     scale = 4  # pixels per step and per unit of height
-    heights = integrate(word).heights
+    heights = paths.integrate(word).heights
     top = max(heights)
     points = " ".join(f"{i * scale},{(top - h) * scale}"
                       for i, h in enumerate(heights))

@@ -16,6 +16,7 @@ from blobshift.automata import (
     FiniteConfig,
     NilpotencyVerdict,
     TFGElement,
+    _check_probe_size,
     _cyclic_words,
     _stepper,
     asymptotic_profile,
@@ -175,6 +176,42 @@ def test_shift_rule_profile_constant():
 def test_xor_profile_matches_binomial_parity():
     prof = asymptotic_profile(xor_rule(), FiniteConfig.make("1"), 64)
     assert prof == [binomial_parity_count(t) for t in range(65)]
+
+
+def test_evolve_checks_its_light_cone_against_the_cell_cap(monkeypatch):
+    # the radius-1 light cone of "1" has 2t + 1 cells at step t, 21^2 = 441
+    # over 20 steps; xor's word grows one cell a step and fills half of it
+    one = FiniteConfig.make("1")
+    assert sum(len(c.word) for c in evolve(xor_rule(), one, 20)) == 231
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "441")
+    assert len(evolve(xor_rule(), one, 20)) == 21
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "440")
+    with pytest.raises(SizeLimit):
+        evolve(xor_rule(), one, 20)
+    with pytest.raises(SizeLimit):
+        asymptotic_profile(xor_rule(), one, 20)
+    # a radius-0 rule's light cone is one cell per step, even for zero
+    assert len(evolve(identity_rule(), one, 439)) == 440
+    with pytest.raises(SizeLimit):
+        evolve(identity_rule(), FiniteConfig.make("0"), 440)
+
+
+def test_probes_check_seeds_times_light_cone_against_the_cell_cap(
+        monkeypatch):
+    # 2^2 seeds of width 2, each (5 + 1) * 2 + 5 * 6 = 42 cells over 5 steps
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "168")
+    assert find_glider(xor_rule(), 2, 5) is None
+    assert nilpotency_probe(xor_rule(), 2, 5).tag == "inconclusive"
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "167")
+    with pytest.raises(SizeLimit):
+        find_glider(xor_rule(), 2, 5)
+    with pytest.raises(SizeLimit):
+        nilpotency_probe(xor_rule(), 2, 5)
+
+
+@pytest.mark.parametrize("width,time", [(9, 64), (10, 64), (11, 16)])
+def test_benchmark_probe_sizes_pass_the_default_cap(width, time):
+    _check_probe_size(xor_rule(), width, time)
 
 
 # ------------------------------------------------------------------ tfg basics

@@ -3,6 +3,8 @@
 Every argument value ends in exit 0, 1 or 2; every text either parses or
 raises UnsupportedFormat or SizeLimit.
 """
+import json
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -69,6 +71,52 @@ def test_integer_arguments_never_escape(files, capsys, data):
     code = main(argv)
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+# Time and sieve arguments with no upper bound: under a small cell cap the
+# light-cone and sieve checks refuse what would run for long.
+
+SMALL_CAP = 2 ** 16
+
+
+def from_(low, near):
+    """Integers unbounded above: from low to near (around the cap's edge),
+    from low up, or any integer at all."""
+    return st.one_of(st.integers(low, near), st.integers(min_value=low),
+                     st.integers()).map(str)
+
+
+def capped_commands(root):
+    xor = str(root / "xor.ca")
+    return st.one_of(
+        st.tuples(st.sampled_from(["glider", "nilpotent"]),
+                  st.integers(1, 6).map(str), from_(1, 400)).map(lambda t: [
+                      "ca", t[0], "--rule", xor, "--max-width", t[1],
+                      "--max-time", t[2]]),
+        from_(0, 400).map(lambda n: [
+            "ca", "profile", "--rule", xor, "--horizon", n]),
+        st.tuples(from_(2, 2 * SMALL_CAP), st.integers(1, 20).map(str),
+                  st.integers(0, 1000).map(str)).map(lambda t: [
+                      "primes", "lang", "--limit", t[0], "--length", t[1],
+                      "--threshold", t[2]]),
+    )
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unbounded_time_and_limit_meet_the_cell_cap(files, capsys,
+                                                    monkeypatch, data):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(SMALL_CAP))
+    argv = data.draw(capped_commands(files))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("usage error: ")
+    if code == 2:
+        assert json.loads(err)["error"]["kind"] == "SizeLimit"
 
 
 # -- the text parsers ------------------------------------------------------------

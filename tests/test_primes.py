@@ -77,6 +77,14 @@ def test_sieve_cap():
         sieve(10 ** 9)
 
 
+def test_sieve_checks_the_cell_cap(monkeypatch):
+    # one cell per integer 0..limit
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "1001")
+    assert len(sieve(1000).primes) == 168
+    with pytest.raises(SizeLimit):
+        sieve(1001)
+
+
 # -------------------------------------------------------------- late language
 
 

@@ -336,6 +336,10 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["ca", "nilpotent", "--rule", "xor.ca", "--max-width", "40",
       "--max-time", "2"], 2),
     (["fractal", "verify", "--pattern", "word.pat", "--radii", "2"], 1),
+    (["ca", "glider", "--rule", "xor.ca", "--max-width", "1",
+      "--max-time", "1000000"], 2),
+    (["ca", "profile", "--rule", "xor.ca", "--horizon", "1000000"], 2),
+    (["primes", "lang", "--limit", str(2 ** 26)], 2),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
@@ -353,8 +357,9 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
-        # the probes enumerate past the cell cap; the files do not parse
-        kind = "SizeLimit" if argv[0] in ("ca", "tfg") else "UnsupportedFormat"
+        # the probes and the sieve pass the cell cap; the files do not parse
+        kind = ("SizeLimit" if argv[0] in ("ca", "tfg", "primes")
+                else "UnsupportedFormat")
         assert json.loads(err)["error"]["kind"] == kind
 
 
