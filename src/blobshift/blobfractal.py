@@ -24,7 +24,7 @@ from .patterns import (
     Cell,
     Pattern,
     connected_components,
-    translate_cell,
+    translate_values,
     zero_glue,
     _blob_scan,
 )
@@ -38,8 +38,8 @@ class BlobPlacement:
     truncated: bool
 
     def absolute_support(self) -> frozenset:
-        return frozenset(translate_cell(c, self.anchor)
-                         for c in self.blob.support())
+        return frozenset(translate_values(
+            dict.fromkeys(self.blob.support()), self.anchor))
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def _cmd_glue(args, argv, inputs):
         raise _UsageError("glue needs exactly two --pattern files")
     p = parse_pattern(_read(args.pattern[0], inputs))
     q = parse_pattern(_read(args.pattern[1], inputs))
-    glued = zero_glue(p, q)
+    glued = _checked(zero_glue, p, q)
     return _pattern_report(args, argv, inputs, glued, {
         "cells": len(glued), "support": len(glued.support())})
 

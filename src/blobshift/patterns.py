@@ -7,10 +7,17 @@ nonzero symbol. Blobs are padded connected pieces of the support, stored
 translated to a canonical origin so equality and hashing are
 translation-invariant.
 
-Neighbourhood geometry has two kernels over :func:`neighbours`:
-:func:`dilate` grows a cell set by L1 radius r in r breadth-first layers
-of unit steps (padding, blob scans), and :func:`bfs` walks r-adjacent
-cells of a node set in sorted order (components, geodesics).
+Neighbourhood geometry has two kernels: :func:`dilate` grows a cell set
+by L1 radius r in r breadth-first layers of unit steps, each layer one
+set comprehension (padding, blob scans), and :func:`bfs` walks r-adjacent
+cells of a node set over :func:`neighbours` in sorted order (components,
+geodesics). :func:`translate_values` moves a cell map by a vector, one
+comprehension per dimension.
+
+The public :class:`Pattern` constructor checks every cell and symbol.
+Values derived only from checked patterns of one alphabet and its zero
+(translates, paddings, zero-glues, rows, blobs) are built without that
+check, since it could not fail.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
@@ -24,12 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .errors import GlueConflict, PaddingUnavailable, SizeLimit, UnsupportedFormat
 from .limits import cell_cap
 
 Cell = tuple[int, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,16 +71,32 @@ def neighbours(dim: int, r: int):
     return lambda cell: [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]
 
 
-def translate_cell(cell: Cell, v: Cell) -> Cell:
-    return tuple(a + b for a, b in zip(cell, v))
+def translate_values(values: Mapping[Cell, T], v: Cell,
+                     cells: Iterable[Cell] | None = None) -> dict[Cell, T]:
+    """values moved by v; given cells, only those of them values holds.
+
+    Written per dimension, like :func:`neighbours`; v must have the cells'
+    dimension. The result follows the order of cells, or of values when
+    no cells are given.
+    """
+    if len(v) == 1:
+        (a,) = v
+        if cells is None:
+            return {(x + a,): s for (x,), s in values.items()}
+        return {(c[0] + a,): values[c] for c in cells if c in values}
+    a, b = v
+    if cells is None:
+        return {(x + a, y + b): s for (x, y), s in values.items()}
+    return {(c[0] + a, c[1] + b): values[c] for c in cells if c in values}
 
 
 def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
     """Every cell within L1 distance r of some given cell.
 
     L1 distance is unit-step distance, so this runs r breadth-first
-    layers of unit steps. A layer whose size bound would take the set
-    past the cell cap raises :class:`SizeLimit` before it is built.
+    layers of unit steps, each grown as one set. A layer whose size bound
+    would take the set past the cell cap raises :class:`SizeLimit` before
+    it is built.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -80,19 +104,18 @@ def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
     if not out:
         return out
     dim = len(next(iter(out)))
-    step = neighbours(dim, 1)
     cap = cell_cap()
-    frontier = list(out)
+    frontier = out
     for _ in range(r):
         if len(out) + 2 * dim * len(frontier) > cap:
             raise SizeLimit(f"dilation by {r} could pass the {cap}-cell cap")
-        layer = []
-        for cell in frontier:
-            for nb in step(cell):
-                if nb not in out:
-                    out.add(nb)
-                    layer.append(nb)
-        frontier = layer
+        if dim == 1:
+            grown = {(x + d,) for (x,) in frontier for d in (-1, 1)}
+        else:
+            grown = {(x + dx, y + dy) for x, y in frontier
+                     for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))}
+        frontier = grown - out
+        out |= frontier
     return out
 
 
@@ -138,6 +161,22 @@ class Pattern:
         self._dim = 1 if dim is None else dim
         self._support = None
         self._hash = None
+
+    @classmethod
+    def _derived(cls, alphabet: Alphabet, values: dict[Cell, str]) -> "Pattern":
+        """A pattern that owns values, built without any check.
+
+        Only for values whose cells all come from checked patterns of one
+        dimension and whose symbols come from checked patterns over
+        alphabet or are its zero.
+        """
+        self = cls.__new__(cls)
+        self.alphabet = alphabet
+        self._values = values
+        self._dim = len(next(iter(values))) if values else 1
+        self._support = None
+        self._hash = None
+        return self
 
     # -- construction helpers -------------------------------------------
 
@@ -201,8 +240,13 @@ class Pattern:
     # -- pure transformations ---------------------------------------------
 
     def translate(self, v: Cell) -> "Pattern":
-        return Pattern(self.alphabet,
-                       {translate_cell(c, v): s for c, s in self._values.items()})
+        if not self._values:
+            return self
+        if len(v) != self._dim:
+            raise ValueError(
+                f"cannot translate a {self._dim}D pattern by {v!r}")
+        return Pattern._derived(self.alphabet,
+                                translate_values(self._values, v))
 
     def to_word(self) -> str:
         """The 1D pattern's symbols in cell order; domain must be an interval."""
@@ -316,11 +360,9 @@ def _blob_scan(pattern: Pattern, r: int):
     values = pattern._values
     for comp in connected_components(pattern.support(), r):
         anchor = min(comp)
-        neg = tuple(-a for a in anchor)
         ball = dilate(comp, r)
-        inside = {translate_cell(c, neg): values[c]
-                  for c in ball if c in values}
-        blob = Blob(Pattern(pattern.alphabet, inside), r)
+        inside = translate_values(values, tuple(-a for a in anchor), ball)
+        blob = Blob(Pattern._derived(pattern.alphabet, inside), r)
         yield anchor, blob, len(inside) < len(ball)
 
 
@@ -339,7 +381,7 @@ def zero_glue(p: Pattern, q: Pattern) -> Pattern:
             values[cell] = symbol
         elif prior != zero or symbol != zero:
             raise GlueConflict(cell)
-    return Pattern(p.alphabet, values)
+    return Pattern._derived(p.alphabet, values)
 
 
 def occurrences(pattern: Pattern, probe: Pattern,
@@ -347,21 +389,22 @@ def occurrences(pattern: Pattern, probe: Pattern,
     """All translations v placing probe inside pattern with equal values.
 
     An empty probe matches vacuously everywhere, so a search window is
-    required in that case and is returned sorted.
+    required in that case and is returned sorted. A probe of another
+    dimension than a nonempty pattern raises ValueError.
     """
     if len(probe) == 0:
         if window is None:
             raise ValueError("empty probe needs an explicit search window")
         return sorted(window)
+    if len(pattern) and probe.dimension != pattern.dimension:
+        raise ValueError(f"a {probe.dimension}D probe cannot occur in a "
+                         f"{pattern.dimension}D pattern")
     anchor = min(probe.cells())
-    probe_items = list(probe.items())
+    have = pattern.items()
     hits = []
     for base in pattern.cells():
         v = tuple(b - a for b, a in zip(base, anchor))
-        for cell, symbol in probe_items:
-            if pattern.get(translate_cell(cell, v)) != symbol:
-                break
-        else:
+        if translate_values(probe._values, v).items() <= have:
             hits.append(v)
     return sorted(hits)
 
@@ -411,7 +454,7 @@ def rows_of(pattern: Pattern) -> list[Pattern]:
     by_y: dict[int, dict[Cell, str]] = {}
     for (x, y), symbol in pattern.items():
         by_y.setdefault(y, {})[(x,)] = symbol
-    return [Pattern(pattern.alphabet, by_y[y]) for y in sorted(by_y)]
+    return [Pattern._derived(pattern.alphabet, by_y[y]) for y in sorted(by_y)]
 
 
 def density_window(pattern: Pattern, window: int) -> Fraction:
@@ -448,7 +491,7 @@ def pad(pattern: Pattern, r: int) -> Pattern:
     """Extend the domain by the radius-r ball around it, filled with zeros."""
     values = dict.fromkeys(dilate(pattern.cells(), r), pattern.alphabet.zero)
     values.update(pattern.items())
-    return Pattern(pattern.alphabet, values)
+    return Pattern._derived(pattern.alphabet, values)
 
 
 # -- text codec --------------------------------------------------------------

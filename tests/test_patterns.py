@@ -13,6 +13,7 @@ from blobshift.errors import (
 )
 from blobshift.patterns import (
     BINARY,
+    Alphabet,
     Pattern,
     blobs,
     connected_components,
@@ -184,6 +185,78 @@ def test_pad_checks_the_cell_cap(monkeypatch):
     square = Pattern(BINARY, {(x, y): "1" for x in range(5) for y in range(5)})
     with pytest.raises(SizeLimit):
         pad(square, 10)
+
+
+# ------------------------------------------------- derived patterns
+
+
+TERNARY = Alphabet(("0", "1", "2"), "0")
+
+
+def assert_as_checked(result):
+    """result is what the validating constructor builds from its items."""
+    checked = Pattern(result.alphabet, dict(result.items()))
+    assert dict(result.items()) == dict(checked.items())
+    assert result == checked
+    assert result.dimension == checked.dimension
+    assert result.support() == checked.support()
+    assert hash(result) == hash(checked)
+
+
+def derived_inputs(rng):
+    """Empty, all-zero and random windows with holes, 1D and 2D."""
+    yield Pattern(BINARY, {})
+    for dim in (1, 2):
+        yield Pattern(BINARY, {(0,) * dim: "0"})
+        for _ in range(8):
+            yield random_window(rng, dim)
+        cells = random_cells(rng, dim) | {(0,) * dim}
+        yield Pattern(TERNARY, {c: rng.choice("012") for c in cells})
+
+
+def test_derived_patterns_match_checked_construction(rng):
+    for p in derived_inputs(rng):
+        dim = p.dimension
+        far = p.translate((1000,) * dim)
+        for result in (p.translate((-3, 5)[:dim]), far, zero_glue(p, far),
+                       *rows_of(p)):
+            assert_as_checked(result)
+        for r in range(5):
+            padded = pad(p, r)
+            assert_as_checked(padded)
+            ring = Pattern(p.alphabet, dict.fromkeys(
+                padded.domain - p.domain, p.alphabet.zero))
+            glued = zero_glue(p, ring)
+            assert_as_checked(glued)
+            assert glued == padded
+            for blob, anchor in blobs(padded, r):
+                assert_as_checked(blob.pattern)
+                assert_as_checked(blob.pattern.translate(anchor))
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="not in alphabet"):
+        Pattern(BINARY, {(0,): "2"})
+    with pytest.raises(ValueError, match="mixed cell dimensions"):
+        Pattern(BINARY, {(0,): "1", (0, 1): "1"})
+    with pytest.raises(ValueError, match="1- or 2-dimensional"):
+        Pattern(BINARY, {(0, 0, 0): "1"})
+
+
+def test_other_dimensions_are_refused():
+    plane = Pattern.from_rows(["111", "1.1"])
+    word = Pattern.from_word("101")
+    with pytest.raises(ValueError):
+        plane.translate((5,))
+    with pytest.raises(ValueError):
+        word.translate((1, 2))
+    with pytest.raises(ValueError):
+        occurrences(plane, Pattern.from_word("1"))
+    with pytest.raises(ValueError):
+        occurrences(word, Pattern.from_rows(["1"]))
+    empty = Pattern(BINARY, {})
+    assert empty.translate((1, 2)) == empty
+    assert occurrences(empty, Pattern.from_rows(["1"])) == []
 
 
 # ---------------------------------------------------------------------- blobs

@@ -340,12 +340,16 @@ def test_cli_usage_error_is_exit_one(capsys):
       "--max-time", "1000000"], 2),
     (["ca", "profile", "--rule", "xor.ca", "--horizon", "1000000"], 2),
     (["primes", "lang", "--limit", str(2 ** 26)], 2),
+    (["glue", "--pattern", "a.pat", "--pattern", "plane.pat"], 1),
+    (["glue", "--pattern", "a.pat", "--pattern", "ternary_word.pat"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
     (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
     (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
     (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
+    (files / "ternary_word.pat").write_text("dims 2\nalphabet 012\n2.\n")
+    (files / "plane.pat").write_text("dims 2 1\nalphabet 01\n1.\n")
     (files / "r6.tfg").write_text("ca 01 radius 6\n* -> shift 0\n")
     (files / "swap.tfg").write_text(
         "ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
