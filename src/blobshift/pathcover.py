@@ -18,9 +18,9 @@ from .patterns import (
     BINARY,
     Cell,
     Pattern,
+    adjacency,
     bfs,
-    connected_components,
-    neighbours,
+    component_sweeps,
 )
 
 
@@ -54,19 +54,23 @@ def _farthest(dist: dict) -> Cell:
 def geodesic_witness(pattern: Pattern, r: int) -> CellPath:
     """Shortest path between a far pair of the largest r-component.
 
-    Double-sweep BFS: exact diameter endpoints on acyclic support graphs
-    (every generator this package ships), a certified lower bound
-    otherwise. The path length always certifies component size at least
-    that length.
+    Double-sweep BFS over one r-adjacency graph of the support: from the
+    component's least cell to a farthest cell a, then from a to a farthest
+    cell b. Exact on trees: when the component's graph is acyclic, as the
+    shipped generators' supports are at r=1, a and b realise its
+    diameter. Otherwise the path is a certified lower bound on the
+    diameter: it is always a shortest path between its endpoints, and its
+    length certifies component size at least that length. Of equal-sized
+    components, the one with the greater least cell is taken.
     """
-    support = pattern.support()
-    if not support:
+    graph = adjacency(pattern.support(), r)
+    if not graph:
         raise EmptySupport("geodesic witness needs a nonzero cell")
-    comps = connected_components(support, r)
-    comp = max(comps, key=lambda c: (len(c), sorted(c)[0]))
-    dist, _ = bfs(comp, min(comp), r)
+    # each component's sweep starts at its least cell, the map's first key,
+    # so the largest one's is also the double sweep's first
+    dist = max(component_sweeps(graph), key=lambda d: (len(d), next(iter(d))))
     a = _farthest(dist)
-    dist, parent = bfs(comp, a, r)
+    dist, parent = bfs(graph, a)
     b = _farthest(dist)
     cells = [b]
     while cells[-1] != a:
@@ -100,19 +104,19 @@ def _ascend(pattern: Pattern, r: int, m: int,
             budget: int) -> tuple[CellPath | None, int, bool]:
     """The ascending-path search: (path or None, nodes spent, complete).
 
-    Backtracking: one path list and one used set, a stack of pending
-    extension iterators, and each step undone on the way back. The
-    search returns as soon as the best path has the size of the largest
-    r-component, because a simple r-path stays inside one component and
-    the best changes only for a strictly longer path.
+    Backtracking over one r-adjacency graph of the support: one path
+    list and one used set, a stack of pending extension iterators, and
+    each step undone on the way back. The search returns as soon as the
+    best path has the size of the largest r-component, because a simple
+    r-path stays inside one component and the best changes only for a
+    strictly longer path.
     """
     if m < 1 or budget < 1:
         raise ValueError("window and budget must be at least 1")
-    support = pattern.support()
-    if not support:
+    graph = adjacency(pattern.support(), r)
+    if not graph:
         return None, 0, True
-    around = neighbours(pattern.dimension, r)
-    longest = max(len(c) for c in connected_components(support, r))
+    longest = max(map(len, component_sweeps(graph)))
     best: list[Cell] | None = None
     best_len = 2 * m - 1  # a path counts from 2m cells on
     spent = 0
@@ -120,14 +124,13 @@ def _ascend(pattern: Pattern, r: int, m: int,
     def extensions(path: list[Cell], used: set) -> list[Cell]:
         t = len(path)
         floor = path[t - m][-1] if t >= m else None
-        return [nb for nb in around(path[-1])
-                if nb in support and nb not in used
-                and (floor is None or nb[-1] > floor)]
+        return [nb for nb in graph[path[-1]]
+                if nb not in used and (floor is None or nb[-1] > floor)]
 
     # `best` is copied from `path` only when the search backs out of it
     # or stops, so a run of ever longer paths costs no copy per node
     fresh = False
-    for start in sorted(support):
+    for start in graph:
         if spent >= budget:
             return _cell_path(best, r), spent, False
         path, used = [start], {start}

@@ -9,10 +9,14 @@ translation-invariant.
 
 Neighbourhood geometry has two kernels: :func:`dilate` grows a cell set
 by L1 radius r in r breadth-first layers of unit steps, each layer one
-set comprehension (padding, blob scans), and :func:`bfs` walks r-adjacent
-cells of a node set over :func:`neighbours` in sorted order (components,
-geodesics). :func:`translate_values` moves a cell map by a vector, one
-comprehension per dimension.
+set comprehension (padding, blob scans), and :func:`adjacency` builds a
+cell set's r-adjacency graph once, probing each cell pair from its lesser
+cell over half of :func:`neighbours`' ball, with every list sorted.
+:func:`bfs` walks such a graph from one cell; :func:`component_sweeps`
+walks it from each component's least cell, which gives
+:func:`connected_components` and the geodesic and ascending-path searches
+of :mod:`blobshift.pathcover`. :func:`translate_values` moves a cell map
+by a vector, one comprehension per dimension.
 
 The public :class:`Pattern` constructor checks every cell and symbol.
 Values derived only from checked patterns of one alphabet and its zero
@@ -119,24 +123,85 @@ def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
     return out
 
 
-def bfs(nodes, start: Cell, r: int) -> tuple[dict, dict]:
-    """Distances and parents from start over r-adjacent cells of nodes.
+def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
+    """Each cell's r-adjacent cells within cells, in sorted order.
 
-    Neighbours are explored in sorted order, so parent ties are stable.
+    Each unordered pair is probed once, from its lesser cell, over the
+    lexicographically positive half of the L1 ball. Cells are visited in
+    sorted order, so every list gets its lesser neighbours first, in
+    order, then its greater ones. The graph's keys are sorted too. Written
+    per dimension, like :func:`neighbours`. The lists can hold up to
+    2 * len(cells) * len(half ball) entries; a bound past the cell cap
+    raises :class:`SizeLimit` before the graph is built.
     """
-    around = neighbours(len(start), r)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    order = sorted(set(cells))
+    if not order:
+        return {}
+    dim = len(order[0])
+    origin = (0,) * dim
+    half = [o for o in neighbours(dim, r)(origin) if o > origin]
+    cap = cell_cap()
+    if 2 * len(order) * len(half) > cap:
+        raise SizeLimit(f"{r}-adjacency of {len(order)} cells could pass "
+                        f"the {cap}-cell cap")
+    graph: dict[Cell, list[Cell]] = {c: [] for c in order}
+    if dim == 1:
+        steps = [d for (d,) in half]
+        for c in order:
+            x = c[0]
+            out = graph[c]
+            for d in steps:
+                nb = (x + d,)
+                if nb in graph:
+                    out.append(nb)
+                    graph[nb].append(c)
+    else:
+        for c in order:
+            x, y = c
+            out = graph[c]
+            for dx, dy in half:
+                nb = (x + dx, y + dy)
+                if nb in graph:
+                    out.append(nb)
+                    graph[nb].append(c)
+    return graph
+
+
+def bfs(graph: Mapping[Cell, list[Cell]], start: Cell) -> tuple[dict, dict]:
+    """Distances and parents from start over an adjacency graph.
+
+    Lists are read in order, so a cell's parent is the first cell taken
+    off the queue that lists it: parent ties follow the list order.
+    """
     dist = {start: 0}
     parent: dict[Cell, Cell] = {}
     queue = deque([start])
     while queue:
         cell = queue.popleft()
         d = dist[cell] + 1
-        for nb in around(cell):
-            if nb in nodes and nb not in dist:
+        for nb in graph[cell]:
+            if nb not in dist:
                 dist[nb] = d
                 parent[nb] = cell
                 queue.append(nb)
     return dist, parent
+
+
+def component_sweeps(graph: Mapping[Cell, list[Cell]]) -> Iterator[dict]:
+    """One :func:`bfs` distance map per component, from its least cell.
+
+    Components come in order of their least cell, since the graph lists
+    its cells in sorted order, as :func:`adjacency` does; each map's
+    first key is that cell.
+    """
+    seen: set[Cell] = set()
+    for start in graph:
+        if start not in seen:
+            dist = bfs(graph, start)[0]
+            seen.update(dist)
+            yield dist
 
 
 class Pattern:
@@ -321,17 +386,7 @@ def connected_components(cells: Iterable[Cell], r: int) -> list[frozenset]:
     Two cells are adjacent when their L1 distance is at most r. Components
     come back ordered by their lexicographically least member.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    cellset = set(cells)
-    seen: set[Cell] = set()
-    components = []
-    for start in sorted(cellset):
-        if start not in seen:
-            comp = frozenset(bfs(cellset, start, r)[0])
-            seen |= comp
-            components.append(comp)
-    return components
+    return [frozenset(dist) for dist in component_sweeps(adjacency(cells, r))]
 
 
 def blobs(pattern: Pattern, r: int) -> list[tuple[Blob, Cell]]:

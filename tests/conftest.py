@@ -1,9 +1,10 @@
 """Shared generators and independent oracles for the test suite."""
 import random
+from collections import deque
 
 import pytest
 
-from blobshift.patterns import BINARY, Pattern, pad
+from blobshift.patterns import BINARY, Pattern, neighbours, pad
 
 
 def random_pattern_1d(rng: random.Random, length: int = 40,
@@ -26,6 +27,40 @@ def random_padded_pattern(rng: random.Random, r: int = 3) -> Pattern:
     else:
         core = random_pattern_2d(rng)
     return pad(core, r)
+
+
+def ball_bfs(nodes, start, r):
+    """Distances and parents from start over r-adjacent cells of nodes.
+
+    The search before adjacency graphs: each cell taken off the queue
+    tests its whole sorted r-ball against the node set.
+    """
+    around = neighbours(len(start), r)
+    dist = {start: 0}
+    parent = {}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        d = dist[cell] + 1
+        for nb in around(cell):
+            if nb in nodes and nb not in dist:
+                dist[nb] = d
+                parent[nb] = cell
+                queue.append(nb)
+    return dist, parent
+
+
+def ball_components(cells, r):
+    """r-components by least member, one :func:`ball_bfs` per component."""
+    cellset = set(cells)
+    seen = set()
+    components = []
+    for start in sorted(cellset):
+        if start not in seen:
+            comp = frozenset(ball_bfs(cellset, start, r)[0])
+            seen |= comp
+            components.append(comp)
+    return components
 
 
 @pytest.fixture

@@ -1,14 +1,19 @@
 """Paths on supports: geodesics, ascending search, roads, guided traces."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from blobshift.cli import main
 from blobshift.errors import EmptySupport
 from blobshift.patterns import (
     BINARY,
     Pattern,
+    adjacency,
+    connected_components,
     essential_width_lower_bound,
     neighbours,
     rows_of,
@@ -23,7 +28,16 @@ from blobshift.pathcover import (
     sturmian_word,
     trace_guided_path,
 )
-from blobshift.substitution import iterate_2d, plus_substitution
+from blobshift.substitution import (
+    block_spec,
+    build_unbounded_rows,
+    cantor_substitution,
+    density_word,
+    iterate_1d,
+    iterate_2d,
+    plus_substitution,
+)
+from conftest import ball_bfs, ball_components
 
 GOLDEN = Fraction(377, 610)  # continued-fraction approximant of 1/phi
 
@@ -75,6 +89,141 @@ def test_geodesic_respects_step_bound():
     path = geodesic_witness(p, 1)
     for a, b in zip(path.cells, path.cells[1:]):
         assert sum(abs(x - y) for x, y in zip(a, b)) <= 1
+
+
+def staircase(length):
+    offsets = [int(c) for c in sturmian_word(GOLDEN, length)]
+    return trace_guided_path([1] * length, offsets, length)
+
+
+def shipped_patterns():
+    """One small instance of every generator this package ships."""
+    out = {"plus": plus_level(3),
+           "cantor": Pattern.from_word(
+               iterate_1d(cantor_substitution(), "1", 5)),
+           "thinning": Pattern.from_word(density_word(3).word),
+           "staircase": staircase(300)}
+    for k, level in ((2, 3), (3, 2)):
+        for j in range(1, k + 1):
+            out[f"block{k}_{j}"] = build_unbounded_rows(block_spec(k),
+                                                        level, j)
+    return out
+
+
+def three_bfs_geodesic(pattern, r):
+    """The witness before adjacency graphs: components, then two sweeps.
+
+    Every search tests each popped cell's whole r-ball (:func:`ball_bfs`).
+    """
+    comps = ball_components(pattern.support(), r)
+    comp = max(comps, key=lambda c: (len(c), sorted(c)[0]))
+    dist, _ = ball_bfs(comp, min(comp), r)
+    a = max(dist, key=lambda c: (dist[c], c))
+    dist, parent = ball_bfs(comp, a, r)
+    cells = [max(dist, key=lambda c: (dist[c], c))]
+    while cells[-1] != a:
+        cells.append(parent[cells[-1]])
+    return cells[::-1]
+
+
+def test_geodesic_matches_the_three_bfs_witness():
+    rng = random.Random(80)
+    patterns = list(shipped_patterns().values())
+    patterns += [random_pattern(rng, dim, rng.randint(1, 30))
+                 for dim in (1, 2) for _ in range(10)]
+    for p in patterns:
+        for r in range(5):
+            assert list(geodesic_witness(p, r).cells) == \
+                three_bfs_geodesic(p, r)
+
+
+def cycle_rank(support, r):
+    """Edges - cells + components of the r-adjacency graph, by ball probing."""
+    ends = sum(nb in support for c in support
+               for nb in neighbours(len(c), r)(c))
+    return ends // 2 - len(support) + len(ball_components(support, r))
+
+
+@pytest.mark.parametrize("name", sorted(shipped_patterns()))
+def test_geodesic_is_a_diameter_on_shipped_trees(name):
+    # at r=1 every shipped generator's support graph is a forest, where
+    # the double sweep is exact: compare with all-pairs distances
+    p = shipped_patterns()[name]
+    support = p.support()
+    assert cycle_rank(support, 1) == 0
+    path = geodesic_witness(p, 1)
+    comp = max(ball_components(support, 1), key=lambda c: (len(c), min(c)))
+    diameter = max(max(ball_bfs(comp, c, 1)[0].values()) for c in comp)
+    assert len(path) == diameter + 1
+
+
+@pytest.mark.parametrize("name", sorted(shipped_patterns()))
+def test_geodesic_is_a_shortest_path_at_every_radius(name):
+    # off trees the witness is only a lower bound on the diameter, but
+    # always a shortest path between its endpoints
+    p = shipped_patterns()[name]
+    support = p.support()
+    for r in range(1, 5):
+        path = geodesic_witness(p, r)
+        dist = ball_bfs(support, path.cells[0], r)[0]
+        assert dist[path.cells[-1]] == len(path) - 1
+
+
+def test_shipped_supports_have_cycles_past_radius_one():
+    patterns = shipped_patterns()
+    assert cycle_rank(patterns["staircase"].support(), 2) == 484
+    assert cycle_rank(patterns["staircase"].support(), 3) == 967
+    assert cycle_rank(patterns["plus"].support(), 2) == 198
+    assert cycle_rank(patterns["block2_1"].support(), 3) == 14
+
+
+def test_negative_radius_is_refused():
+    for p in (Pattern.from_word("0110"), Pattern.from_word("000"),
+              Pattern(BINARY, {(0, 0): "1", (0, 1): "1"})):
+        for call in (lambda: adjacency(p.support(), -1),
+                     lambda: connected_components(p.support(), -1),
+                     lambda: geodesic_witness(p, -1),
+                     lambda: find_ascending_path(p, -1, 1)):
+            with pytest.raises(ValueError):
+                call()
+
+
+SQUARE = "dims 5 5\nalphabet 01\n" + "11111\n" * 5
+
+
+@pytest.mark.parametrize("radius, cells, digest", [
+    ("1", [[4, 4], [3, 4], [2, 4], [1, 4], [0, 4],
+           [0, 3], [0, 2], [0, 1], [0, 0]],
+     "ed95e7f79e428ad41357587675bc4f467394c20a706ab67ca8fe4aa4db99cd7b"),
+    ("2", [[4, 4], [2, 4], [1, 3], [1, 1], [1, 0]],
+     "4affc366db34aebbee8a9fb3ce762daed1072e04951ffefcd750c48d6c007315"),
+])
+def test_geodesic_cli_ties_are_pinned(tmp_path, monkeypatch, capsys, radius,
+                                      cells, digest):
+    # a filled square has many equal shortest paths; sorted adjacency
+    # lists must keep the parent ties, so stdout is pinned byte for byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "square.pat").write_text(SQUARE)
+    code = main(["pathcover", "geodesic", "--pattern", "square.pat",
+                 "--radius", radius])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["result"] == {"length": len(cells), "cells": cells}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_geodesic_cli_refuses_a_graph_past_the_cap(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "square.pat").write_text(SQUARE)
+    # 25 cells, half ball of 6 at r=2: up to 300 list entries
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "299")
+    code = main(["pathcover", "geodesic", "--pattern", "square.pat",
+                 "--radius", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "SizeLimit"
 
 
 # ------------------------------------------------------------ ascending paths
@@ -272,7 +421,6 @@ def test_guided_row_sparsity_bounded():
 def test_guided_trace_is_connected_and_ascending():
     offsets = [int(c) for c in sturmian_word(GOLDEN, 50)]
     p = trace_guided_path([1] * 50, offsets, 50)
-    from blobshift.patterns import connected_components
     assert len(connected_components(p.support(), 1)) == 1
 
 

@@ -1,4 +1,5 @@
 """Pattern geometry: components, blobs, gluing, width, density."""
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,8 @@ from blobshift.patterns import (
     BINARY,
     Alphabet,
     Pattern,
+    adjacency,
+    bfs,
     blobs,
     connected_components,
     density_window,
@@ -31,7 +34,12 @@ from blobshift.patterns import (
     sparsity,
     zero_glue,
 )
-from conftest import random_padded_pattern, random_pattern_1d
+from conftest import (
+    ball_bfs,
+    ball_components,
+    random_padded_pattern,
+    random_pattern_1d,
+)
 
 
 # ---------------------------------------------------------------- components
@@ -85,6 +93,47 @@ def test_components_radius_zero_is_singletons():
     cells = {(0,), (1,), (7,)}
     assert connected_components(cells, 0) == [
         frozenset({(0,)}), frozenset({(1,)}), frozenset({(7,)})]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_adjacency_bfs_and_components_match_ball_probing(dim):
+    rng = random.Random(70 + dim)
+    span = 40 if dim == 1 else 12
+    sets = [set()] + [{tuple(rng.randrange(span) for _ in range(dim))
+                       for _ in range(rng.randrange(1, 40))}
+                      for _ in range(12)]
+    for cells in sets:
+        for r in range(7):
+            graph = adjacency(cells, r)
+            assert list(graph) == sorted(cells)
+            around = neighbours(dim, r)
+            for cell, nbs in graph.items():
+                assert nbs == [nb for nb in around(cell) if nb in cells]
+            for start in sorted(cells)[::3]:
+                dist, parent = bfs(graph, start)
+                want_dist, want_parent = ball_bfs(cells, start, r)
+                # same insertion order too: the queue order is pinned
+                assert list(dist.items()) == list(want_dist.items())
+                assert list(parent.items()) == list(want_parent.items())
+            assert connected_components(cells, r) == ball_components(cells, r)
+            assert connected_components(sorted(cells) * 2, r) == \
+                ball_components(cells, r)
+
+
+@pytest.mark.parametrize("cells, r, bound", [
+    ({(0,), (1,), (5,)}, 2, 2 * 3 * 2),  # half ball of r cells
+    ({(0, 0), (1, 0), (4, 4)}, 2, 2 * 3 * 6),  # half ball of r(r+1) cells
+])
+def test_adjacency_checks_the_cell_cap_at_its_edge(monkeypatch, cells, r,
+                                                   bound):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(bound))
+    graph = adjacency(cells, r)
+    assert sum(map(len, graph.values())) <= bound
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(bound - 1))
+    with pytest.raises(SizeLimit):
+        adjacency(cells, r)
+    with pytest.raises(SizeLimit):
+        connected_components(cells, r)
 
 
 # ------------------------------------------------------ dilation kernel
