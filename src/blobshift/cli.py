@@ -4,7 +4,9 @@ Every subcommand is a thin adapter over one library call. JSON reports go
 to stdout with a fixed field order and no timestamps, so identical inputs
 produce byte-identical output; `--format text|pbm|svg-paths` switches
 pattern-emitting commands to raw renders. Exit codes: 0 success, 1 usage
-error, 2 domain error.
+error, 2 domain error; both errors print one JSON line on stderr,
+`{"schema": 1, "error": {"kind": ..., "message": ...}}`, with kind
+`UsageError` for exit 1.
 """
 from __future__ import annotations
 
@@ -562,13 +564,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args, argv, {})
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _print_error("UsageError", exc)
         return 1
     except BlobshiftError as exc:
-        error = {"schema": 1, "error": {
-            "kind": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
+        _print_error(type(exc).__name__, exc)
         return 2
+
+
+def _print_error(kind: str, exc: Exception) -> None:
+    error = {"schema": 1, "error": {"kind": kind, "message": str(exc)}}
+    print(json.dumps(error), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,27 @@ Chinese remainder theorem, and isolated primes found either by scanning
 or by constructing an admissible progression and walking it until a
 prime appears. Everything returns verified witnesses; nothing relies on
 unproved bounds.
+
+The late language is searched for, not scanned for, by one lemma. Say
+the 1-positions S of a word w cover every residue mod some prime p. Then
+an occurrence of w at n puts a multiple of p on a 1-cell, and that
+multiple is at least n. If n >= len(w) + 1 > p, the multiple is larger
+than p, so it is composite, and w cannot occur there. S can only cover
+the residues mod p if |S| >= p, so the primes p <= len(w) decide it. A
+word whose 1-positions cover no such residue system is *admissible*, the
+condition of the Hardy-Littlewood prime k-tuples conjecture; only
+admissible words occur at positions past their own length. So
+`late_language` slices the positions up to the word length directly and
+searches the admissible words past them by prefix. An admissible word
+that never occurs costs one `str.find` to the end of the window; once
+the search has read as many cells as slicing every position would, it
+falls back to that scan.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .errors import (
@@ -65,6 +81,9 @@ class PrimeWindow:
     char_word: str
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def sieve(limit: int) -> PrimeWindow:
     """Sieve of Eratosthenes up to the limit, one cell per integer 0..limit."""
     if limit < 2:
@@ -80,35 +99,116 @@ def sieve(limit: int) -> PrimeWindow:
             start = i * i
             flags[start::i] = bytearray(len(range(start, limit + 1, i)))
         i += 1
-    primes = tuple(i for i, f in enumerate(flags) if f)
-    char_word = flags.decode("latin1").translate({0: "0", 1: "1"})
+    primes = (2,) + tuple(compress(range(3, limit + 1, 2), flags[3::2]))
+    char_word = flags.translate(_FLAG_DIGITS).decode("ascii")
     return PrimeWindow(limit, primes, char_word)
 
 
 def late_language(window: PrimeWindow, length: int, threshold: int) -> set[str]:
-    """All length-`length` factors occurring at positions >= threshold."""
+    """All length-`length` factors occurring at positions >= threshold.
+
+    Exact, by search. The positions n <= length, at most length + 1 of
+    them, are sliced directly. Past them only admissible words occur
+    (see the module docstring), so the rest of the language is found by
+    a depth-first search over prefixes. A prefix is pruned once its
+    1-positions cover every residue mod some prime p <= length (one
+    bitmask per prime). Otherwise it is looked up by its first
+    occurrence, which is never before its parent's: the child that the
+    parent's first occurrence continues into starts there too, and the
+    other child costs one `str.find` from just past it. An admissible
+    word that never occurs costs one `find` to the end of the window.
+
+    Each `find` is charged the cells it spans, and a child read at its
+    parent's occurrence the cells it covers. Once the total passes the
+    (last - threshold + 1) * length cells that slicing every position up
+    to last = limit + 1 - length reads, the search stops and that scan
+    answers instead. So long words, where most admissible words never
+    occur, cost the scan plus at most its cells in `find` work. The
+    budget is set by the scan, not by a knob.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
     if threshold + length > window.limit:
         raise ValueError("threshold + length must stay within the window")
     word = window.char_word
-    return {word[i:i + length] for i in range(threshold, len(word) - length + 1)}
+    last = len(word) - length
+    words = _slices(word, length, threshold, min(length, last))
+    budget = (last - threshold + 1) * length
+    spent = 0
+    small = window.primes[:bisect_right(window.primes, length)]
+    # a node: a prefix, its first occurrence, its 1-positions, and the
+    # residue bitmask of those positions mod each prime up to their count
+    # (a larger prime cannot be covered yet)
+    start = max(threshold, length + 1)
+    stack = [("", start, (), ())] if start <= last else []
+    while stack:
+        prefix, hit, ones, masks = stack.pop()
+        j = len(prefix)
+        if j == length:
+            words.add(prefix)
+            continue
+        # the child read at the parent's first occurrence starts there too
+        natural = word[hit + j]
+        spent += j + 1
+        for symbol in "01":
+            child_ones, child_masks = ones, masks
+            if symbol == "1":
+                child_ones += (j,)
+                child_masks = tuple(m | 1 << j % p
+                                    for m, p in zip(masks, small))
+                count = len(child_ones)
+                if len(masks) < len(small) and small[len(masks)] == count:
+                    child_masks += (sum({1 << s % count for s in child_ones}),)
+                if any(m == (1 << p) - 1 for m, p in zip(child_masks, small)):
+                    continue
+            child = prefix + symbol
+            found = hit
+            if symbol != natural:
+                end = last + j + 1
+                found = word.find(child, hit + 1, end)
+                spent += (end if found == -1 else found + j + 1) - hit - 1
+                if found == -1:
+                    continue
+            stack.append((child, found, child_ones, child_masks))
+        if spent > budget:
+            return _slices(word, length, threshold, last)
+    return words
+
+
+def _slices(word: str, length: int, first: int, last: int) -> set[str]:
+    """The length-`length` factors of word at positions first..last."""
+    return {word[n:n + length] for n in range(first, last + 1)}
 
 
 def late_contains(window: PrimeWindow, factor: str, threshold: int) -> bool:
     """Membership probe equivalent to `factor in late_language(...)`."""
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
     if threshold + len(factor) > window.limit:
         raise ValueError("threshold + length must stay within the window")
     return window.char_word.find(factor, threshold) != -1
 
 
 def gap_floor(window: PrimeWindow, threshold: int) -> int:
-    """Minimum gap between consecutive primes that are both >= threshold."""
+    """Minimum gap between consecutive primes that are both >= threshold.
+
+    Stops at the first gap of 1 (only 2, 3) or of 2 (twin odd primes):
+    every later gap is between odd primes, so none is smaller.
+    """
     if threshold >= window.limit:
         raise ValueError("threshold must be below the window limit")
     start = bisect_left(window.primes, threshold)
-    tail = window.primes[start:]
-    if len(tail) < 2:
+    if len(window.primes) - start < 2:
         raise ValueError("fewer than two primes above the threshold")
-    return min(b - a for a, b in zip(tail, tail[1:]))
+    primes = window.primes
+    best = window.limit
+    for i in range(start + 1, len(primes)):
+        best = min(best, primes[i] - primes[i - 1])
+        if best <= 2:
+            break
+    return best
 
 
 # -- CRT zero runs -----------------------------------------------------------

@@ -63,6 +63,16 @@ def ball_components(cells, r):
     return components
 
 
+def scan_late_language(window, length, threshold):
+    """Every length-`length` factor at positions >= threshold, one slice each.
+
+    The late language before the admissible-word search.
+    """
+    word = window.char_word
+    return {word[i:i + length]
+            for i in range(threshold, len(word) - length + 1)}
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xB10B)

@@ -114,7 +114,7 @@ def test_unbounded_time_and_limit_meet_the_cell_cap(files, capsys,
     assert "Traceback" not in err
     assert code in (0, 1, 2)
     if code == 1:
-        assert err.startswith("usage error: ")
+        assert json.loads(err)["error"]["kind"] == "UsageError"
     if code == 2:
         assert json.loads(err)["error"]["kind"] == "SizeLimit"
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from blobshift import primes
 from blobshift.errors import (
     InjectionNotDistinct,
     InjectionNotPrime,
@@ -22,6 +23,12 @@ from blobshift.primes import (
     late_language,
     sieve,
 )
+from conftest import scan_late_language
+
+
+@pytest.fixture(scope="module")
+def million():
+    return sieve(10 ** 6)
 
 
 def segmented_sieve_count(limit: int, segment: int = 10 ** 4) -> int:
@@ -49,6 +56,23 @@ def segmented_sieve_count(limit: int, segment: int = 10 ** 4) -> int:
 # ---------------------------------------------------------------------- sieve
 
 
+def old_sieve(limit):
+    """The sieve's output as it was first generated, cell by cell."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(range(i * i, limit + 1, i)))
+    return (tuple(i for i, f in enumerate(flags) if f),
+            flags.decode("latin1").translate({0: "0", 1: "1"}))
+
+
+def test_sieve_output_matches_the_old_generator():
+    for limit in range(2, 3001):
+        w = sieve(limit)
+        assert (w.primes, w.char_word) == old_sieve(limit), limit
+
+
 def test_sieve_small():
     w = sieve(10)
     assert w.primes == (2, 3, 5, 7)
@@ -59,10 +83,9 @@ def test_sieve_limit_two():
     assert sieve(2).primes == (2,)
 
 
-def test_sieve_against_segmented_oracle():
-    w = sieve(10 ** 6)
-    assert len(w.primes) == 78498
-    assert len(w.primes) == segmented_sieve_count(10 ** 6)
+def test_sieve_against_segmented_oracle(million):
+    assert len(million.primes) == 78498
+    assert len(million.primes) == segmented_sieve_count(10 ** 6)
 
 
 def test_sieve_char_word_consistent():
@@ -93,15 +116,12 @@ def test_late_language_singletons():
     assert late_language(w, 1, 100) == {"0", "1"}
 
 
-def test_late_language_contains_twin_pattern():
-    w = sieve(10 ** 6)
-    lang = late_language(w, 3, 10 ** 5)
-    assert "101" in lang
+def test_late_language_contains_twin_pattern(million):
+    assert "101" in late_language(million, 3, 10 ** 5)
 
 
-def test_late_language_no_adjacent_primes():
-    w = sieve(10 ** 6)
-    assert "11" not in late_language(w, 2, 10)
+def test_late_language_no_adjacent_primes(million):
+    assert "11" not in late_language(million, 2, 10)
 
 
 def test_late_language_antitone_in_threshold():
@@ -109,6 +129,50 @@ def test_late_language_antitone_in_threshold():
     early = late_language(w, 4, 10)
     late = late_language(w, 4, 5000)
     assert late <= early
+
+
+def test_late_language_past_the_budget_is_the_scan(monkeypatch):
+    # at length 40 most admissible words never occur below 2*10^5, so
+    # the search spends the scan's cells and the scan answers
+    w = sieve(2 * 10 ** 5)
+    calls = []
+
+    def slices(word, length, first, last):
+        calls.append((first, last))
+        return {word[n:n + length] for n in range(first, last + 1)}
+
+    monkeypatch.setattr(primes, "_slices", slices)
+    assert late_language(w, 40, 10 ** 4) == scan_late_language(w, 40, 10 ** 4)
+    assert calls[-1] == (10 ** 4, len(w.char_word) - 40)
+
+
+def admissible(word):
+    """No prime p <= len(word) has every residue on a 1-position of word."""
+    ones = [s for s, symbol in enumerate(word) if symbol == "1"]
+    return all({s % p for s in ones} != set(range(p))
+               for p in range(2, len(word) + 1)
+               if all(p % d for d in range(2, p)))
+
+
+def test_only_admissible_words_occur_past_their_length():
+    w = sieve(10 ** 5)
+    for length in range(1, 13):
+        late = scan_late_language(w, length, length + 1)
+        assert all(admissible(factor) for factor in late), length
+        # and the lemma is not vacuous: inadmissible words occur early
+        early = {w.char_word[n:n + length] for n in range(length + 1)}
+        if length >= 2:
+            assert not all(admissible(factor) for factor in early)
+
+
+def test_late_language_refuses_bad_arguments():
+    w = sieve(100)
+    with pytest.raises(ValueError):
+        late_language(w, 3, -2)
+    with pytest.raises(ValueError):
+        late_language(w, 0, 10)
+    with pytest.raises(ValueError):
+        late_contains(w, "101", -5)
 
 
 def test_late_contains_agrees_with_language():
@@ -241,8 +305,18 @@ def test_gap_floor_examples():
     assert gap_floor(sieve(100), 3) == 2
 
 
-def test_gap_floor_large():
-    assert gap_floor(sieve(10 ** 6), 10 ** 5) == 2
+def test_gap_floor_large(million):
+    assert gap_floor(million, 10 ** 5) == 2
+
+
+def test_gap_floor_is_the_least_gap():
+    w = sieve(10 ** 5)
+    rng = random.Random(37)
+    for threshold in [0, 2, 3, 4] + [rng.randrange(10 ** 5 - 100)
+                                     for _ in range(200)]:
+        tail = [p for p in w.primes if p >= threshold]
+        assert gap_floor(w, threshold) == min(
+            b - a for a, b in zip(tail, tail[1:]))
 
 
 # --------------------------------------------------------------------- export

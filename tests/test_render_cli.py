@@ -360,6 +360,10 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    if code == 1:
+        error = json.loads(err)
+        assert error["schema"] == 1 and error["error"]["kind"] == "UsageError"
+        assert error["error"]["message"]
     if code == 2:
         # the probes and the sieve pass the cell cap; the files do not parse
         kind = ("SizeLimit" if argv[0] in ("ca", "tfg", "primes")
