@@ -305,7 +305,9 @@ def _cmd_classify_path(args, argv, inputs):
     subst = substitution.parse_substitution(_read(args.subst, inputs))
     if not isinstance(subst, substitution.Substitution1D):
         raise _UsageError("classify-path needs a 1D substitution")
-    verdict = paths.classify_path_space(subst, args.horizon)
+    moves = {s: _checked(paths.parse_move_symbol, s)
+             for s in subst.alphabet.symbols}
+    verdict = paths.classify_path_space(subst, args.horizon, moves)
     return _report(args, argv, inputs, {
         "tag": verdict.tag,
         "constant": verdict.constant,

@@ -10,13 +10,15 @@ they do not decide.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .substitution import Substitution1D
+from .errors import SizeLimit
+from .limits import cell_cap
+from .substitution import Substitution1D, iterate_1d
 from .patterns import Alphabet
 
 @dataclass(frozen=True)
@@ -29,7 +31,7 @@ class MoveWord:
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("step bound must be nonnegative")
-        if any(abs(m) > self.bound for m in self.moves):
+        if max(map(abs, self.moves), default=0) > self.bound:
             raise ValueError("a move exceeds the step bound")
 
     def __len__(self) -> int:
@@ -110,8 +112,8 @@ def normalize_heights(heights: Sequence[int]) -> HeightWord:
 
 def visit_profile(word: MoveWord) -> VisitProfile:
     """Visit counts of every height along the walk, start and end included."""
-    heights = integrate(word).heights
-    return VisitProfile(dict(Counter(heights)), len(heights))
+    return VisitProfile(dict(Counter(accumulate(word.moves, initial=0))),
+                        len(word.moves) + 1)
 
 
 def ascension_constant(word: MoveWord) -> int | None:
@@ -123,10 +125,11 @@ def ascension_constant(word: MoveWord) -> int | None:
 
 
 def _ascension_up_to(moves: Sequence[int], m_max: int) -> int | None:
-    n = len(moves)
-    prefix = [0] + list(accumulate(moves))
-    for m in range(1, min(m_max, n) + 1):
-        if all(prefix[j + m] - prefix[j] > 0 for j in range(n - m + 1)):
+    # every length-m window sums positive iff no prefix sum m places on
+    # fails to exceed the one it starts from
+    prefix = list(accumulate(moves, initial=0))
+    for m in range(1, min(m_max, len(moves)) + 1):
+        if not any(map(le, islice(prefix, m, None), prefix)):
             return m
     return None
 
@@ -305,7 +308,9 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     recurrent when the range keeps growing and some factor re-enters the
     strip [0, r-1] at least horizon times, searching deeper iterates up
     to ``witness_cells`` for the shortest such factor; inconclusive
-    otherwise. Every verdict carries replay data in ``details``.
+    otherwise. Every verdict carries replay data in ``details``. Each
+    iterate and the tiled window check their length against the cell cap
+    before they are built and raise :class:`SizeLimit` past it.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -313,12 +318,13 @@ def classify_path_space(subst: Substitution1D, horizon: int,
         moves = {s: parse_move_symbol(s) for s in subst.alphabet.symbols}
     if seed is None:
         seed = subst.alphabet.symbols[0]
+    to_moves = moves.__getitem__
 
     target = 4 * horizon
     words = [seed]
     tiled = False
     while len(words[-1]) < target:
-        nxt = subst.apply(words[-1])
+        nxt = iterate_1d(subst, words[-1], 1)
         if len(nxt) <= len(words[-1]):
             tiled = True
             if nxt != words[-1]:
@@ -326,14 +332,18 @@ def classify_path_space(subst: Substitution1D, horizon: int,
             break
         words.append(nxt)
     if len(words) == 1 and not tiled:
-        words.append(subst.apply(words[-1]))
+        words.append(iterate_1d(subst, words[-1], 1))
     window = words[-1]
     if tiled:
         reps = -(-target // len(window))
+        cap = cell_cap()
+        if len(window) * reps > cap:
+            raise SizeLimit(
+                f"tiled window would have {len(window) * reps} > {cap} cells")
         window = window * reps
 
     step = max(abs(m) for m in moves.values())
-    mv = [moves[c] for c in window]
+    mv = list(map(to_moves, window))
     detail = {"window_length": len(window), "iterations": len(words) - 1,
               "tiled": tiled, "step_bound": step}
 
@@ -341,12 +351,12 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     if m_up is not None:
         return PathClassVerdict("ascending", horizon, constant=m_up,
                                 details=detail)
-    m_down = _ascension_up_to([-m for m in mv], horizon)
+    m_down = _ascension_up_to(list(map(neg, mv)), horizon)
     if m_down is not None:
         return PathClassVerdict("descending", horizon, constant=m_down,
                                 details=detail)
 
-    ranges = [_height_range([moves[c] for c in w]) for w in words]
+    ranges = [_height_range(map(to_moves, w)) for w in words]
     if tiled:
         ranges.append(_height_range(mv))
     detail["iterate_ranges"] = ranges
@@ -357,61 +367,61 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     # growing heights: hunt for a factor re-entering [0, r-1] horizon times
     word = window
     while True:
-        found = _recurrence_witness(
-            [moves[c] for c in word], step, horizon)
+        found = _recurrence_witness(mv, step, horizon)
         if found is not None:
             start, stop, count = found
-            witness = MoveWord(tuple(moves[c] for c in word[start:stop]), step)
+            witness = MoveWord(tuple(mv[start:stop]), step)
             detail.update({"witness_start": start, "witness_visits": count,
                            "search_length": len(word)})
             return PathClassVerdict("unbounded_recurrent", horizon,
                                     witness=witness, details=detail)
-        projected = sum(len(subst.rules[c]) for c in word)
+        projected = subst.image_length(word)
         if projected > witness_cells or projected <= len(word):
             detail["search_length"] = len(word)
             return PathClassVerdict("inconclusive", horizon, details=detail)
-        word = subst.apply(word)
+        word = iterate_1d(subst, word, 1)
+        mv = list(map(to_moves, word))
 
 
-def _height_range(moves: Sequence[int]) -> int:
-    top = bottom = cur = 0
-    for m in moves:
-        cur += m
-        if cur > top:
-            top = cur
-        elif cur < bottom:
-            bottom = cur
-    return top - bottom
+def _height_range(moves: Iterable[int]) -> int:
+    heights = list(accumulate(moves, initial=0))
+    return max(heights) - min(heights)
 
 
 def _recurrence_witness(moves: Sequence[int], r: int,
                         visits: int) -> tuple[int, int, int] | None:
     """Shortest window whose walk visits [h0, h0 + r - 1] `visits` times.
 
-    h0 is the window's starting height. Returns (start, stop, count) over
-    move indices, leftmost among the shortest.
+    h0 is the window's starting height; r <= 1 means the one height h0.
+    Returns (start, stop, count) over move indices, leftmost among the
+    shortest.
     """
-    heights = [0] + list(accumulate(moves))
-    by_height: dict[int, list[int]] = {}
+    counts = Counter(accumulate(moves, initial=0))
+    width = max(r, 1)
+    in_strip = counts if width == 1 else {
+        h: sum(counts.get(h + i, 0) for i in range(width)) for h in counts}
+    bases = [h for h, c in in_strip.items() if c >= visits]
+    if not bases:
+        return None
+    heights = list(accumulate(moves, initial=0))
+    # positions only of the heights some qualifying strip covers
+    at = {b + i: [] for b in bases for i in range(width)}
     for pos, h in enumerate(heights):
-        by_height.setdefault(h, []).append(pos)
-    strip_cache: dict[int, list[int]] = {}
-    best: tuple[int, int, int] | None = None
-    for start in range(len(heights)):
-        h0 = heights[start]
-        positions = strip_cache.get(h0)
-        if positions is None:
-            if r <= 1:
-                positions = by_height.get(h0, [])
-            else:
-                positions = sorted(
-                    p for h in range(h0, h0 + r)
-                    for p in by_height.get(h, ()))
-            strip_cache[h0] = positions
-        ix = bisect_left(positions, start)
-        if ix + visits - 1 >= len(positions):
-            continue
-        stop = positions[ix + visits - 1]
-        if best is None or stop - start < best[1] - best[0]:
-            best = (start, stop, visits)
-    return best
+        if h in at:
+            at[h].append(pos)
+    ahead = visits - 1
+    found = []  # (length, start)
+    for h0 in bases:
+        if width == 1:
+            # each start's stop is `ahead` entries on in its own height's list
+            starts = at[h0]
+            found.append(min(zip(map(sub, starts[ahead:], starts), starts)))
+        else:
+            strip = sorted(p for h in range(h0, h0 + width) for p in at[h])
+            found.extend((strip[ix + ahead] - p, p)
+                         for ix, p in enumerate(strip[:len(strip) - ahead])
+                         if heights[p] == h0)
+    if not found:
+        return None
+    length, start = min(found)
+    return start, start + length, visits

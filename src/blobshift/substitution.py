@@ -44,8 +44,12 @@ class Substitution1D:
                     raise ValueError(f"rule image uses unknown symbol {ch!r}")
 
     def apply(self, word: str) -> str:
-        rules = self.rules
-        return "".join(rules[c] for c in word)
+        return "".join(map(self.rules.__getitem__, word))
+
+    def image_length(self, word: str) -> int:
+        """Length of ``apply(word)``, from letter counts; nothing is built."""
+        return sum(word.count(c) * len(image)
+                   for c, image in self.rules.items())
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def iterate_1d(subst: Substitution1D, seed: str, n: int,
     cap = cell_cap() if cap is None else cap
     word = seed
     for _ in range(n):
-        nxt_len = sum(len(subst.rules[c]) for c in word)
+        nxt_len = subst.image_length(word)
         if nxt_len > cap:
             raise SizeLimit(f"next word would have {nxt_len} > {cap} cells")
         word = subst.apply(word)

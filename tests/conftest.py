@@ -1,6 +1,8 @@
 """Shared generators and independent oracles for the test suite."""
 import random
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 
 import pytest
 
@@ -71,6 +73,52 @@ def scan_late_language(window, length, threshold):
     word = window.char_word
     return {word[i:i + length]
             for i in range(threshold, len(word) - length + 1)}
+
+
+def bisect_recurrence_witness(moves, r, visits):
+    """Shortest window whose walk visits [h0, h0 + r - 1] `visits` times.
+
+    The witness search before height counts: every start position
+    bisects the position list of its own strip (r <= 1 reads as the one
+    height h0). Returns (start, stop, count), leftmost among the shortest.
+    """
+    heights = [0] + list(accumulate(moves))
+    by_height = {}
+    for pos, h in enumerate(heights):
+        by_height.setdefault(h, []).append(pos)
+    strip_cache = {}
+    best = None
+    for start in range(len(heights)):
+        h0 = heights[start]
+        positions = strip_cache.get(h0)
+        if positions is None:
+            if r <= 1:
+                positions = by_height.get(h0, [])
+            else:
+                positions = sorted(
+                    p for h in range(h0, h0 + r)
+                    for p in by_height.get(h, ()))
+            strip_cache[h0] = positions
+        ix = bisect_left(positions, start)
+        if ix + visits - 1 >= len(positions):
+            continue
+        stop = positions[ix + visits - 1]
+        if best is None or stop - start < best[1] - best[0]:
+            best = (start, stop, visits)
+    return best
+
+
+def windowed_ascension_up_to(moves, m_max):
+    """Least m <= m_max with every length-m window summing positive.
+
+    The per-m generator over prefix differences, before the C-level scan.
+    """
+    n = len(moves)
+    prefix = [0] + list(accumulate(moves))
+    for m in range(1, min(m_max, n) + 1):
+        if all(prefix[j + m] - prefix[j] > 0 for j in range(n - m + 1)):
+            return m
+    return None
 
 
 @pytest.fixture

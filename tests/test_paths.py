@@ -5,6 +5,8 @@ from itertools import accumulate
 
 import pytest
 
+from blobshift import paths
+from blobshift.errors import SizeLimit
 from blobshift.paths import (
     _is_cut,
     HeightWord,
@@ -26,6 +28,7 @@ from blobshift.paths import (
     visit_profile,
 )
 from blobshift.substitution import iterate_1d
+from conftest import bisect_recurrence_witness, windowed_ascension_up_to
 
 
 def zig(word: str) -> MoveWord:
@@ -319,3 +322,38 @@ def test_classify_all_rests_is_bounded():
     rests = Substitution1D(Alphabet(("0",), "0"), {"0": "0"})
     verdict = classify_path_space(rests, 16)
     assert (verdict.tag, verdict.constant) == ("bounded", 0)
+
+
+CANNED = {"deep": (deep_zigzag(), None), "drift": (drift_zigzag(), None),
+          "floor": (floor_zigzag(), None), "thue_morse": thue_morse_moves()}
+
+
+@pytest.mark.parametrize("horizon", [1, 8, 32, 512])
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_classify_matches_the_oracle_scans(monkeypatch, name, horizon):
+    subst, moves = CANNED[name]
+    verdict = classify_path_space(subst, horizon, moves=moves)
+    monkeypatch.setattr(paths, "_recurrence_witness",
+                        bisect_recurrence_witness)
+    monkeypatch.setattr(paths, "_ascension_up_to", windowed_ascension_up_to)
+    assert classify_path_space(subst, horizon, moves=moves) == verdict
+
+
+@pytest.mark.parametrize("subst,horizon,cells", [
+    # '+' -> '+' tiles its one-cell iterate to 4 x horizon cells
+    (always_up(), 250, 1000),
+    # deep's window at horizon 32 is 216 cells; the witness hunt
+    # substitutes once more, to 1296
+    (deep_zigzag(), 32, 1296),
+    # the window itself is the largest word drift builds at horizon 32
+    (drift_zigzag(), 32, 625),
+])
+def test_classify_checks_the_cell_cap_before_it_builds(monkeypatch, subst,
+                                                       horizon, cells):
+    verdict = classify_path_space(subst, horizon)
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(cells))
+    assert classify_path_space(subst, horizon) == verdict
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(cells - 1))
+    with pytest.raises(SizeLimit):
+        classify_path_space(subst, horizon)
+

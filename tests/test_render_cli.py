@@ -342,6 +342,7 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["primes", "lang", "--limit", str(2 ** 26)], 2),
     (["glue", "--pattern", "a.pat", "--pattern", "plane.pat"], 1),
     (["glue", "--pattern", "a.pat", "--pattern", "ternary_word.pat"], 1),
+    (["classify-path", "--subst", "ab.sub", "--horizon", "8"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
@@ -350,6 +351,7 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
     (files / "ternary_word.pat").write_text("dims 2\nalphabet 012\n2.\n")
     (files / "plane.pat").write_text("dims 2 1\nalphabet 01\n1.\n")
+    (files / "ab.sub").write_text("subst 1d ab\na -> ab\nb -> ba\n")
     (files / "r6.tfg").write_text("ca 01 radius 6\n* -> shift 0\n")
     (files / "swap.tfg").write_text(
         "ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
@@ -406,6 +408,19 @@ def test_cli_malformed_files_are_unsupported_format(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+
+
+@pytest.mark.parametrize("text,horizon", [
+    ("subst 1d +\n+ -> +\n", "100000"),      # the tiled window
+    (TAU1_SUB, "2000"),                       # an iterate
+])
+def test_cli_classify_path_past_the_cell_cap_is_a_size_limit(
+        tmp_path, capsys, monkeypatch, text, horizon):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "1000")
+    (tmp_path / "moves.sub").write_text(text)
+    assert main(["classify-path", "--subst", str(tmp_path / "moves.sub"),
+                 "--horizon", horizon]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "SizeLimit"
 
 
 def test_cli_wildcard_past_the_cell_cap_is_a_size_limit(tmp_path, capsys,
