@@ -505,17 +505,22 @@ def tfg_order_search(element: TFGElement, max_order: int,
     """Torsion via symbolic powers, infinite order via periodic drift.
 
     Composing the element with itself keeps the accumulated cocycle
-    exact, so an all-zero table certifies the order. On a periodic point
-    the orbit state is the shift total mod the period; once a state
-    repeats with nonzero drift, the cocycle totals are strictly monotone
-    along that subsequence forever, certifying infinite order.
+    exact, so an all-zero table certifies the order; the powers stop
+    where the next one's table would pass the cell cap, and the drift
+    search runs all the same. On a periodic point the orbit state is the
+    shift total mod the period; once a state repeats with nonzero drift,
+    the cocycle totals are strictly monotone along that subsequence
+    forever, certifying infinite order.
     """
     power = element
     for n in range(1, max_order + 1):
         if is_identity(power):
             return OrderVerdict("torsion", order=n)
         if n < max_order:
-            power = compose(element, power)
+            try:
+                power = compose(element, power)
+            except SizeLimit:
+                break
 
     _check_table_cap(element.alphabet, max_period,
                      f"drift search up to period {max_period}")

@@ -129,51 +129,47 @@ def verify_axioms(hierarchy: BlobHierarchy) -> tuple[LevelPairReport, ...]:
         for part in lower.placements:
             if part.anchor in owner:
                 constituents[owner[part.anchor]].append(part)
-        checked = len(targets)
-        skipped = len(upper.placements) - checked
-        glue_exact = True
-        contains_all = True
-        splits = True
-        counterexample = None
+        # axiom -> its first counterexample; the report's counterexample is
+        # the first of these found
+        failed: dict[str, dict] = {}
         for ix, parts in constituents.items():
             anchor = list(upper.placements[ix].anchor)
             part_blobs = {p.blob for p in parts}
 
-            if len(parts) < 2 and splits:
-                splits = False
-                counterexample = counterexample or {
+            if len(parts) < 2 and "splits_in_two" not in failed:
+                failed["splits_in_two"] = {
                     "axiom": "splits_in_two", "anchor": anchor,
                     "constituents": len(parts)}
             missing = lower_set - part_blobs
-            if missing and contains_all:
-                contains_all = False
-                counterexample = counterexample or {
+            if missing and "contains_all" not in failed:
+                failed["contains_all"] = {
                     "axiom": "contains_all", "anchor": anchor,
                     "missing": len(missing)}
-            unknown = part_blobs - lower_set
-            if unknown and glue_exact:
+            if "glue_exact" in failed:
+                continue
+            if part_blobs - lower_set:
                 # a constituent the lower level never recorded untruncated
-                glue_exact = False
-                counterexample = counterexample or {
+                failed["glue_exact"] = {
                     "axiom": "glue_exact", "anchor": anchor,
                     "reason": "constituent missing from the lower level"}
-            if glue_exact:
-                rebuilt = None
-                for part in parts:
-                    piece = part.blob.pattern.translate(part.anchor)
-                    rebuilt = piece if rebuilt is None else zero_glue(rebuilt, piece)
-                target = targets[ix]
-                ok = (rebuilt is not None
-                      and rebuilt.support() == target
-                      and all(rebuilt.value(c) == pattern.value(c)
-                              for c in target))
-                if not ok:
-                    glue_exact = False
-                    counterexample = counterexample or {
-                        "axiom": "glue_exact", "anchor": anchor}
+                continue
+            rebuilt = None
+            for part in parts:
+                piece = part.blob.pattern.translate(part.anchor)
+                rebuilt = piece if rebuilt is None else zero_glue(rebuilt, piece)
+            target = targets[ix]
+            if not (rebuilt is not None
+                    and rebuilt.support() == target
+                    and all(rebuilt.value(c) == pattern.value(c)
+                            for c in target)):
+                failed["glue_exact"] = {"axiom": "glue_exact",
+                                        "anchor": anchor}
         reports.append(LevelPairReport(
-            lower.radius, upper.radius, checked, skipped,
-            glue_exact, contains_all, splits, counterexample))
+            lower.radius, upper.radius,
+            len(targets), len(upper.placements) - len(targets),
+            "glue_exact" not in failed, "contains_all" not in failed,
+            "splits_in_two" not in failed,
+            next(iter(failed.values()), None)))
     return tuple(reports)
 
 

@@ -108,8 +108,12 @@ def _cells(cells) -> list:
 
 
 def _emit(args, payload: bytes) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_bytes(payload)
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            Path(out).write_bytes(payload)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -251,14 +255,17 @@ def _render_levels(args, hierarchy):
     from . import render
 
     outdir = Path(args.render_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for level in hierarchy.levels:
-        for ix, placement in enumerate(level.placements):
-            name = f"level_r{level.radius}_blob{ix}.pbm"
-            (outdir / name).write_bytes(
-                render.render_pattern(placement.blob.pattern, "pbm"))
-            written.append(name)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for level in hierarchy.levels:
+            for ix, placement in enumerate(level.placements):
+                name = f"level_r{level.radius}_blob{ix}.pbm"
+                (outdir / name).write_bytes(
+                    render.render_pattern(placement.blob.pattern, "pbm"))
+                written.append(name)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {outdir}: {exc.strerror}") from exc
     return written
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from operator import le, neg, sub
+from itertools import accumulate, chain, islice
+from operator import ge, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeLimit
@@ -121,15 +121,15 @@ def ascension_constant(word: MoveWord) -> int | None:
 
     Quadratic in the word length; meant for the short words it certifies.
     """
-    return _ascension_up_to(word.moves, len(word.moves))
+    return _ascension_up_to(list(accumulate(word.moves, initial=0)),
+                            len(word.moves), le)
 
 
-def _ascension_up_to(moves: Sequence[int], m_max: int) -> int | None:
-    # every length-m window sums positive iff no prefix sum m places on
-    # fails to exceed the one it starts from
-    prefix = list(accumulate(moves, initial=0))
-    for m in range(1, min(m_max, len(moves)) + 1):
-        if not any(map(le, islice(prefix, m, None), prefix)):
+def _ascension_up_to(heights: list[int], m_max: int, fails) -> int | None:
+    # every length-m window sums positive (le) or negative (ge) iff no
+    # height m places on fails against the one it starts from
+    for m in range(1, min(m_max, len(heights) - 1) + 1):
+        if not any(map(fails, islice(heights, m, None), heights)):
             return m
     return None
 
@@ -239,56 +239,45 @@ def cut_path_search(language: Iterable[MoveWord], r: int,
     """Search for a word after which walks certifiably avoid [0, r-1].
 
     The language is given by its words of one fixed length L (pre:
-    factor-closed up to L, so shorter factors are derived). A candidate
-    certifies at the horizon when no language-consistent one-sided
-    extension of total length up to the horizon re-enters the strip
-    [0, r-1] outside the candidate's span; heights on each side depend
-    only on that side, so the two sides are searched independently.
-    Candidates are tried shortest first, then lexicographically, and the
-    first certificate wins. Returns None when nothing certifies.
+    factor-closed up to L). A candidate certifies at the horizon when no
+    language-consistent one-sided extension of total length up to the
+    horizon re-enters the strip [0, r-1] (heights from the candidate's
+    start) outside the candidate's span. Candidates are tried shortest
+    first, then lexicographically; the first certificate wins, and None
+    means nothing certifies.
+
+    Occurrence lemma: a one-sided extension is language-consistent
+    exactly when it is a window of some word around an occurrence of the
+    candidate. So with P a word's prefix sums, the candidate of length l
+    at position i re-enters when some P[j] - P[i] lies in [0, r-1] for j
+    in [max(0, i+l-horizon), i) or (i+l, min(L, i+horizon)], and a
+    factor is a cut exactly when none of its occurrences re-enters.
     """
-    words = [w.moves for w in language]
+    words = {w.moves for w in language}
     if not words:
         return None
-    length = len(words[0])
+    length = len(next(iter(words)))
     if any(len(w) != length for w in words):
         raise ValueError("language words must share one length")
     if horizon > length:
         raise ValueError("horizon cannot exceed the language length")
-    factors: dict[int, set[tuple[int, ...]]] = {}
-    for l in range(1, length + 1):
-        factors[l] = {w[i:i + l] for w in words for i in range(length - l + 1)}
-    moves = sorted({m for w in words for m in w})
-    bound = max(abs(m) for m in moves)
-
-    candidates = sorted(
-        {f for l in range(1, horizon // 2 + 1) for f in factors[l]},
-        key=lambda f: (len(f), f))
-    for cand in candidates:
-        if _is_cut(cand, factors, moves, r, horizon):
-            return MoveWord(cand, bound)
-    return None
-
-
-def _is_cut(cand, factors, moves, r, horizon) -> bool:
-    # rightward the walk continues from the candidate's final height;
-    # leftward the heights before the start are relative to the start.
-    # Extensions stay within the horizon, hence within the language length.
-    for sign, start in ((1, sum(cand)), (-1, 0)):
-        stack = [(cand, start)]
-        while stack:
-            word, h = stack.pop()
-            if len(word) >= horizon:
-                continue
-            for m in moves:
-                nxt = word + (m,) if sign > 0 else (m,) + word
-                if nxt not in factors[len(nxt)]:
+    walks = [(w, list(accumulate(w, initial=0))) for w in words]
+    for l in range(1, horizon // 2 + 1):
+        seen, entered = set(), set()
+        for w, heights in walks:
+            for i in range(length - l + 1):
+                factor = w[i:i + l]
+                if factor in entered:
                     continue
-                nh = h + sign * m
-                if 0 <= nh <= r - 1:
-                    return False
-                stack.append((nxt, nh))
-    return True
+                seen.add(factor)
+                inside = range(heights[i], heights[i] + r).__contains__
+                if any(map(inside, chain(heights[max(0, i + l - horizon):i],
+                                         heights[i + l + 1:i + horizon + 1]))):
+                    entered.add(factor)
+        cuts = seen - entered
+        if cuts:
+            return MoveWord(min(cuts), max(map(abs, chain(*words))))
+    return None
 
 
 # -- classification ---------------------------------------------------------------
@@ -343,22 +332,22 @@ def classify_path_space(subst: Substitution1D, horizon: int,
         window = window * reps
 
     step = max(abs(m) for m in moves.values())
-    mv = list(map(to_moves, window))
+    heights = _heights(window, to_moves)
     detail = {"window_length": len(window), "iterations": len(words) - 1,
               "tiled": tiled, "step_bound": step}
 
-    m_up = _ascension_up_to(mv, horizon)
+    m_up = _ascension_up_to(heights, horizon, le)
     if m_up is not None:
         return PathClassVerdict("ascending", horizon, constant=m_up,
                                 details=detail)
-    m_down = _ascension_up_to(list(map(neg, mv)), horizon)
+    m_down = _ascension_up_to(heights, horizon, ge)
     if m_down is not None:
         return PathClassVerdict("descending", horizon, constant=m_down,
                                 details=detail)
 
-    ranges = [_height_range(map(to_moves, w)) for w in words]
-    if tiled:
-        ranges.append(_height_range(mv))
+    # the window is the last iterate unless it was tiled
+    walks = [_heights(w, to_moves) for w in (words if tiled else words[:-1])]
+    ranges = [max(hs) - min(hs) for hs in walks + [heights]]
     detail["iterate_ranges"] = ranges
     if len(ranges) >= 2 and ranges[-1] == ranges[-2]:
         return PathClassVerdict("bounded", horizon, constant=ranges[-1],
@@ -367,10 +356,10 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     # growing heights: hunt for a factor re-entering [0, r-1] horizon times
     word = window
     while True:
-        found = _recurrence_witness(mv, step, horizon)
+        found = _recurrence_witness(heights, step, horizon)
         if found is not None:
             start, stop, count = found
-            witness = MoveWord(tuple(mv[start:stop]), step)
+            witness = MoveWord(tuple(map(to_moves, word[start:stop])), step)
             detail.update({"witness_start": start, "witness_visits": count,
                            "search_length": len(word)})
             return PathClassVerdict("unbounded_recurrent", horizon,
@@ -380,30 +369,29 @@ def classify_path_space(subst: Substitution1D, horizon: int,
             detail["search_length"] = len(word)
             return PathClassVerdict("inconclusive", horizon, details=detail)
         word = iterate_1d(subst, word, 1)
-        mv = list(map(to_moves, word))
+        heights = _heights(word, to_moves)
 
 
-def _height_range(moves: Iterable[int]) -> int:
-    heights = list(accumulate(moves, initial=0))
-    return max(heights) - min(heights)
+def _heights(word: str, to_moves) -> list[int]:
+    """Heights of the walk a symbol word drives, starting at zero."""
+    return list(accumulate(map(to_moves, word), initial=0))
 
 
-def _recurrence_witness(moves: Sequence[int], r: int,
+def _recurrence_witness(heights: list[int], r: int,
                         visits: int) -> tuple[int, int, int] | None:
     """Shortest window whose walk visits [h0, h0 + r - 1] `visits` times.
 
-    h0 is the window's starting height; r <= 1 means the one height h0.
-    Returns (start, stop, count) over move indices, leftmost among the
-    shortest.
+    `heights` are the walk's prefix sums; h0 is the window's starting
+    height, and r <= 1 means the one height h0. Returns (start, stop,
+    count) over move indices, leftmost among the shortest.
     """
-    counts = Counter(accumulate(moves, initial=0))
+    counts = Counter(heights)
     width = max(r, 1)
     in_strip = counts if width == 1 else {
         h: sum(counts.get(h + i, 0) for i in range(width)) for h in counts}
     bases = [h for h, c in in_strip.items() if c >= visits]
     if not bases:
         return None
-    heights = list(accumulate(moves, initial=0))
     # positions only of the heights some qualifying strip covers
     at = {b + i: [] for b in bases for i in range(width)}
     for pos, h in enumerate(heights):

@@ -231,6 +231,26 @@ def test_shift_element_infinite_order():
     assert verdict.witness["drift"] != 0
 
 
+def test_powers_past_the_cell_cap_leave_the_drift_search(monkeypatch):
+    # the n-th power of a radius-1 shift has radius n, 2^(2n+1) windows of
+    # 2n+1 cells: under a 1000-cell cap the powers stop at radius 3
+    element = parse_tfg_element("ca 01 radius 1\n* -> shift 1\n")
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "1000")
+    power = compose(element, compose(element, element))
+    with pytest.raises(SizeLimit):
+        compose(element, power)
+    verdict = tfg_order_search(element, 12, 2)
+    assert verdict.tag == "infinite_order"
+    assert verdict.witness["word"] == "0"
+    # the drift search keeps its own cap check
+    with pytest.raises(SizeLimit):
+        tfg_order_search(element, 12, 40)
+    # the swap's square (160 cells) is past the cap and drift finds
+    # nothing: its order stays open
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "159")
+    assert tfg_order_search(block_swap_element(), 6, 3).tag == "inconclusive"
+
+
 def test_block_swap_is_involution():
     element = tfg_validate(block_swap_element())
     verdict = tfg_order_search(element, 6, 3)

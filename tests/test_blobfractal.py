@@ -355,6 +355,19 @@ def test_classify_staircase_unbounded():
     assert verdict.witness_length >= 100
 
 
+def test_first_counterexample_is_kept_when_glue_fails_twice():
+    # a lower level scanned from another window: glue fails at two upper
+    # blobs, first at 8; the report keeps that first counterexample
+    # (pinned from the flag-based verifier)
+    window = Pattern.from_word("110101001010100011000")
+    other = Pattern.from_word("110101001010110001000")
+    upper = build_hierarchy(window, (1, 2)).levels[1]
+    lower = build_hierarchy(other, (1, 2)).levels[0]
+    (pair,) = verify_axioms(BlobHierarchy(window, (lower, upper)))
+    assert not (pair.glue_exact or pair.contains_all or pair.splits_in_two)
+    assert pair.counterexample == {"axiom": "glue_exact", "anchor": [8]}
+
+
 def test_classify_cantor_blob_fractal():
     verdict = classify(cantor_pattern(6), CANTOR_RADII, 100)
     assert verdict.tag == "blob_fractal"

@@ -2,13 +2,13 @@
 import random
 from collections import Counter
 from itertools import accumulate
+from operator import le
 
 import pytest
 
 from blobshift import paths
 from blobshift.errors import SizeLimit
 from blobshift.paths import (
-    _is_cut,
     HeightWord,
     MoveWord,
     always_up,
@@ -192,6 +192,12 @@ def test_cut_path_floor_zigzag_absent():
     assert cut_path_search(lang, 1, 16) is None
 
 
+def test_cut_path_of_empty_words_is_none():
+    # L = 0 allows only horizons <= 0, so there is no candidate to try
+    assert cut_path_search([move_word(())] * 3, 1, 0) is None
+    assert cut_path_search([move_word(())], 0, -2) is None
+
+
 def oracle_is_cut(cand, factors, length, moves, r, horizon) -> bool:
     """The one-sided cut searches written out once per direction."""
     heights = list(accumulate(cand))
@@ -226,7 +232,28 @@ def oracle_is_cut(cand, factors, length, moves, r, horizon) -> bool:
     return True
 
 
+def oracle_cut_verdicts(words, r, horizon):
+    """(candidate, oracle_is_cut) in the search's order: shortest, then least."""
+    length = len(next(iter(words)))
+    factors = {l: {w[i:i + l] for w in words for i in range(length - l + 1)}
+               for l in range(1, length + 1)}
+    moves = sorted({m for w in words for m in w})
+    return [(cand, oracle_is_cut(cand, factors, length, moves, r, horizon))
+            for l in range(1, horizon // 2 + 1)
+            for cand in sorted(factors[l])]
+
+
+def oracle_cut_path_search(words, r, horizon):
+    """cut_path_search as the first candidate the oracle certifies."""
+    cut = next((cand for cand, ok in oracle_cut_verdicts(words, r, horizon)
+                if ok), None)
+    if cut is None:
+        return None
+    return MoveWord(cut, max(abs(m) for w in words for m in w))
+
+
 def test_is_cut_matches_the_oracle():
+    # whole searches, each against the first candidate the oracle certifies
     rng = random.Random(41)
     drift = [1 if c == "+" else -1
              for c in iterate_1d(drift_zigzag(), "+", 7)]
@@ -238,20 +265,16 @@ def test_is_cut_matches_the_oracle():
         words = {tuple(rng.choice(steps) for _ in range(length))
                  for _ in range(rng.randint(1, 12))}
         cases.append((words, rng.randint(1, 3), rng.randint(1, length)))
-    outcomes = Counter()
+    outcomes, found = Counter(), Counter()
     for words, r, horizon in cases:
-        length = len(next(iter(words)))
-        factors = {l: {w[i:i + l] for w in words
-                       for i in range(length - l + 1)}
-                   for l in range(1, length + 1)}
-        moves = sorted({m for w in words for m in w})
-        for l in range(1, horizon // 2 + 1):
-            for cand in factors[l]:
-                got = _is_cut(cand, factors, moves, r, horizon)
-                assert got == oracle_is_cut(cand, factors, length, moves,
-                                            r, horizon), (words, cand)
-                outcomes[got] += 1
+        outcomes.update(ok for _, ok in oracle_cut_verdicts(words, r, horizon))
+        got = cut_path_search([move_word(w) for w in words], r, horizon)
+        assert got == oracle_cut_path_search(words, r, horizon), (
+            words, r, horizon)
+        found[got is not None] += 1
+    # the cases exercise both candidate verdicts and both search outcomes
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+    assert found[True] > 50 and found[False] > 50, found
 
 
 # -------------------------------------------------------------- serialization
@@ -328,15 +351,40 @@ CANNED = {"deep": (deep_zigzag(), None), "drift": (drift_zigzag(), None),
           "floor": (floor_zigzag(), None), "thue_morse": thue_morse_moves()}
 
 
+def steps_of(heights, sign=1):
+    """The moves a height list integrates, times sign: the oracles' input."""
+    return [sign * (b - a) for a, b in zip(heights, heights[1:])]
+
+
 @pytest.mark.parametrize("horizon", [1, 8, 32, 512])
 @pytest.mark.parametrize("name", sorted(CANNED))
 def test_classify_matches_the_oracle_scans(monkeypatch, name, horizon):
     subst, moves = CANNED[name]
     verdict = classify_path_space(subst, horizon, moves=moves)
     monkeypatch.setattr(paths, "_recurrence_witness",
-                        bisect_recurrence_witness)
-    monkeypatch.setattr(paths, "_ascension_up_to", windowed_ascension_up_to)
+                        lambda heights, r, visits: bisect_recurrence_witness(
+                            steps_of(heights), r, visits))
+    monkeypatch.setattr(paths, "_ascension_up_to",
+                        lambda heights, m_max, fails: windowed_ascension_up_to(
+                            steps_of(heights, 1 if fails is le else -1), m_max))
     assert classify_path_space(subst, horizon, moves=moves) == verdict
+
+
+@pytest.mark.parametrize("horizon", [8, 32, 512])
+@pytest.mark.parametrize("name", ["deep", "drift"])
+def test_recurrent_witness_is_a_window_of_the_searched_word(name, horizon):
+    subst, _ = CANNED[name]
+    verdict = classify_path_space(subst, horizon)
+    assert verdict.tag == "unbounded_recurrent"
+    word = "+"
+    while len(word) < verdict.details["search_length"]:
+        word = subst.apply(word)
+    start, witness = verdict.details["witness_start"], verdict.witness
+    assert witness == parse_moves(word[start:start + len(witness)], 1)
+    # a shortest window ends on a visit to its start height
+    heights = integrate(witness).heights
+    assert heights[-1] == 0
+    assert heights.count(0) == verdict.details["witness_visits"]
 
 
 @pytest.mark.parametrize("subst,horizon,cells", [

@@ -343,6 +343,10 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["glue", "--pattern", "a.pat", "--pattern", "plane.pat"], 1),
     (["glue", "--pattern", "a.pat", "--pattern", "ternary_word.pat"], 1),
     (["classify-path", "--subst", "ab.sub", "--horizon", "8"], 1),
+    (["width", "--pattern", "word.pat", "--radius", "1", "--out",
+      "no_such_dir/width.json"], 1),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
+      "--render-dir", "word.pat/levels"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
