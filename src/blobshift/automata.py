@@ -10,7 +10,8 @@ decides anything about the full space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, compress, filterfalse, product, repeat
+from operator import add, getitem, gt
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -34,9 +35,10 @@ from .patterns import (
 def _check_table(alphabet: Alphabet, radius: int, table: Mapping) -> None:
     """Every key is a (2 radius + 1)-word and every such word is a key."""
     width = 2 * radius + 1
-    for word in table:
-        if len(word) != width:
-            raise ValueError(f"table key {word!r} is not a {width}-word")
+    # this loop, like the value checks of the two table types, runs only
+    # to raise on the first offender
+    for word in compress(table, map(width.__ne__, map(len, table))):
+        raise ValueError(f"table key {word!r} is not a {width}-word")
     # with every key width cells long, only an empty table, never total,
     # leaves the power unbounded by the input
     if not table or len(table) != len(alphabet.symbols) ** width:
@@ -55,9 +57,9 @@ class CARule:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         _check_table(self.alphabet, self.radius, self.table)
-        for out in self.table.values():
-            if out not in self.alphabet.symbols:
-                raise ValueError(f"table value {out!r} not in the alphabet")
+        for out in filterfalse(self.alphabet.symbols.__contains__,
+                               self.table.values()):
+            raise ValueError(f"table value {out!r} not in the alphabet")
 
     @property
     def zero_preserving(self) -> bool:
@@ -110,7 +112,11 @@ class FiniteConfig:
 # Every probe steps words, not cells: the image of a word is read off a
 # table of blocks, each mapping a (2 rho + 8)-window to its 8 image cells.
 # The table fills on first sight of a window, so a rule pays only for the
-# windows its trajectories reach.
+# windows its trajectories reach. The finite-seed probes also keep, per
+# call, each distinct word's image: the image of a width-k seed is often a
+# later width-(k + 1) seed, so about half of their steps repeat a word.
+# That memo holds at most the cells of the seeds' light cones, which
+# _check_probe_size has already charged against the cap.
 
 _BLOCK = 8
 
@@ -253,12 +259,17 @@ def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
 
     Yields (seed, n, m) when f^n(seed) is the seed shifted by m (the first
     such n), (seed, n, None) when f^n(seed) is zero, and (seed, None,
-    None) when neither happens by max_time.
+    None) when neither happens by max_time. Each distinct word is stepped
+    once.
     """
+    images = {}
     for seed in _canonical_words(alphabet, max_width):
         word, offset = seed, 0
         for n in range(1, max_time + 1):
-            word, shift = step_word(word)
+            image = images.get(word)
+            if image is None:
+                image = images[word] = step_word(word)
+            word, shift = image
             if not word:
                 yield seed, n, None
                 break
@@ -385,9 +396,8 @@ class TFGElement:
 
     def __post_init__(self):
         _check_table(self.alphabet, self.radius, self.table)
-        for shift in self.table.values():
-            if abs(shift) > self.radius:
-                raise ValueError("shift exceeds the radius")
+        if any(map(gt, map(abs, self.table.values()), repeat(self.radius))):
+            raise ValueError("shift exceeds the radius")
 
 
 def tfg_validate(element: TFGElement) -> TFGElement:
@@ -413,8 +423,45 @@ def tfg_validate(element: TFGElement) -> TFGElement:
     return element
 
 
+def _spread(column: list, each: int, times: int) -> Iterator:
+    """column with every entry repeated each times, then tiled times times.
+
+    In product order a word's letter j steps every |A|^(width - 1 - j)
+    words, so a w-letter table read at letters a..a+w-1 of every
+    width-word, in product order, is its own column spread with each =
+    |A|^(width - a - w) and times = |A|^a.
+    """
+    period = list(chain.from_iterable(map(repeat, column, repeat(each))))
+    return chain.from_iterable(repeat(period, times))
+
+
+def _words(symbols, width: int) -> list[str]:
+    """The width-words over symbols in product order.
+
+    Each word is a head of width - width // 2 letters plus a tail of
+    width // 2, so the two halves are built once and paired by _spread.
+    """
+    if width < 2:
+        return list(symbols) if width else [""]
+    heads = _words(symbols, width - width // 2)
+    tails = _words(symbols, width // 2)
+    return list(map(add, _spread(heads, len(tails), 1),
+                    _spread(tails, 1, len(heads))))
+
+
+def _column(element: TFGElement) -> list[int]:
+    """The element's shifts in product order of its windows."""
+    words = _words(element.alphabet.symbols, 2 * element.radius + 1)
+    return list(map(element.table.__getitem__, words))
+
+
 def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
-    """outer after inner, via cocycle addition along the inner shift."""
+    """outer after inner, via cocycle addition along the inner shift.
+
+    The composed window's inner shift c is read at letters ro..ro+2ri and
+    the outer one at ri+c..ri+c+2ro (ro, ri the radii): the table is built
+    column by column, one outer column per shift the inner element picks.
+    """
     if outer.alphabet != inner.alphabet:
         raise ValueError("composition needs a common alphabet")
     radius = outer.radius + inner.radius
@@ -422,30 +469,37 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     symbols = outer.alphabet.symbols
     _check_table_cap(outer.alphabet, width,
                      f"composed table at radius {radius}")
-    iw = 2 * inner.radius + 1
-    ow = 2 * outer.radius + 1
-    table = {}
-    for tup in product(symbols, repeat=width):
-        word = "".join(tup)
-        ic = radius - inner.radius
-        c_inner = inner.table[word[ic:ic + iw]]
-        oc = radius + c_inner - outer.radius
-        c_outer = outer.table[word[oc:oc + ow]]
-        table[word] = c_inner + c_outer
+    k, ro, ri = len(symbols), outer.radius, inner.radius
+    inner_column = _column(inner)
+    # per window, candidates holds the composed shift for each inner shift
+    # in use, and picks the index of the one the window's inner shift is
+    index = {c: i for i, c in enumerate(set(inner_column))}
+    picks = _spread(list(map(index.__getitem__, inner_column)),
+                    k ** ro, k ** ro)
+    outer_column = _column(outer)
+    candidates = zip(*[_spread([c + v for v in outer_column],
+                               k ** (ri - c), k ** (ri + c)) for c in index])
+    table = dict(zip(_words(symbols, width), map(getitem, candidates, picks)))
     return TFGElement(outer.alphabet, radius, table)
+
+
+def _table_cells(alphabet: Alphabet, width: int,
+                 per_word: int | None = None) -> int:
+    """Cells of |A|^width words of per_word cells, width when None.
+
+    Past the cap's bit length a power of |A| >= 2 is over the cap anyway,
+    so the count saturates there.
+    """
+    per_word = width if per_word is None else per_word
+    letters = min(width, cell_cap().bit_length())
+    return len(alphabet.symbols) ** letters * per_word
 
 
 def _check_table_cap(alphabet: Alphabet, width: int, what: str,
                      per_word: int | None = None) -> None:
-    """Raise SizeLimit when |A|^width words of per_word cells pass the cap.
-
-    per_word defaults to width, the cells of the word itself.
-    """
+    """Raise SizeLimit when |A|^width words of per_word cells pass the cap."""
     cap = cell_cap()
-    per_word = width if per_word is None else per_word
-    # past cap.bit_length() letters a power of |A| >= 2 is over the cap anyway
-    cells = len(alphabet.symbols) ** min(width, cap.bit_length()) * per_word
-    if cells > cap:
+    if _table_cells(alphabet, width, per_word) > cap:
         raise SizeLimit(f"{what} passes the {cap}-cell cap")
 
 
@@ -511,17 +565,37 @@ def tfg_order_search(element: TFGElement, max_order: int,
     shift total mod the period; once a state repeats with nonzero drift,
     the cocycle totals are strictly monotone along that subsequence
     forever, certifying infinite order.
+
+    The two certificates exclude each other, so the drift search runs
+    before the first power whose table has at least as many cells as it
+    reads, or last. Were that many cells past the cap, so would be the
+    power's: the same SizeLimit comes from the drift search, only sooner.
     """
+    alphabet = element.alphabet
+    drift_cells = _table_cells(alphabet, max_period)
+    drift = None
     power = element
     for n in range(1, max_order + 1):
         if is_identity(power):
             return OrderVerdict("torsion", order=n)
         if n < max_order:
+            width = 2 * (power.radius + element.radius) + 1
+            if drift is None and drift_cells <= _table_cells(alphabet, width):
+                drift = _drift_search(element, max_order, max_period)
+                if drift.tag == "infinite_order":
+                    return drift
             try:
                 power = compose(element, power)
             except SizeLimit:
                 break
+    if drift is None:
+        drift = _drift_search(element, max_order, max_period)
+    return drift
 
+
+def _drift_search(element: TFGElement, max_order: int,
+                  max_period: int) -> OrderVerdict:
+    """infinite_order at the first periodic word that drifts."""
     _check_table_cap(element.alphabet, max_period,
                      f"drift search up to period {max_period}")
     for period in range(1, max_period + 1):

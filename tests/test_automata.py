@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from blobshift import automata
 from blobshift.errors import (NotInvertible, NotZeroPreserving, SizeLimit,
                              UnsupportedFormat)
 from blobshift.automata import (
     CARule,
     FiniteConfig,
     NilpotencyVerdict,
+    OrderVerdict,
     TFGElement,
     _check_probe_size,
     _cyclic_words,
@@ -251,6 +253,28 @@ def test_powers_past_the_cell_cap_leave_the_drift_search(monkeypatch):
     assert tfg_order_search(block_swap_element(), 6, 3).tag == "inconclusive"
 
 
+@pytest.mark.parametrize("max_period,powers", [(2, 0), (6, 1)])
+def test_drift_search_runs_before_a_costlier_power(monkeypatch, max_period,
+                                                   powers):
+    # the drift search reads 2^p * p cells (8 at p = 2, 384 at p = 6) and
+    # the radius-1 shift's powers of radius 2, 3 have 160 and 896: it runs
+    # before any power at p = 2 and after the first at p = 6
+    element = parse_tfg_element("ca 01 radius 1\n* -> shift 1\n")
+    real, composed = automata.compose, []
+
+    def counted(outer, inner):
+        if len(composed) == powers:
+            pytest.fail("composed a power costlier than the drift search")
+        composed.append(inner.radius)
+        return real(outer, inner)
+
+    monkeypatch.setattr(automata, "compose", counted)
+    verdict = tfg_order_search(element, 12, max_period)
+    assert verdict == OrderVerdict(
+        "infinite_order", witness={"word": "0", "k": 1, "drift": 1})
+    assert len(composed) == powers
+
+
 def test_block_swap_is_involution():
     element = tfg_validate(block_swap_element())
     verdict = tfg_order_search(element, 6, 3)
@@ -322,6 +346,26 @@ def test_parse_tfg_element():
 def test_rule_table_must_be_total():
     with pytest.raises(ValueError):
         CARule(BINARY, 1, {"000": "0"})
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CARule(BINARY, 1, {"000": "0", "00": "0", "0": "0"}),
+     "table key '00' is not a 3-word"),
+    (lambda: TFGElement(BINARY, 1, {"001": 0, "1": 0, "11": 0}),
+     "table key '1' is not a 3-word"),
+    (lambda: CARule(Alphabet(("0", "1", "2"), "0"), 0,
+                    {"0": "0", "1": "x", "2": "y"}),
+     "table value 'x' not in the alphabet"),
+    (lambda: CARule(BINARY, 0, {"0": [1], "1": "x"}),
+     "table value [1] not in the alphabet"),
+    (lambda: TFGElement(BINARY, 1, {"".join(t): 3 - len(set(t))
+                                    for t in product("01", repeat=3)}),
+     "shift exceeds the radius"),
+])
+def test_table_checks_name_the_first_offender(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("parse,image", [(parse_ca_rule, "0"),
@@ -460,6 +504,22 @@ def oracle_nilpotency_probe(rule, max_width, max_time):
     return NilpotencyVerdict("inconclusive", witness={"survivor": survivor})
 
 
+def oracle_compose(outer, inner):
+    radius = outer.radius + inner.radius
+    width = 2 * radius + 1
+    iw = 2 * inner.radius + 1
+    ow = 2 * outer.radius + 1
+    table = {}
+    for tup in product(outer.alphabet.symbols, repeat=width):
+        word = "".join(tup)
+        ic = radius - inner.radius
+        c_inner = inner.table[word[ic:ic + iw]]
+        oc = radius + c_inner - outer.radius
+        c_outer = outer.table[word[oc:oc + ow]]
+        table[word] = c_inner + c_outer
+    return TFGElement(outer.alphabet, radius, table)
+
+
 KERNEL_ALPHABETS = (BINARY, Alphabet(("1", "0"), "1"),
                     Alphabet(("b", "a", "c"), "b"))
 
@@ -547,6 +607,70 @@ def test_probes_match_per_cell_oracle():
                         "nilpotent_on_probe"}
 
 
+def test_probes_step_each_distinct_word_once(monkeypatch):
+    real, stepped = automata._stepper, []
+
+    def counting(rule):
+        step_word, step_cycle = real(rule)
+
+        def counted(word):
+            stepped.append(word)
+            return step_word(word)
+
+        return counted, step_cycle
+
+    monkeypatch.setattr(automata, "_stepper", counting)
+    # xor's 256 seeds of width <= 9 all survive 64 steps (16 384 steps),
+    # its 1024 seeds of width <= 11 all run 16 steps (16 384 steps), and
+    # decrement's 1458 seeds of width <= 7 die within 2 (2852 steps)
+    for probe, oracle, rule, width, time, distinct in [
+            (nilpotency_probe, oracle_nilpotency_probe, xor_rule(), 9, 64,
+             8320),
+            (find_glider, oracle_find_glider, xor_rule(), 11, 16, 8704),
+            (nilpotency_probe, oracle_nilpotency_probe, decrement_rule(), 7,
+             64, 1458)]:
+        stepped.clear()
+        assert probe(rule, width, time) == oracle(rule, width, time)
+        assert len(stepped) == len(set(stepped)) == distinct
+
+
+def random_element(rng, alphabet, radius):
+    windows = ["".join(t)
+               for t in product(alphabet.symbols, repeat=2 * radius + 1)]
+    rng.shuffle(windows)
+    return TFGElement(alphabet, radius,
+                      {w: rng.randrange(-radius, radius + 1) for w in windows})
+
+
+def random_element_text(rng, alphabet, radius):
+    """A rule file whose lines come in shuffled order, wildcard or not."""
+    element = random_element(rng, alphabet, radius)
+    lines = [f"{w} -> shift {c}" for w, c in element.table.items()]
+    if rng.random() < 0.3:
+        default = rng.randrange(-radius, radius + 1)
+        lines = [f"* -> shift {default}"] + lines[::2]
+    symbols = "".join(alphabet.symbols)
+    return f"ca {symbols} radius {radius}\n" + "\n".join(lines) + "\n"
+
+
+def test_compose_matches_per_window_oracle():
+    rng = random.Random(59)
+    for alphabet, outer_radius, inner_radius, parsed in product(
+            KERNEL_ALPHABETS, range(3), range(3), (False, True)):
+        pair = []
+        for radius in (outer_radius, inner_radius):
+            if parsed:
+                pair.append(parse_tfg_element(
+                    random_element_text(rng, alphabet, radius)))
+            else:
+                pair.append(random_element(rng, alphabet, radius))
+        got, want = compose(*pair), oracle_compose(*pair)
+        assert got == want
+        assert list(got.table) == list(want.table)
+    with pytest.raises(ValueError):
+        compose(identity_element(), identity_element(KERNEL_ALPHABETS[1]))
+
+
 @pytest.mark.parametrize("width,time", [(0, 4), (3, 0), (-1, -3)])
 def test_probes_reject_empty_probe_sizes(width, time):
     with pytest.raises(ValueError):
@@ -575,10 +699,22 @@ def test_certifying_checks_survive_python_O():
             primes.dirichlet_isolated(3, 10, [7, 11, 13, 17, 19, 9])
         except InvariantViolation:
             print("gcd")
+
+        # a foreign image and a shift past the radius
+        try:
+            automata.CARule(automata.BINARY, 0, {"0": "0", "1": "2"})
+        except ValueError as error:
+            print(error)
+        try:
+            automata.TFGElement(automata.BINARY, 0, {"0": 0, "1": 1})
+        except ValueError as error:
+            print(error)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["light", "cone", "gcd"]
+    assert done.stdout.splitlines() == [
+        "light cone", "gcd", "table value '2' not in the alphabet",
+        "shift exceeds the radius"]
