@@ -10,7 +10,7 @@ decides anything about the full space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, product, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import add, getitem, gt
 from typing import Iterator, Mapping
 
@@ -21,7 +21,7 @@ from .errors import (
     SizeLimit,
     UnsupportedFormat,
 )
-from .limits import cell_cap
+from .limits import cell_cap, check_cells
 from .patterns import (
     Alphabet,
     BINARY,
@@ -33,16 +33,47 @@ from .patterns import (
 
 
 def _check_table(alphabet: Alphabet, radius: int, table: Mapping) -> None:
-    """Every key is a (2 radius + 1)-word and every such word is a key."""
+    """The keys are exactly the (2 radius + 1)-words over the alphabet."""
     width = 2 * radius + 1
-    # this loop, like the value checks of the two table types, runs only
-    # to raise on the first offender
+    # all keys' letters are checked at once, by deleting the alphabet's;
+    # the searches below, like the value checks of the two table types,
+    # run only to name the first offender
+    drop = str.maketrans("", "", "".join(alphabet.symbols))
+    if "".join(table).translate(drop):
+        word = next(word for word in table if word.translate(drop))
+        raise ValueError(f"window {word!r} leaves the alphabet")
     for word in compress(table, map(width.__ne__, map(len, table))):
         raise ValueError(f"table key {word!r} is not a {width}-word")
     # with every key width cells long, only an empty table, never total,
     # leaves the power unbounded by the input
     if not table or len(table) != len(alphabet.symbols) ** width:
         raise ValueError("table must be total")
+
+
+def _spread(column: list, each: int, times: int) -> Iterator:
+    """column with every entry repeated each times, then tiled times times.
+
+    In product order a word's letter j steps every |A|^(width - 1 - j)
+    words, so a w-letter table read at letters a..a+w-1 of every
+    width-word, in product order, is its own column spread with each =
+    |A|^(width - a - w) and times = |A|^a.
+    """
+    period = list(chain.from_iterable(map(repeat, column, repeat(each))))
+    return chain.from_iterable(repeat(period, times))
+
+
+def _words(symbols, width: int) -> list[str]:
+    """The width-words over symbols in product order.
+
+    Each word is a head of width - width // 2 letters plus a tail of
+    width // 2, so the two halves are built once and paired by _spread.
+    """
+    if width < 2:
+        return list(symbols) if width else [""]
+    heads = _words(symbols, width - width // 2)
+    tails = _words(symbols, width // 2)
+    return list(map(add, _spread(heads, len(tails), 1),
+                    _spread(tails, 1, len(heads))))
 
 
 @dataclass(frozen=True)
@@ -193,10 +224,8 @@ def evolve(rule: CARule, config: FiniteConfig,
         raise NotZeroPreserving("finite evolution needs a zero-preserving rule")
     rho = rule.radius
     # the trajectory holds steps + 1 configurations, each at least one entry
-    cap = cell_cap()
-    if _light_cone(max(len(config.word), 1), steps, rho) > cap:
-        raise SizeLimit(f"a trajectory of {steps} steps passes the "
-                        f"{cap}-cell cap")
+    check_cells(_light_cone(max(len(config.word), 1), steps, rho),
+                f"trajectory of {steps} steps")
     step_word, _ = _stepper(rule)
     lo, hi = config.offset, config.offset + len(config.word)
     zero = FiniteConfig(rule.alphabet, 0, "")
@@ -223,9 +252,10 @@ def _canonical_words(alphabet: Alphabet, max_width: int) -> Iterator[str]:
         if width == 1:
             yield from nonzero
             continue
+        middles = _words(alphabet.symbols, width - 2)
         for first in nonzero:
-            for middle in product(alphabet.symbols, repeat=width - 2):
-                inner = first + "".join(middle)
+            for middle in middles:
+                inner = first + middle
                 for last in nonzero:
                     yield inner + last
 
@@ -248,9 +278,9 @@ def _check_probe_size(rule: CARule, max_width: int, max_time: int) -> None:
     """Each of the |A|^max_width seeds may run its whole light cone."""
     if max_width < 1 or max_time < 1:
         raise ValueError("max_width and max_time must be at least 1")
-    _check_table_cap(rule.alphabet, max_width,
-                     f"probe of width {max_width} and time {max_time}",
-                     _light_cone(max_width, max_time, rule.radius))
+    check_cells(_table_cells(rule.alphabet, max_width,
+                             _light_cone(max_width, max_time, rule.radius)),
+                f"probe of width {max_width} and time {max_time}")
 
 
 def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
@@ -319,8 +349,7 @@ def _cyclic_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
     zero = alphabet.zero
     for length in range(1, max_len + 1):
         seen = {zero * length}
-        for tup in product(alphabet.symbols, repeat=length):
-            word = "".join(tup)
+        for word in _words(alphabet.symbols, length):
             if word in seen:
                 continue
             rotations = {word[i:] + word[:i] for i in range(length)}
@@ -410,43 +439,16 @@ def tfg_validate(element: TFGElement) -> TFGElement:
     cover the widest case.
     """
     rho = element.radius
-    _check_table_cap(element.alphabet, 4 * rho + 1,
-                     f"injectivity check at radius {rho}")
+    check_cells(_table_cells(element.alphabet, 4 * rho + 1),
+                f"injectivity check at radius {rho}")
     symbols = element.alphabet.symbols
     width = 2 * rho + 1
     for j in range(1, 2 * rho + 1):
         span = j + width
-        for tup in product(symbols, repeat=span):
-            word = "".join(tup)
+        for word in _words(symbols, span):
             if element.table[word[:width]] - element.table[word[j:j + width]] == j:
                 raise NotInvertible(word, j)
     return element
-
-
-def _spread(column: list, each: int, times: int) -> Iterator:
-    """column with every entry repeated each times, then tiled times times.
-
-    In product order a word's letter j steps every |A|^(width - 1 - j)
-    words, so a w-letter table read at letters a..a+w-1 of every
-    width-word, in product order, is its own column spread with each =
-    |A|^(width - a - w) and times = |A|^a.
-    """
-    period = list(chain.from_iterable(map(repeat, column, repeat(each))))
-    return chain.from_iterable(repeat(period, times))
-
-
-def _words(symbols, width: int) -> list[str]:
-    """The width-words over symbols in product order.
-
-    Each word is a head of width - width // 2 letters plus a tail of
-    width // 2, so the two halves are built once and paired by _spread.
-    """
-    if width < 2:
-        return list(symbols) if width else [""]
-    heads = _words(symbols, width - width // 2)
-    tails = _words(symbols, width // 2)
-    return list(map(add, _spread(heads, len(tails), 1),
-                    _spread(tails, 1, len(heads))))
 
 
 def _column(element: TFGElement) -> list[int]:
@@ -467,8 +469,8 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     radius = outer.radius + inner.radius
     width = 2 * radius + 1
     symbols = outer.alphabet.symbols
-    _check_table_cap(outer.alphabet, width,
-                     f"composed table at radius {radius}")
+    check_cells(_table_cells(outer.alphabet, width),
+                f"composed table at radius {radius}")
     k, ro, ri = len(symbols), outer.radius, inner.radius
     inner_column = _column(inner)
     # per window, candidates holds the composed shift for each inner shift
@@ -488,19 +490,11 @@ def _table_cells(alphabet: Alphabet, width: int,
     """Cells of |A|^width words of per_word cells, width when None.
 
     Past the cap's bit length a power of |A| >= 2 is over the cap anyway,
-    so the count saturates there.
+    so the count saturates there, and is then a lower bound.
     """
     per_word = width if per_word is None else per_word
     letters = min(width, cell_cap().bit_length())
     return len(alphabet.symbols) ** letters * per_word
-
-
-def _check_table_cap(alphabet: Alphabet, width: int, what: str,
-                     per_word: int | None = None) -> None:
-    """Raise SizeLimit when |A|^width words of per_word cells pass the cap."""
-    cap = cell_cap()
-    if _table_cells(alphabet, width, per_word) > cap:
-        raise SizeLimit(f"{what} passes the {cap}-cell cap")
 
 
 def identity_element(alphabet: Alphabet = BINARY) -> TFGElement:
@@ -510,8 +504,7 @@ def identity_element(alphabet: Alphabet = BINARY) -> TFGElement:
 def shift_element(alphabet: Alphabet = BINARY, amount: int = 1) -> TFGElement:
     rho = abs(amount)
     width = 2 * rho + 1
-    table = {"".join(t): amount
-             for t in product(alphabet.symbols, repeat=width)}
+    table = dict.fromkeys(_words(alphabet.symbols, width), amount)
     return TFGElement(alphabet, rho, table)
 
 
@@ -524,8 +517,7 @@ def block_swap_element() -> TFGElement:
     the identity.
     """
     table = {}
-    for tup in product("01", repeat=3):
-        word = "".join(tup)
+    for word in _words("01", 3):
         if word[1:] == "10":
             table[word] = 1
         elif word[:2] == "10":
@@ -596,11 +588,10 @@ def tfg_order_search(element: TFGElement, max_order: int,
 def _drift_search(element: TFGElement, max_order: int,
                   max_period: int) -> OrderVerdict:
     """infinite_order at the first periodic word that drifts."""
-    _check_table_cap(element.alphabet, max_period,
-                     f"drift search up to period {max_period}")
+    check_cells(_table_cells(element.alphabet, max_period),
+                f"drift search up to period {max_period}")
     for period in range(1, max_period + 1):
-        for tup in product(element.alphabet.symbols, repeat=period):
-            word = "".join(tup)
+        for word in _words(element.alphabet.symbols, period):
             total = 0
             seen = {0: (0, 0)}
             for t in range(1, max_order + 1):
@@ -639,18 +630,14 @@ def _parse_rule_lines(text: str, value) -> tuple[Alphabet, int, dict]:
     if radius < 0:
         raise UnsupportedFormat("radius must be nonnegative")
     entries = [arrow(line) for line in lines[1:]]
-    for left, _ in entries:
-        # a foreign window could stand in for a missing one and pass the count
-        if left != "*" and not set(left) <= set(alphabet.symbols):
-            raise UnsupportedFormat(f"window {left!r} leaves the alphabet")
     defaults = [right for left, right in entries if left == "*"]
     table = {}
     if defaults:
         width = 2 * radius + 1
-        _check_table_cap(alphabet, width, f"wildcard at radius {radius}")
-        fill = value(defaults[-1])
-        table = {"".join(t): fill
-                 for t in product(alphabet.symbols, repeat=width)}
+        check_cells(_table_cells(alphabet, width),
+                    f"wildcard at radius {radius}")
+        table = dict.fromkeys(_words(alphabet.symbols, width),
+                              value(defaults[-1]))
     table.update((left, value(right)) for left, right in entries
                  if left != "*")
     return alphabet, radius, table
@@ -686,17 +673,14 @@ def identity_rule(alphabet: Alphabet = BINARY) -> CARule:
 
 def shift_rule(alphabet: Alphabet = BINARY) -> CARule:
     """f(x)_i = x_(i+1): contents drift one cell to the left."""
-    table = {"".join(t): t[2]
-             for t in product(alphabet.symbols, repeat=3)}
+    table = {word: word[2] for word in _words(alphabet.symbols, 3)}
     return CARule(alphabet, 1, table)
 
 
 def xor_rule() -> CARule:
     """f(x)_i = x_i xor x_(i+1) over the binary alphabet."""
-    table = {}
-    for t in product("01", repeat=3):
-        word = "".join(t)
-        table[word] = str(int(word[1]) ^ int(word[2]))
+    table = {word: str(int(word[1]) ^ int(word[2]))
+             for word in _words("01", 3)}
     return CARule(BINARY, 1, table)
 
 

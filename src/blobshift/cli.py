@@ -175,7 +175,7 @@ def _cmd_gen(args, argv, inputs):
         seed = args.seed or symbols[0]
         if not set(seed) <= set(symbols):
             raise _UsageError(f"--seed {seed!r} leaves the alphabet")
-        word = substitution.iterate_1d(subst, seed, args.iters, cap=args.cap)
+        word = substitution.iterate_1d(subst, seed, args.iters)
         pattern = Pattern.from_word(word, subst.alphabet)
     else:
         if args.seed_file:
@@ -189,7 +189,7 @@ def _cmd_gen(args, argv, inputs):
                 raise _UsageError(f"--seed {symbol!r} is not one symbol "
                                   "of the alphabet")
             seed = Pattern(subst.alphabet, {(0, 0): symbol})
-        pattern = substitution.iterate_2d(subst, seed, args.iters, cap=args.cap)
+        pattern = substitution.iterate_2d(subst, seed, args.iters)
     return _pattern_report(args, argv, inputs, pattern, {
         "cells": len(pattern), "support": len(pattern.support())})
 
@@ -477,7 +477,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed")
     p.add_argument("--seed-file", dest="seed_file")
     p.add_argument("--iters", type=_at_least(0), required=True)
-    p.add_argument("--cap", type=_at_least(1), default=None)
     p.add_argument("--format", default="json",
                    choices=("json", "text", "pbm"))
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptySupport
+from .limits import check_cells
 from .patterns import (
     BINARY,
     Cell,
@@ -183,22 +184,23 @@ def trace_guided_path(vertical_steps: Sequence[int], offsets: Sequence[int],
 
     Step i climbs vertical_steps[i] cells one at a time, then moves
     horizontally by offsets[i] one cell at a time; the trace is therefore
-    1-connected and ascending by construction.
+    1-connected and ascending by construction, and its 1 + sum of the
+    steps + sum of the |offsets| cells are charged to the cell cap first.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     if len(vertical_steps) < length or len(offsets) < length:
         raise ValueError("guide sequences must cover the requested length")
+    ups, sides = vertical_steps[:length], offsets[:length]
+    if min(ups, default=1) < 1:
+        raise ValueError("vertical steps must be at least 1")
+    check_cells(1 + sum(ups) + sum(map(abs, sides)), "guided trace")
     x, y = 0, 0
     cells = {(x, y)}
-    for i in range(length):
-        up = vertical_steps[i]
-        if up < 1:
-            raise ValueError("vertical steps must be at least 1")
+    for up, side in zip(ups, sides):
         for _ in range(up):
             y += 1
             cells.add((x, y))
-        side = offsets[i]
         direction = 1 if side >= 0 else -1
         for _ in range(abs(side)):
             x += direction
@@ -214,6 +216,7 @@ def sturmian_word(alpha: Fraction, length: int) -> str:
     """
     if not 0 <= alpha <= 1:
         raise ValueError("slope must lie in [0, 1]")
+    check_cells(length, "Sturmian word")
     out = []
     prev = 0
     for i in range(1, length + 1):

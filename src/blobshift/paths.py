@@ -16,8 +16,7 @@ from itertools import accumulate, chain, islice
 from operator import ge, le, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SizeLimit
-from .limits import cell_cap
+from .limits import check_cells
 from .substitution import Substitution1D, iterate_1d
 from .patterns import Alphabet
 
@@ -325,10 +324,7 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     window = words[-1]
     if tiled:
         reps = -(-target // len(window))
-        cap = cell_cap()
-        if len(window) * reps > cap:
-            raise SizeLimit(
-                f"tiled window would have {len(window) * reps} > {cap} cells")
+        check_cells(len(window) * reps, "tiled window")
         window = window * reps
 
     step = max(abs(m) for m in moves.values())

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Mapping, TypeVar
 
-from .errors import GlueConflict, PaddingUnavailable, SizeLimit, UnsupportedFormat
-from .limits import cell_cap
+from .errors import GlueConflict, PaddingUnavailable, UnsupportedFormat
+from .limits import cell_cap, check_cells, too_big
 
 Cell = tuple[int, ...]
 T = TypeVar("T")
@@ -98,9 +99,12 @@ def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
     """Every cell within L1 distance r of some given cell.
 
     L1 distance is unit-step distance, so this runs r breadth-first
-    layers of unit steps, each grown as one set. A layer whose size bound
-    would take the set past the cell cap raises :class:`SizeLimit` before
-    it is built.
+    layers of unit steps, each grown as one set. A nonempty result holds
+    a whole radius-r ball, so a ball past the cell cap raises
+    :class:`SizeLimit` at once; so does a layer whose size bound would
+    take the set past the cap, before it is built. The cap is read once
+    per call and compared inline: a guard call per layer costs more than
+    a small layer.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -109,10 +113,14 @@ def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
         return out
     dim = len(next(iter(out)))
     cap = cell_cap()
+    ball = 2 * r + 1 if dim == 1 else 2 * r * (r + 1) + 1
+    if ball > cap:
+        raise too_big(ball, f"dilation by {r}", cap)
     frontier = out
     for _ in range(r):
-        if len(out) + 2 * dim * len(frontier) > cap:
-            raise SizeLimit(f"dilation by {r} could pass the {cap}-cell cap")
+        bound = len(out) + 2 * dim * len(frontier)
+        if bound > cap:
+            raise too_big(bound, f"dilation by {r}", cap)
         if dim == 1:
             grown = {(x + d,) for (x,) in frontier for d in (-1, 1)}
         else:
@@ -142,10 +150,8 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     dim = len(order[0])
     origin = (0,) * dim
     half = [o for o in neighbours(dim, r)(origin) if o > origin]
-    cap = cell_cap()
-    if 2 * len(order) * len(half) > cap:
-        raise SizeLimit(f"{r}-adjacency of {len(order)} cells could pass "
-                        f"the {cap}-cell cap")
+    check_cells(2 * len(order) * len(half),
+                f"{r}-adjacency of {len(order)} cells")
     graph: dict[Cell, list[Cell]] = {c: [] for c in order}
     if dim == 1:
         steps = [d for (d,) in half]
@@ -566,7 +572,8 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
 
     chars maps each symbol, and None for a cell outside the domain, to
     one character; by default zero is "." and a hole "?", the inverse of
-    :func:`read_rows`.
+    :func:`read_rows`. The box's area is charged to the cell cap first:
+    two cells far apart span a box far larger than the pattern.
     """
     alpha = pattern.alphabet
     if chars is None:
@@ -575,6 +582,7 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
     if box is None:
         return []
     lo, hi = box
+    check_cells(prod(h - l + 1 for l, h in zip(lo, hi)), "bounding box")
     get = pattern.get
     xs = range(lo[0], hi[0] + 1)
     # one empty tail in 1D, the heights from the top down in 2D

@@ -34,9 +34,8 @@ from .errors import (
     InjectionNotPrime,
     InvariantViolation,
     NoPrimeInRange,
-    SizeLimit,
 )
-from .limits import cell_cap
+from .limits import check_cells
 from .patterns import BINARY, Pattern
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -88,9 +87,7 @@ def sieve(limit: int) -> PrimeWindow:
     """Sieve of Eratosthenes up to the limit, one cell per integer 0..limit."""
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    cap = cell_cap()
-    if limit + 1 > cap:
-        raise SizeLimit(f"sieve limit {limit} passes the {cap}-cell cap")
+    check_cells(limit + 1, f"sieve up to {limit}")
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     i = 2

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import SizeLimit, UnsupportedFormat
-from .limits import cell_cap
+from .errors import UnsupportedFormat
+from .limits import cell_cap, check_cells
 from .patterns import (
     Alphabet,
     BINARY,
@@ -77,33 +77,25 @@ class Substitution2D:
                     f"rule for {symbol!r} must be a full {s}x{s} block")
 
 
-def iterate_1d(subst: Substitution1D, seed: str, n: int,
-               cap: int | None = None) -> str:
+def iterate_1d(subst: Substitution1D, seed: str, n: int) -> str:
     """Apply the substitution n times to the seed word."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    cap = cell_cap() if cap is None else cap
     word = seed
     for _ in range(n):
-        nxt_len = subst.image_length(word)
-        if nxt_len > cap:
-            raise SizeLimit(f"next word would have {nxt_len} > {cap} cells")
+        check_cells(subst.image_length(word), "1D iterate")
         word = subst.apply(word)
     return word
 
 
-def iterate_2d(subst: Substitution2D, seed: Pattern, n: int,
-               cap: int | None = None) -> Pattern:
+def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
     """Apply the block substitution n times; side multiplies by the expansion."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    cap = cell_cap() if cap is None else cap
     s = subst.expansion
     current = seed
     for _ in range(n):
-        if len(current) * s * s > cap:
-            raise SizeLimit(
-                f"next pattern would have {len(current) * s * s} > {cap} cells")
+        check_cells(len(current) * s * s, "2D iterate")
         values = {}
         for (x, y), symbol in current.items():
             bx, by = x * s, y * s
@@ -157,7 +149,7 @@ class DensityWord:
     word: str | None
 
 
-def density_word(k: int, cap: int | None = None) -> DensityWord:
+def density_word(k: int) -> DensityWord:
     """Compose thinning stages k, k-1, ..., 2 onto the seed 1.
 
     Returns the resulting word (when it fits the cap) together with its
@@ -165,7 +157,7 @@ def density_word(k: int, cap: int | None = None) -> DensityWord:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    cap = cell_cap() if cap is None else cap
+    cap = cell_cap()
     zeros, ones = 0, 1
     word: str | None = "1"
     for stage in range(k, 1, -1):
@@ -251,8 +243,7 @@ def block_spec(k: int) -> BlockHierarchySpec:
     return BlockHierarchySpec(k=k, seed_side=k + 1)
 
 
-def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int,
-                         cap: int | None = None) -> Pattern:
+def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
     """Level-i block pattern number j.
 
     Side m_i = (k+1)^(i-1) * seed_side. Level i+1 places the horizontal
@@ -263,10 +254,8 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int,
         raise ValueError("j must be in [1, k]")
     if i < 1:
         raise ValueError("i must be at least 1")
-    cap = cell_cap() if cap is None else cap
     side = block_side(spec, i)
-    if side * side > cap:
-        raise SizeLimit(f"level {i} pattern would have {side * side} cells")
+    check_cells(side * side, f"level {i} pattern")
     level = {jj: spec.seeds[jj - 1] for jj in range(1, spec.k + 1)}
     current_side = spec.seed_side
     for _ in range(i - 1):

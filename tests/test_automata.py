@@ -368,6 +368,20 @@ def test_table_checks_name_the_first_offender(make, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TFGElement(BINARY, 0, {"0": 0, "x": 0}),
+    lambda: CARule(BINARY, 0, {"0": "0", "x": "1"}),
+    lambda: CARule(BINARY, 1, {**shift_rule().table, "0x0": "1"}),
+    lambda: parse_ca_rule("ca 01 radius 0\n0 -> 0\nx -> 1\n"),
+    lambda: parse_tfg_element("ca 01 radius 1\n* -> shift 0\nx -> shift 0\n"),
+])
+def test_table_keys_leaving_the_alphabet_are_refused(make):
+    # a foreign key could stand in for a missing word and pass the count
+    with pytest.raises((ValueError, UnsupportedFormat),
+                       match="^window '0?x0?' leaves the alphabet$"):
+        make()
+
+
 @pytest.mark.parametrize("parse,image", [(parse_ca_rule, "0"),
                                          (parse_tfg_element, "shift 0")])
 def test_rule_wildcard_checks_the_cell_cap(monkeypatch, parse, image):

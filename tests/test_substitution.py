@@ -50,10 +50,11 @@ def test_composition_law():
         assert iterate_1d(s, "1", m + n) == iterate_1d(s, iterate_1d(s, "1", m), n)
 
 
-def test_size_limit_1d():
+def test_size_limit_1d(monkeypatch):
     s = thinning_substitution(3)
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(10 ** 4))
     with pytest.raises(SizeLimit):
-        iterate_1d(s, "1", 20, cap=10 ** 4)
+        iterate_1d(s, "1", 20)
 
 
 # ------------------------------------------------------------------ 2D basics
@@ -89,10 +90,11 @@ def test_plus_growth_and_connectivity():
         assert len(connected_components(current.support(), 1)) == 1
 
 
-def test_size_limit_2d():
+def test_size_limit_2d(monkeypatch):
     s = plus_substitution()
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(10 ** 5))
     with pytest.raises(SizeLimit):
-        iterate_2d(s, Pattern(BINARY, {(0, 0): "1"}), 9, cap=10 ** 5)
+        iterate_2d(s, Pattern(BINARY, {(0, 0): "1"}), 9)
 
 
 # ------------------------------------------------------------- block builder
@@ -211,8 +213,9 @@ def test_density_word_count_recursion_matches_materialized():
         assert out.word.count("1") == out.ones
 
 
-def test_density_word_omits_oversized_word():
-    out = density_word(8, cap=10 ** 4)
+def test_density_word_omits_oversized_word(monkeypatch):
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(10 ** 4))
+    out = density_word(8)
     assert out.word is None
     assert out.length == 2 ** (2 + 3 + 4 + 5 + 6 + 7 + 8)
 
