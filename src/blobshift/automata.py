@@ -120,22 +120,17 @@ class FiniteConfig:
     @classmethod
     def make(cls, word: str, offset: int = 0,
              alphabet: Alphabet = BINARY) -> "FiniteConfig":
-        zero = alphabet.zero
-        start, end = 0, len(word)
-        while start < end and word[start] == zero:
-            start += 1
-        while end > start and word[end - 1] == zero:
-            end -= 1
-        if start == end:
+        core = word.lstrip(alphabet.zero)
+        if not core:
             return cls(alphabet, 0, "")
-        return cls(alphabet, offset + start, word[start:end])
+        return cls(alphabet, offset + len(word) - len(core),
+                   core.rstrip(alphabet.zero))
 
     def is_zero(self) -> bool:
         return not self.word
 
     def support_size(self) -> int:
-        zero = self.alphabet.zero
-        return sum(1 for c in self.word if c != zero)
+        return len(self.word) - self.word.count(self.alphabet.zero)
 
 
 # -- the stepping kernel -------------------------------------------------------
@@ -206,13 +201,12 @@ def _stepper(rule: CARule):
 
 
 def step(rule: CARule, config: FiniteConfig) -> FiniteConfig:
-    """One application of the rule; support grows at most rho per side."""
-    if config.is_zero():
-        return config
-    word, shift = _stepper(rule)[0](config.word)
-    if not word:
-        return FiniteConfig(rule.alphabet, 0, "")
-    return FiniteConfig(rule.alphabet, config.offset + shift, word)
+    """One application of the rule; support grows at most rho per side.
+
+    A rule that is not zero-preserving maps every finite configuration to
+    one of infinite support, so it raises :class:`NotZeroPreserving`.
+    """
+    return evolve(rule, config, 1)[-1]
 
 
 def evolve(rule: CARule, config: FiniteConfig,
@@ -504,6 +498,7 @@ def identity_element(alphabet: Alphabet = BINARY) -> TFGElement:
 def shift_element(alphabet: Alphabet = BINARY, amount: int = 1) -> TFGElement:
     rho = abs(amount)
     width = 2 * rho + 1
+    check_cells(_table_cells(alphabet, width), f"shift table at radius {rho}")
     table = dict.fromkeys(_words(alphabet.symbols, width), amount)
     return TFGElement(alphabet, rho, table)
 

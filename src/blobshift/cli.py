@@ -91,20 +91,8 @@ def _read(path: str, inputs: dict) -> str:
         raise UnsupportedFormat(f"{path} is not UTF-8 text") from None
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _cells(cells) -> list:
-    return [list(c) for c in sorted(cells)]
+    return [list(c) for c in cells]
 
 
 def _emit(args, payload: bytes) -> None:
@@ -140,7 +128,7 @@ def _report(args, command: list[str], inputs: dict, result: dict) -> int:
         "tool": {"name": "blobshift", "version": __version__},
         "command": _echo(command),
         "inputs": inputs,
-        "result": _jsonable(result),
+        "result": result,
     }
     payload = (json.dumps(report, indent=2) + "\n").encode()
     _emit(args, payload)
@@ -202,7 +190,7 @@ def _cmd_blobs(args, argv, inputs):
     return _report(args, argv, inputs, {
         "radius": args.radius,
         "blobs": [{"anchor": list(anchor),
-                   "support": _cells(blob.support()),
+                   "support": _cells(sorted(blob.support())),
                    "cells": len(blob.pattern)}
                   for blob, anchor in found],
     })
@@ -312,9 +300,7 @@ def _cmd_classify_path(args, argv, inputs):
     subst = substitution.parse_substitution(_read(args.subst, inputs))
     if not isinstance(subst, substitution.Substitution1D):
         raise _UsageError("classify-path needs a 1D substitution")
-    moves = {s: _checked(paths.parse_move_symbol, s)
-             for s in subst.alphabet.symbols}
-    verdict = paths.classify_path_space(subst, args.horizon, moves)
+    verdict = _checked(paths.classify_path_space, subst, args.horizon)
     return _report(args, argv, inputs, {
         "tag": verdict.tag,
         "constant": verdict.constant,
@@ -336,7 +322,7 @@ def _cmd_pathcover(args, argv, inputs):
         pattern = parse_pattern(_read(args.pattern, inputs))
         path = pathcover.geodesic_witness(pattern, args.radius)
         return _report(args, argv, inputs, {
-            "length": len(path), "cells": _cells_in_order(path)})
+            "length": len(path), "cells": _cells(path.cells)})
     if args.action == "ascend":
         pattern = parse_pattern(_read(args.pattern, inputs))
         path, spent, complete = pathcover._ascend(
@@ -347,7 +333,7 @@ def _cmd_pathcover(args, argv, inputs):
             "spent": spent,
             "complete": complete,
             "length": len(path) if path else 0,
-            "cells": _cells_in_order(path) if path else [],
+            "cells": _cells(path.cells) if path else [],
         })
     # guided
     if args.slope is not None:
@@ -362,10 +348,6 @@ def _cmd_pathcover(args, argv, inputs):
     pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
     return _pattern_report(args, argv, inputs, pattern,
                            {"support": len(pattern.support())})
-
-
-def _cells_in_order(path) -> list:
-    return [list(c) for c in path.cells]
 
 
 def _cmd_ca(args, argv, inputs):

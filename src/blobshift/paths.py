@@ -282,34 +282,36 @@ def cut_path_search(language: Iterable[MoveWord], r: int,
 # -- classification ---------------------------------------------------------------
 
 
+# the deepest iterate the unbounded-recurrent witness search builds
+_WITNESS_CELLS = 2 ** 20
+
+
 def classify_path_space(subst: Substitution1D, horizon: int,
-                        moves: Mapping[str, int] | None = None,
-                        seed: str | None = None,
-                        witness_cells: int = 2 ** 20) -> PathClassVerdict:
+                        moves: Mapping[str, int] | None = None
+                        ) -> PathClassVerdict:
     """Classify the path space a move substitution generates.
 
-    The base window is the least iterate of the seed reaching 4x the
-    horizon (tiled when the substitution does not grow). Verdicts, in
-    order of checks: ascending/descending when the whole window passes a
-    window-sum test with constant at most the horizon; bounded when the
-    height range of successive iterates has stabilized; unbounded
-    recurrent when the range keeps growing and some factor re-enters the
-    strip [0, r-1] at least horizon times, searching deeper iterates up
-    to ``witness_cells`` for the shortest such factor; inconclusive
-    otherwise. Every verdict carries replay data in ``details``. Each
-    iterate and the tiled window check their length against the cell cap
-    before they are built and raise :class:`SizeLimit` past it.
+    The base window is the least iterate of the alphabet's first symbol
+    reaching 4x the horizon (tiled when the substitution does not grow).
+    Verdicts, in order of checks: ascending/descending when the whole
+    window passes a window-sum test with constant at most the horizon;
+    bounded when the height range of successive iterates has stabilized;
+    unbounded recurrent when the range keeps growing and some factor
+    re-enters the strip [0, r-1] at least horizon times, searching deeper
+    iterates of up to ``_WITNESS_CELLS`` (2^20) cells for the shortest
+    such factor; inconclusive otherwise. Every verdict carries replay data
+    in ``details``. Each iterate and the tiled window check their length
+    against the cell cap before they are built and raise
+    :class:`SizeLimit` past it.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if moves is None:
         moves = {s: parse_move_symbol(s) for s in subst.alphabet.symbols}
-    if seed is None:
-        seed = subst.alphabet.symbols[0]
     to_moves = moves.__getitem__
 
     target = 4 * horizon
-    words = [seed]
+    words = [subst.alphabet.symbols[0]]
     tiled = False
     while len(words[-1]) < target:
         nxt = iterate_1d(subst, words[-1], 1)
@@ -361,7 +363,7 @@ def classify_path_space(subst: Substitution1D, horizon: int,
             return PathClassVerdict("unbounded_recurrent", horizon,
                                     witness=witness, details=detail)
         projected = subst.image_length(word)
-        if projected > witness_cells or projected <= len(word):
+        if projected > _WITNESS_CELLS or projected <= len(word):
             detail["search_length"] = len(word)
             return PathClassVerdict("inconclusive", horizon, details=detail)
         word = iterate_1d(subst, word, 1)

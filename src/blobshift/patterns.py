@@ -65,8 +65,8 @@ BINARY = Alphabet(("0", "1"), "0")
 def neighbours(dim: int, r: int):
     """Function mapping a cell to the cells at L1 distance 1..r, sorted.
 
-    The only enumeration of L1 offsets, specialised per dimension because
-    it is the inner loop of every walk; the origin's image is the offsets.
+    The only enumeration of L1 offsets, written per dimension. `adjacency`
+    calls it once, at the origin, whose image is the offsets.
     """
     if dim == 1:
         steps = [d for d in range(-r, r + 1) if d]

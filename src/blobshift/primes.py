@@ -218,24 +218,13 @@ def crt_solve(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     """
     x, n = 0, 1
     for r, m in zip(residues, moduli):
-        g, p, _ = _xgcd(n, m)
-        if g != 1:
-            raise ValueError("moduli are not pairwise coprime")
+        try:
+            p = pow(n, -1, m)
+        except ValueError:
+            raise ValueError("moduli are not pairwise coprime") from None
         x = (x + (r - x) * p % m * n) % (n * m)
         n *= m
     return x, n
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def _primes_above(bound: int, count: int) -> list[int]:

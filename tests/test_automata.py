@@ -559,11 +559,23 @@ def test_kernel_step_matches_per_cell_oracle():
         alphabet = rng.choice(KERNEL_ALPHABETS)
         rule = random_rule(rng, alphabet, rng.randrange(3),
                            zero_preserving=rng.random() < 0.8)
+        step_word, _ = _stepper(rule)
         for _ in range(10):
             # lengths 1-40 cover one block, several, and a ragged tail
             word = random_word(rng, alphabet, rng.randrange(1, 41))
             config = FiniteConfig.make(word, rng.randrange(-20, 20), alphabet)
-            assert step(rule, config) == oracle_step(rule, config)
+            if rule.zero_preserving:
+                assert step(rule, config) == oracle_step(rule, config)
+                continue
+            # the image has infinite support: step refuses, and the kernel
+            # still matches the oracle inside the light cone
+            with pytest.raises(NotZeroPreserving):
+                step(rule, config)
+            if not config.is_zero():
+                image, shift = step_word(config.word)
+                kernel = FiniteConfig.make(image, config.offset + shift,
+                                           alphabet)
+                assert kernel == oracle_step(rule, config)
 
 
 def test_kernel_cycle_step_matches_per_cell_oracle():

@@ -16,6 +16,8 @@ from blobshift.patterns import BINARY, Pattern
 SOURCES = sorted(Path(blobshift.__file__).parent.glob("*.py"))
 
 ONE = Pattern(BINARY, {(0, 0): "1"})
+# built before any test lowers the cap, which its own table would pass
+SHIFT = automata.shift_element()
 
 
 # each site, and an input whose cells pass a 10-cell cap
@@ -42,7 +44,8 @@ ONE = Pattern(BINARY, {(0, 0): "1"})
     ("composed table at radius 2", lambda: automata.compose(
         automata.block_swap_element(), automata.block_swap_element())),
     ("drift search up to period 4", lambda: automata.tfg_order_search(
-        automata.shift_element(), 1, 4)),
+        SHIFT, 1, 4)),
+    ("shift table at radius 6", lambda: automata.shift_element(amount=6)),
     ("wildcard at radius 2", lambda: automata.parse_ca_rule(
         "ca 01 radius 2\n* -> 0\n")),
     ("guided trace", lambda: pathcover.trace_guided_path([1, 1], [5, 5], 2)),

@@ -333,9 +333,10 @@ def test_classify_verdict_replay_ascending():
     assert verdict.constant == 1
 
 
-def test_classify_inconclusive_budget():
+def test_classify_inconclusive_budget(monkeypatch):
     # with a tiny witness budget the recurrent case cannot certify
-    verdict = classify_path_space(deep_zigzag(), 32, witness_cells=100)
+    monkeypatch.setattr(paths, "_WITNESS_CELLS", 100)
+    verdict = classify_path_space(deep_zigzag(), 32)
     assert verdict.tag == "inconclusive"
 
 

@@ -192,6 +192,8 @@ def test_late_contains_agrees_with_language():
 def test_crt_solve_basics():
     assert crt_solve([0, 6, 9], [5, 7, 11]) == (20, 385)
     assert crt_solve([2, 1], [3, 5]) == (11, 15)
+    with pytest.raises(ValueError, match="^moduli are not pairwise coprime$"):
+        crt_solve([1, 2], [6, 4])
 
 
 def test_crt_zero_run_spec_triple():
