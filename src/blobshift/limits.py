@@ -29,9 +29,4 @@ def check_cells(cells: int, what: str) -> None:
     """Raise SizeLimit when what, needing cells cells, passes the cap."""
     cap = cell_cap()
     if cells > cap:
-        raise too_big(cells, what, cap)
-
-
-def too_big(cells: int, what: str, cap: int) -> SizeLimit:
-    """The SizeLimit for what needing cells cells past the cap."""
-    return SizeLimit(f"{what} needs {cells} cells, past the {cap}-cell cap")
+        raise SizeLimit(f"{what} needs {cells} cells, past the {cap}-cell cap")

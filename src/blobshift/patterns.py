@@ -3,46 +3,50 @@
 A pattern is a finite partial map from grid cells to an alphabet with a
 distinguished zero symbol. Cells are integer tuples of dimension 1 or 2;
 the metric is L1 throughout. The support is the set of cells carrying a
-nonzero symbol. Blobs are padded connected pieces of the support, stored
-translated to a canonical origin so equality and hashing are
-translation-invariant.
+nonzero symbol.
 
-Neighbourhood geometry has two kernels: :func:`dilate` grows a cell set
-by L1 radius r in r breadth-first layers of unit steps, each layer one
-set comprehension (padding, blob scans), and :func:`adjacency` builds a
-cell set's r-adjacency graph once, probing each cell pair from its lesser
-cell over half of :func:`neighbours`' ball, with every list sorted.
-:func:`bfs` walks such a graph from one cell; :func:`component_sweeps`
-walks it from each component's least cell, which gives
-:func:`connected_components` and the geodesic and ascending-path searches
-of :mod:`blobshift.pathcover`. :func:`translate_values` moves a cell map
-by a vector, one comprehension per dimension.
+A :class:`Pattern` stores its support's symbols and its domain as rows
+of sorted, merged x-intervals: one row in 1D, and a ``?`` hole splits a
+row. Zeros are implied, so ``len`` is the domain size while the views
+that list cells (``cells()``, ``items()``, ``domain``) yield zeros
+lazily; pad, translation, gluing and rendering never visit a zero cell.
+
+A blob is an r-connected piece of the support: its values, moved so the
+least cell sits at the origin, plus its radius. Its domain, the piece's
+r-dilation cut to the window, is implied and built from intervals only
+when :attr:`Blob.pattern` is read; whether the dilation leaves the
+window is an interval test per row of the piece.
+
+:func:`adjacency` builds a cell set's r-adjacency graph once, probing
+each pair from its lesser cell over half of :func:`neighbours`' ball.
+:func:`bfs` walks it from one cell; :func:`component_sweeps` from each
+component's least cell, which gives :func:`connected_components`, blob
+scans and the path searches of :mod:`blobshift.pathcover`.
 
 The public :class:`Pattern` constructor checks every cell and symbol.
 Values derived only from checked patterns of one alphabet and its zero
 (translates, paddings, zero-glues, rows, blobs) are built without that
-check, since it could not fail.
-
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to call from concurrent workers.
-Coordinates are Python integers, hence arbitrary precision; padded domains
-cannot wrap around.
+check, since it could not fail. All values are immutable after
+construction and every operation is a pure function, so everything here
+is safe to call from concurrent workers. Coordinates are Python
+integers, hence arbitrary precision.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .errors import GlueConflict, PaddingUnavailable, UnsupportedFormat
-from .limits import cell_cap, check_cells, too_big
+from .limits import check_cells
 
 Cell = tuple[int, ...]
 T = TypeVar("T")
+_ORIGIN = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -76,59 +80,113 @@ def neighbours(dim: int, r: int):
     return lambda cell: [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]
 
 
-def translate_values(values: Mapping[Cell, T], v: Cell,
-                     cells: Iterable[Cell] | None = None) -> dict[Cell, T]:
-    """values moved by v; given cells, only those of them values holds.
+def translate_values(values: Mapping[Cell, T], v: Cell) -> dict[Cell, T]:
+    """values moved by v, in the order of values.
 
     Written per dimension, like :func:`neighbours`; v must have the cells'
-    dimension. The result follows the order of cells, or of values when
-    no cells are given.
+    dimension.
     """
     if len(v) == 1:
         (a,) = v
-        if cells is None:
-            return {(x + a,): s for (x,), s in values.items()}
-        return {(c[0] + a,): values[c] for c in cells if c in values}
+        return {(x + a,): s for (x,), s in values.items()}
     a, b = v
-    if cells is None:
-        return {(x + a, y + b): s for (x, y), s in values.items()}
-    return {(c[0] + a, c[1] + b): values[c] for c in cells if c in values}
+    return {(x + a, y + b): s for (x, y), s in values.items()}
 
 
-def dilate(cells: Iterable[Cell], r: int) -> set[Cell]:
-    """Every cell within L1 distance r of some given cell.
+# -- row intervals ---------------------------------------------------------
+#
+# A row is a flat tuple (lo, end, lo, end, ...) of sorted half-open
+# intervals with a gap between any two, so each row has one form, and x
+# lies in it exactly when bisect_right(row, x) is odd. A domain maps each
+# row height (0 in 1D) to its nonempty row.
 
-    L1 distance is unit-step distance, so this runs r breadth-first
-    layers of unit steps, each grown as one set. A nonempty result holds
-    a whole radius-r ball, so a ball past the cell cap raises
-    :class:`SizeLimit` at once; so does a layer whose size bound would
-    take the set past the cap, before it is built. The cap is read once
-    per call and compared inline: a guard call per layer costs more than
-    a small layer.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    out = set(cells)
-    if not out:
-        return out
-    dim = len(next(iter(out)))
-    cap = cell_cap()
-    ball = 2 * r + 1 if dim == 1 else 2 * r * (r + 1) + 1
-    if ball > cap:
-        raise too_big(ball, f"dilation by {r}", cap)
-    frontier = out
-    for _ in range(r):
-        bound = len(out) + 2 * dim * len(frontier)
-        if bound > cap:
-            raise too_big(bound, f"dilation by {r}", cap)
-        if dim == 1:
-            grown = {(x + d,) for (x,) in frontier for d in (-1, 1)}
+
+def _merged(spans: Iterable[tuple[int, int]]) -> tuple:
+    """The row covering (lo, end) spans sorted by lo."""
+    out: list[int] = []
+    for lo, end in spans:
+        if out and lo <= out[-1]:
+            if end > out[-1]:
+                out[-1] = end
         else:
-            grown = {(x + dx, y + dy) for x, y in frontier
-                     for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))}
-        frontier = grown - out
-        out |= frontier
-    return out
+            out += (lo, end)
+    return tuple(out)
+
+
+def _runs(xs: Iterable[int]) -> tuple:
+    """The row of sorted distinct xs."""
+    return _merged([(x, x + 1) for x in xs])
+
+
+def _spans(row: tuple) -> Iterator[tuple[int, int]]:
+    return zip(row[::2], row[1::2])
+
+
+def _holds(row: tuple, lo: int, end: int) -> bool:
+    """Whether [lo, end) lies in one interval of row."""
+    i = bisect_right(row, lo)
+    return i & 1 == 1 and row[i] >= end
+
+
+def _meets(xs: list[int], row: tuple) -> bool:
+    """Whether one of the sorted xs lies in row."""
+    for k in range(0, len(row), 2):
+        i = bisect_left(xs, row[k])
+        if i < len(xs) and xs[i] < row[k + 1]:
+            return True
+    return False
+
+
+def _cut(a: tuple, b: tuple) -> tuple:
+    """The row of cells in both rows."""
+    out: list[int] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, end = max(a[i], b[j]), min(a[i + 1], b[j + 1])
+        if lo < end:
+            out += (lo, end)
+        if a[i + 1] < b[j + 1]:
+            i += 2
+        else:
+            j += 2
+    return tuple(out)
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """The row of cells in either row."""
+    if len(a) == 2 == len(b):
+        if a[1] < b[0]:
+            return a + b
+        if b[1] < a[0]:
+            return b + a
+        return (a[0] if a[0] < b[0] else b[0], a[1] if a[1] > b[1] else b[1])
+    return _merged(sorted([*_spans(a), *_spans(b)]))
+
+
+def _size(domain: Mapping[int, tuple]) -> int:
+    return sum(sum(row[1::2]) - sum(row[::2]) for row in domain.values())
+
+
+def _reach(r: int, dim: int) -> list[tuple[int, int]]:
+    """(dy, w): the L1 r-ball's row dy holds the x-offsets -w..w."""
+    return [(dy, r - abs(dy)) for dy in range(-r, r + 1)] if dim == 2 \
+        else [(0, r)]
+
+
+def _dilate(domain: Mapping[int, tuple], r: int, dim: int) -> dict:
+    """The domain within L1 distance r: row y, widened by w, on y + dy."""
+    reach, grown = _reach(r, dim), {}
+    for y, row in domain.items():
+        for k in range(0, len(row), 2):
+            lo, end = row[k], row[k + 1]
+            for dy, w in reach:
+                spans = grown.get(y + dy)
+                if spans is None:
+                    grown[y + dy] = [(lo - w, end + w)]
+                else:
+                    spans.append((lo - w, end + w))
+    return {y: spans[0] if len(spans) == 1 else _merged(sorted(spans))
+            for y, spans in grown.items()}
 
 
 def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
@@ -211,13 +269,22 @@ def component_sweeps(graph: Mapping[Cell, list[Cell]]) -> Iterator[dict]:
 
 
 class Pattern:
-    """Finite map cell -> symbol, defined exactly on its domain."""
+    """Finite map cell -> symbol, defined exactly on its domain.
 
-    __slots__ = ("alphabet", "_values", "_dim", "_support", "_hash")
+    Cells are listed top row first, left to right, as the text format
+    writes them. The rows may sit in another frame: cell (x, y) is in the
+    domain when row y - b holds x - a, for the shift (a, b) = _at (b = 0
+    in 1D), so a translate shares its source's rows.
+    """
+
+    __slots__ = ("alphabet", "_nz", "_rows", "_at", "_dim", "_support",
+                 "_xs", "_size", "_hash")
 
     def __init__(self, alphabet: Alphabet, values: Mapping[Cell, str]):
-        values = dict(values)
+        zero, symbols = alphabet.zero, alphabet.symbols
         dim = None
+        nz = {}
+        xs_by_y: dict[int, list[int]] = {}
         for cell, symbol in values.items():
             if dim is None:
                 dim = len(cell)
@@ -225,28 +292,30 @@ class Pattern:
                     raise ValueError("patterns are 1- or 2-dimensional")
             elif len(cell) != dim:
                 raise ValueError("mixed cell dimensions in one pattern")
-            if symbol not in alphabet.symbols:
+            if symbol not in symbols:
                 raise ValueError(f"symbol {symbol!r} not in alphabet")
-        self.alphabet = alphabet
-        self._values = values
-        self._dim = 1 if dim is None else dim
-        self._support = None
-        self._hash = None
+            if symbol != zero:
+                nz[cell] = symbol
+            xs_by_y.setdefault(cell[-1] if dim == 2 else 0, []).append(cell[0])
+        self._fill(alphabet, nz, {y: _runs(sorted(xs))
+                                  for y, xs in xs_by_y.items()}, dim)
+
+    def _fill(self, alphabet: Alphabet, nz: dict, rows: dict, dim) -> None:
+        self.alphabet, self._nz, self._rows = alphabet, nz, rows
+        self._at = _ORIGIN
+        self._dim = dim if rows else 1
+        self._support = self._xs = self._size = self._hash = None
 
     @classmethod
-    def _derived(cls, alphabet: Alphabet, values: dict[Cell, str]) -> "Pattern":
-        """A pattern that owns values, built without any check.
+    def _derived(cls, alphabet: Alphabet, nz: dict[Cell, str],
+                 rows: dict[int, tuple], dim: int) -> "Pattern":
+        """A pattern owning nz and unshifted rows, built without checks.
 
-        Only for values whose cells all come from checked patterns of one
-        dimension and whose symbols come from checked patterns over
-        alphabet or are its zero.
+        Only for cells and symbols of checked patterns of one dimension
+        and alphabet; neither map may change afterwards.
         """
         self = cls.__new__(cls)
-        self.alphabet = alphabet
-        self._values = values
-        self._dim = len(next(iter(values))) if values else 1
-        self._support = None
-        self._hash = None
+        self._fill(alphabet, nz, rows, dim)
         return self
 
     # -- construction helpers -------------------------------------------
@@ -255,7 +324,14 @@ class Pattern:
     def from_word(cls, word: str, alphabet: Alphabet = BINARY,
                   start: int = 0) -> "Pattern":
         """1D pattern on the interval [start, start + len(word))."""
-        return cls(alphabet, {(start + i,): c for i, c in enumerate(word)})
+        nz = {}
+        for i, c in enumerate(word):
+            if c != alphabet.zero:
+                if c not in alphabet.symbols:
+                    raise ValueError(f"symbol {c!r} not in alphabet")
+                nz[(start + i,)] = c
+        rows = {0: (start, start + len(word))} if word else {}
+        return cls._derived(alphabet, nz, rows, 1)
 
     @classmethod
     def from_rows(cls, rows: list[str], alphabet: Alphabet = BINARY) -> "Pattern":
@@ -264,7 +340,7 @@ class Pattern:
         The bottom-left grid corner lands at the origin; ``.`` is read as
         the zero symbol and ``?`` leaves a cell outside the domain.
         """
-        return cls(alphabet, read_rows(rows, alphabet))
+        return read_rows(rows, alphabet)
 
     # -- basic views ------------------------------------------------------
 
@@ -274,76 +350,122 @@ class Pattern:
 
     @property
     def domain(self) -> frozenset:
-        return frozenset(self._values)
+        return frozenset(self.cells())
 
     def cells(self) -> Iterator[Cell]:
-        return iter(self._values)
+        rows, (a, b) = self._rows, self._at
+        for y in sorted(rows, reverse=True):
+            for lo, end in _spans(rows[y]):
+                for x in range(lo + a, end + a):
+                    yield (x, y + b) if self._dim == 2 else (x,)
 
     def __len__(self) -> int:
-        return len(self._values)
+        if self._size is None:
+            self._size = _size(self._rows)
+        return self._size
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self._values
+        if len(cell) != self._dim:
+            return False
+        a, b = self._at
+        row = self._rows.get(cell[1] - b if self._dim == 2 else 0)
+        return row is not None and bisect_right(row, cell[0] - a) & 1 == 1
 
     def value(self, cell: Cell) -> str:
-        return self._values[cell]
+        symbol = self.get(cell)
+        if symbol is None:
+            raise KeyError(cell)
+        return symbol
 
     def get(self, cell: Cell, default: str | None = None) -> str | None:
-        return self._values.get(cell, default)
+        symbol = self._nz.get(cell)
+        if symbol is not None:
+            return symbol
+        return self.alphabet.zero if cell in self else default
 
-    def items(self):
-        return self._values.items()
+    def items(self) -> Iterator[tuple[Cell, str]]:
+        get, zero = self._nz.get, self.alphabet.zero
+        return ((c, get(c, zero)) for c in self.cells())
 
     def support(self) -> frozenset:
         if self._support is None:
-            zero = self.alphabet.zero
-            self._support = frozenset(
-                c for c, s in self._values.items() if s != zero)
+            self._support = frozenset(self._nz)
         return self._support
+
+    def _support_rows(self) -> dict[int, list[int]]:
+        """Row -> the sorted xs of its support cells, in the rows' frame."""
+        if self._xs is None:
+            a, b = self._at
+            xs_by_y: dict[int, list[int]] = {}
+            for cell in self._nz:
+                xs_by_y.setdefault(cell[-1] - b if self._dim == 2 else 0,
+                                   []).append(cell[0] - a)
+            for xs in xs_by_y.values():
+                xs.sort()
+            self._xs = xs_by_y
+        return self._xs
 
     def bounding_box(self) -> tuple[Cell, Cell] | None:
         """(min corner, max corner) of the domain, or None when empty."""
-        if not self._values:
+        rows, (a, b) = self._rows, self._at
+        if not rows:
             return None
-        cols = list(zip(*self._values))
-        return (tuple(min(c) for c in cols), tuple(max(c) for c in cols))
+        lo = min(row[0] for row in rows.values()) + a
+        hi = max(row[-1] for row in rows.values()) - 1 + a
+        if self._dim == 1:
+            return (lo,), (hi,)
+        return (lo, min(rows) + b), (hi, max(rows) + b)
+
+    def _plain(self) -> "Pattern":
+        """This pattern with unshifted rows."""
+        a, b = self._at
+        if not a and not b:
+            return self
+        rows = {y + b: tuple([x + a for x in row])
+                for y, row in self._rows.items()}
+        return Pattern._derived(self.alphabet, self._nz, rows, self._dim)
 
     # -- pure transformations ---------------------------------------------
 
     def translate(self, v: Cell) -> "Pattern":
-        if not self._values:
+        if not self._rows:
             return self
         if len(v) != self._dim:
             raise ValueError(
                 f"cannot translate a {self._dim}D pattern by {v!r}")
-        return Pattern._derived(self.alphabet,
-                                translate_values(self._values, v))
+        a, b = self._at
+        moved = Pattern._derived(self.alphabet, translate_values(self._nz, v),
+                                 self._rows, self._dim)
+        moved._at = (a + v[0], b + v[-1] if self._dim == 2 else 0)
+        moved._xs, moved._size = self._xs, self._size
+        return moved
 
     def to_word(self) -> str:
         """The 1D pattern's symbols in cell order; domain must be an interval."""
         if self._dim != 1:
             raise ValueError("to_word needs a 1D pattern")
-        if not self._values:
-            return ""
-        xs = sorted(c[0] for c in self._values)
-        if xs[-1] - xs[0] + 1 != len(xs):
+        if len(self._rows.get(0, ())) > 2:
             raise ValueError("domain is not a contiguous interval")
-        return "".join(self._values[(x,)] for x in range(xs[0], xs[-1] + 1))
+        return "".join(s for _, s in self.items())
 
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pattern):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._values == other._values
+        return (self.alphabet == other.alphabet and self._dim == other._dim
+                and self._nz == other._nz
+                and self._plain()._rows == other._plain()._rows)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.alphabet, frozenset(self._values.items())))
+            self._hash = hash((self.alphabet, frozenset(self._nz.items()),
+                               frozenset(self._plain()._rows.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Pattern(dim={self._dim}, cells={len(self._values)}, support={len(self.support())})"
+        return (f"Pattern(dim={self._dim}, cells={len(self)}, "
+                f"support={len(self._nz)})")
 
 
 class Blob:
@@ -355,20 +477,60 @@ class Blob:
     radius, so it does not enter the comparison.
     """
 
-    __slots__ = ("pattern", "radius", "_key")
+    __slots__ = ("radius", "_values", "_pattern", "_source", "_key")
 
     def __init__(self, pattern: Pattern, radius: int):
-        self.pattern = pattern
-        self.radius = radius
-        self._key = None
+        self.radius, self._values, self._pattern = radius, pattern._nz, pattern
+        self._source = self._key = None
+
+    @classmethod
+    def _scanned(cls, values: dict[Cell, str], radius: int, source: tuple):
+        """A blob of canonical values, its pattern built on demand.
+
+        source is (alphabet, dim, the sorted xs per row where the component
+        was found, the window's rows if its padding leaves them or None,
+        the anchor).
+        """
+        self = cls.__new__(cls)
+        self.radius, self._values, self._pattern = radius, values, None
+        self._source, self._key = source, None
+        return self
+
+    @property
+    def pattern(self) -> Pattern:
+        """The component's r-dilation cut to the window, at canonical place.
+
+        Its rows stay in the window's frame, so moving it back to its
+        anchor moves only the support.
+        """
+        if self._pattern is None:
+            alphabet, dim, xs_by_y, window, anchor = self._source
+            r = self.radius
+            if dim == 1:  # an r-connected set of cells on a line: one interval
+                xs = xs_by_y[0]
+                rows = {0: (xs[0] - r, xs[-1] + r + 1)}
+            else:
+                rows = _dilate({y: _runs(xs) for y, xs in xs_by_y.items()},
+                               r, dim)
+            if window is not None:
+                cut = {y: _cut(row, window[y]) for y, row in rows.items()
+                       if y in window}
+                rows = {y: row for y, row in cut.items() if row}
+            pattern = Pattern._derived(alphabet, self._values, rows, dim)
+            pattern._at = (-anchor[0], -anchor[-1] if dim == 2 else 0)
+            pattern._xs = xs_by_y
+            self._pattern = pattern
+        return self._pattern
 
     def support(self) -> frozenset:
-        return self.pattern.support()
+        pattern = self._pattern
+        if pattern is None:
+            return frozenset(self._values)
+        return pattern.support()
 
     def _support_key(self):
         if self._key is None:
-            self._key = frozenset(
-                (c, self.pattern.value(c)) for c in self.pattern.support())
+            self._key = frozenset(self._values.items())
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -380,7 +542,7 @@ class Blob:
         return hash(self._support_key())
 
     def __repr__(self) -> str:
-        return f"Blob(radius={self.radius}, support={len(self.support())})"
+        return f"Blob(radius={self.radius}, support={len(self._values)})"
 
 
 # -- connectivity ----------------------------------------------------------
@@ -415,34 +577,99 @@ def blobs(pattern: Pattern, r: int) -> list[tuple[Blob, Cell]]:
 def _blob_scan(pattern: Pattern, r: int):
     """Yield (anchor, blob, truncated) per r-component of the support.
 
-    The blob is the component's r-dilation cut to the domain, built in
-    one pass with its least cell, the anchor, at the origin.
+    The blob holds the component's values with its least cell, the
+    anchor, at the origin. The component's r-dilation stays inside the
+    domain when, for each of its rows y with extremes lo..hi, row y + dy
+    holds [lo - w, hi + w], w = r - |dy|, for every |dy| <= r (dy = 0 in
+    1D). Where a row is split and that fails, each cell's [x - w, x + w]
+    must lie in one interval of it.
     """
-    values = pattern._values
-    for comp in connected_components(pattern.support(), r):
-        anchor = min(comp)
-        ball = dilate(comp, r)
-        inside = translate_values(values, tuple(-a for a in anchor), ball)
-        blob = Blob(Pattern._derived(pattern.alphabet, inside), r)
-        yield anchor, blob, len(inside) < len(ball)
+    pattern = pattern._plain()
+    nz, window, dim = pattern._nz, pattern._rows, pattern._dim
+    graph = adjacency(nz, r)
+    reach = _reach(r, dim) if graph else []  # past adjacency's cap check
+    for dist in component_sweeps(graph):
+        anchor = next(iter(dist))
+        ax, ay = anchor[0], anchor[-1] if dim == 2 else 0
+        xs_by_y: dict[int, list[int]] = {}
+        if dim == 1:
+            xs_by_y[0] = xs = sorted([c[0] for c in dist])
+            values = {(x - ax,): nz[(x,)] for x in xs}
+        else:
+            values = {}
+            for c in dist:
+                x, y = c
+                values[(x - ax, y - ay)] = nz[c]
+                xs = xs_by_y.get(y)
+                if xs is None:
+                    xs_by_y[y] = [x]
+                else:
+                    xs.append(x)
+            for xs in xs_by_y.values():
+                xs.sort()
+        truncated = _exits(window, xs_by_y, reach)
+        yield anchor, Blob._scanned(values, r, (
+            pattern.alphabet, dim, xs_by_y, window if truncated else None,
+            anchor)), truncated
+
+
+def _exits(window: dict, xs_by_y: dict, reach: list) -> bool:
+    """Whether the dilation of the cells (sorted xs per row) leaves window."""
+    for y, xs in xs_by_y.items():
+        for dy, w in reach:
+            row = window.get(y + dy)
+            if row is None or not (
+                    _holds(row, xs[0] - w, xs[-1] + w + 1)
+                    or len(row) > 2 and all(_holds(row, x - w, x + w + 1)
+                                            for x in xs)):
+                return True
+    return False
 
 
 def zero_glue(p: Pattern, q: Pattern) -> Pattern:
-    """Union of two patterns whose overlap is all-zero on both sides."""
-    if p.alphabet != q.alphabet:
+    """Union of two patterns whose overlap is all-zero on both sides.
+
+    Only rows of both domains are compared. A nonzero cell in both
+    domains raises :class:`GlueConflict` naming the first such cell in
+    cell order.
+    """
+    if p.alphabet is not q.alphabet and p.alphabet != q.alphabet:
         raise ValueError("zero_glue needs a common alphabet")
-    if p.dimension != q.dimension and len(p) and len(q):
+    if p._dim != q._dim and p._rows and q._rows:
         raise ValueError("zero_glue needs a common dimension")
-    small, large = (p, q) if len(p) <= len(q) else (q, p)
-    zero = p.alphabet.zero
-    values = dict(large.items())
-    for cell, symbol in small.items():
-        prior = values.get(cell)
-        if prior is None:
-            values[cell] = symbol
-        elif prior != zero or symbol != zero:
-            raise GlueConflict(cell)
-    return Pattern._derived(p.alphabet, values)
+    if not q._rows:
+        return p
+    if not p._rows:
+        return q
+    if p._at != q._at:
+        p, q = p._plain(), q._plain()
+    if len(p._rows) < len(q._rows):
+        p, q = q, p
+    pxs, qxs = p._support_rows(), q._support_rows()
+    rows, xs_by_y = dict(p._rows), dict(pxs)
+    clash = False
+    for y, row in q._rows.items():
+        theirs = qxs.get(y)
+        have = rows.get(y)
+        if have is not None:
+            mine = pxs.get(y)
+            if theirs is not None:
+                clash = clash or _meets(theirs, have)
+                if mine is not None:
+                    theirs = sorted(mine + theirs)
+            if mine is not None:
+                clash = clash or _meets(mine, row)
+            row = _union(have, row)
+        rows[y] = row
+        if theirs is not None:
+            xs_by_y[y] = theirs
+    if clash:
+        both = [c for c in p._nz.keys() | q._nz.keys() if c in p and c in q]
+        raise GlueConflict(min(both, key=lambda c: (-c[1], c[0])
+                               if len(c) == 2 else c))
+    glued = Pattern._derived(p.alphabet, p._nz | q._nz, rows, p._dim)
+    glued._at, glued._xs = p._at, xs_by_y
+    return glued
 
 
 def occurrences(pattern: Pattern, probe: Pattern,
@@ -451,7 +678,9 @@ def occurrences(pattern: Pattern, probe: Pattern,
 
     An empty probe matches vacuously everywhere, so a search window is
     required in that case and is returned sorted. A probe of another
-    dimension than a nonempty pattern raises ValueError.
+    dimension than a nonempty pattern raises ValueError. A probe with a
+    nonzero cell is tried with its least one on each support cell of that
+    symbol; an all-zero probe, with its least cell on each domain cell.
     """
     if len(probe) == 0:
         if window is None:
@@ -460,12 +689,16 @@ def occurrences(pattern: Pattern, probe: Pattern,
     if len(pattern) and probe.dimension != pattern.dimension:
         raise ValueError(f"a {probe.dimension}D probe cannot occur in a "
                          f"{pattern.dimension}D pattern")
-    anchor = min(probe.cells())
-    have = pattern.items()
+    want = dict(probe.items())
+    anchor = min(probe._nz or want)
+    bases = ([c for c, s in pattern._nz.items() if s == want[anchor]]
+             if probe._nz else pattern.cells())
+    get = pattern.get
     hits = []
-    for base in pattern.cells():
+    for base in bases:
         v = tuple(b - a for b, a in zip(base, anchor))
-        if translate_values(probe._values, v).items() <= have:
+        if all(get(tuple(a + b for a, b in zip(c, v))) == s
+               for c, s in want.items()):
             hits.append(v)
     return sorted(hits)
 
@@ -512,10 +745,12 @@ def rows_of(pattern: Pattern) -> list[Pattern]:
     """Split a pattern into its 1D rows, ordered by ascending height."""
     if pattern.dimension == 1:
         return [pattern]
-    by_y: dict[int, dict[Cell, str]] = {}
-    for (x, y), symbol in pattern.items():
-        by_y.setdefault(y, {})[(x,)] = symbol
-    return [Pattern._derived(pattern.alphabet, by_y[y]) for y in sorted(by_y)]
+    pattern = pattern._plain()
+    nz, xs_by_y = pattern._nz, pattern._support_rows()
+    return [Pattern._derived(pattern.alphabet,
+                             {(x,): nz[(x, y)] for x in xs_by_y.get(y, ())},
+                             {0: row}, 1)
+            for y, row in sorted(pattern._rows.items())]
 
 
 def density_window(pattern: Pattern, window: int) -> Fraction:
@@ -549,10 +784,24 @@ def sparse_not_uniform_family(n: int) -> Pattern:
 
 
 def pad(pattern: Pattern, r: int) -> Pattern:
-    """Extend the domain by the radius-r ball around it, filled with zeros."""
-    values = dict.fromkeys(dilate(pattern.cells(), r), pattern.alphabet.zero)
-    values.update(pattern.items())
-    return Pattern._derived(pattern.alphabet, values)
+    """Extend the domain by the radius-r ball around it, filled with zeros.
+
+    The ball is charged to the cell cap first, then the padded domain,
+    both as the dilation by r; only intervals are built.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    dim = pattern.dimension
+    if not pattern._rows:
+        return pattern
+    pattern = pattern._plain()
+    check_cells(2 * r + 1 if dim == 1 else 2 * r * (r + 1) + 1,
+                f"dilation by {r}")
+    rows = _dilate(pattern._rows, r, dim)
+    check_cells(_size(rows), f"dilation by {r}")
+    padded = Pattern._derived(pattern.alphabet, pattern._nz, rows, dim)
+    padded._support, padded._xs = pattern._support, pattern._xs
+    return padded
 
 
 # -- text codec --------------------------------------------------------------
@@ -573,9 +822,10 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
     chars maps each symbol, and None for a cell outside the domain, to
     one character; by default zero is "." and a hole "?", the inverse of
     :func:`read_rows`. The box's area is charged to the cell cap first:
-    two cells far apart span a box far larger than the pattern.
+    two cells far apart span a box far larger than the pattern. Each row
+    is laid out from its intervals, then its support cells.
     """
-    alpha = pattern.alphabet
+    alpha, pattern = pattern.alphabet, pattern._plain()
     if chars is None:
         chars = {s: s for s in alpha.symbols} | {alpha.zero: ".", None: "?"}
     box = pattern.bounding_box()
@@ -583,30 +833,51 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
         return []
     lo, hi = box
     check_cells(prod(h - l + 1 for l, h in zip(lo, hi)), "bounding box")
-    get = pattern.get
-    xs = range(lo[0], hi[0] + 1)
-    # one empty tail in 1D, the heights from the top down in 2D
-    tails = product(*(range(h, l - 1, -1) for l, h in zip(lo[1:], hi[1:])))
-    return ["".join([chars[get((x,) + tail)] for x in xs]) for tail in tails]
+    x0, width = lo[0], hi[0] - lo[0] + 1
+    hole, blank = chars[None], chars[alpha.zero]
+    nz, domain, xs_by_y = pattern._nz, pattern._rows, pattern._support_rows()
+    two_d = pattern.dimension == 2
+    out = []
+    for y in (range(hi[1], lo[1] - 1, -1) if two_d else (0,)):
+        line = [hole] * width
+        for a, end in _spans(domain.get(y, ())):
+            line[a - x0:end - x0] = [blank] * (end - a)
+        for x in xs_by_y.get(y, ()):
+            line[x - x0] = chars[nz[(x, y) if two_d else (x,)]]
+        out.append("".join(line))
+    return out
 
 
 def read_rows(rows: list[str], alphabet: Alphabet,
-              origin: Cell = (0, 0)) -> dict[Cell, str]:
-    """Cell -> symbol of text rows, top row first, unchecked.
+              origin: Cell = (0, 0)) -> Pattern:
+    """The pattern of text rows, top row first, each symbol checked.
 
     The grid's bottom-left corner lands at the origin, whose length is
-    the dimension; a 1D grid is a single row.
+    the dimension; a 1D grid is a single row. A symbol outside the
+    alphabet raises ValueError, the first one in reading order.
     """
-    zero = alphabet.zero
-    x0, rest = origin[0], origin[1:]
-    top = len(rows) - 1
-    values = {}
-    for rix, row in enumerate(rows):
-        tail = tuple(o + top - rix for o in rest)
-        for x, ch in enumerate(row):
-            if ch != "?":
-                values[(x0 + x,) + tail] = zero if ch == "." else ch
-    return values
+    zero, symbols = alphabet.zero, alphabet.symbols
+    blank = {".", "?", zero}
+    dim = len(origin)
+    x0 = origin[0]
+    top = (origin[1] if dim == 2 else 0) + len(rows) - 1
+    nz: dict[Cell, str] = {}
+    domain: dict[int, tuple] = {}
+    for rix, text in enumerate(rows):
+        y = top - rix if dim == 2 else 0
+        for x, ch in enumerate(text):
+            if ch not in blank:
+                if ch not in symbols:
+                    raise ValueError(f"symbol {ch!r} not in alphabet")
+                nz[(x0 + x, y) if dim == 2 else (x0 + x,)] = ch
+        row, at = [], x0
+        for piece in text.split("?"):
+            if piece:
+                row += (at, at + len(piece))
+            at += len(piece) + 1
+        if row:
+            domain[y] = tuple(row)
+    return Pattern._derived(alphabet, nz, domain, dim)
 
 
 def alphabet_field(chars: str) -> Alphabet:
@@ -687,4 +958,4 @@ def parse_pattern(text: str) -> Pattern:
     width, height = (dims + [1])[:2]
     if len(rows) != height or any(len(row) != width for row in rows):
         raise UnsupportedFormat("rows do not match the declared dims")
-    return Pattern(alphabet, read_rows(rows, alphabet, tuple(origin)))
+    return read_rows(rows, alphabet, tuple(origin))

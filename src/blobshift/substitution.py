@@ -21,6 +21,7 @@ from .patterns import (
     arrow,
     header_ints,
     text_parser,
+    translate_values,
     write_rows,
 )
 
@@ -89,19 +90,33 @@ def iterate_1d(subst: Substitution1D, seed: str, n: int) -> str:
 
 
 def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
-    """Apply the block substitution n times; side multiplies by the expansion."""
+    """Apply the block substitution n times; side multiplies by the expansion.
+
+    Each domain interval [lo, end) of row y becomes [lo*s, end*s) on rows
+    y*s .. y*s + s - 1. When the zero symbol's block is all zero, only the
+    support's images are placed; otherwise every domain cell's is. Either
+    way the level is charged for its whole domain before it is built.
+    """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
+    if len(seed) and seed.dimension != 2:
+        raise ValueError("iterate_2d needs a 2D seed")
     s = subst.expansion
-    current = seed
+    images = {symbol: list(block._nz.items())
+              for symbol, block in subst.rules.items()}
+    sparse = not images[subst.alphabet.zero]
+    current = seed._plain()
     for _ in range(n):
         check_cells(len(current) * s * s, "2D iterate")
         values = {}
-        for (x, y), symbol in current.items():
+        for (x, y), symbol in (current._nz.items() if sparse
+                               else current.items()):
             bx, by = x * s, y * s
-            for (dx, dy), b in subst.rules[symbol].items():
+            for (dx, dy), b in images[symbol]:
                 values[(bx + dx, by + dy)] = b
-        current = Pattern(subst.alphabet, values)
+        rows = {y * s + dy: tuple([x * s for x in row])
+                for y, row in current._rows.items() for dy in range(s)}
+        current = Pattern._derived(subst.alphabet, values, rows, 2)
     return current
 
 
@@ -182,16 +197,17 @@ def _single_cell(alphabet: Alphabet) -> Pattern:
 
 def _assemble(k: int, level: dict[int, Pattern], j: int, side: int,
               alphabet: Alphabet) -> Pattern:
-    """One recursion step: bottom-left self block plus a slice on block-row j."""
+    """One recursion step: bottom-left self block plus a slice on block-row j.
+
+    The level patterns fill side-by-side squares, so the result fills its
+    (k+1)*side square; only the placed support is written.
+    """
     big = (k + 1) * side
-    values = {(x, y): alphabet.zero for x in range(big) for y in range(big)}
-    for (x, y), symbol in level[j].items():
-        values[(x, y)] = symbol
+    values = dict(level[j]._nz)
     for col in range(1, k + 1):
-        ox, oy = col * side, j * side
-        for (x, y), symbol in level[col].items():
-            values[(ox + x, oy + y)] = symbol
-    return Pattern(alphabet, values)
+        values.update(translate_values(level[col]._nz, (col * side, j * side)))
+    return Pattern._derived(alphabet, values,
+                            dict.fromkeys(range(big), (0, big)), 2)
 
 
 def default_block_seeds(k: int, alphabet: Alphabet = BINARY) -> tuple[Pattern, ...]:

@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import pytest
 
+from blobshift.errors import GlueConflict
 from blobshift.patterns import BINARY, Pattern, neighbours, pad
 
 
@@ -119,6 +120,138 @@ def windowed_ascension_up_to(moves, m_max):
         if all(prefix[j + m] - prefix[j] > 0 for j in range(n - m + 1)):
             return m
     return None
+
+
+# -- patterns as one dict entry per domain cell ---------------------------
+#
+# The representation before supports and row intervals, with the
+# operations that ran on it. Every view and operation of Pattern is
+# checked against these.
+
+
+class DictPattern:
+    """Cell -> symbol over the whole domain, zeros included."""
+
+    def __init__(self, alphabet, values):
+        self.alphabet = alphabet
+        self.values = dict(values)
+        self.dimension = len(next(iter(self.values))) if self.values else 1
+
+    @classmethod
+    def of(cls, pattern):
+        """The oracle of a Pattern, its cells in the Pattern's order."""
+        return cls(pattern.alphabet, dict(pattern.items()))
+
+    def support(self):
+        zero = self.alphabet.zero
+        return frozenset(c for c, s in self.values.items() if s != zero)
+
+    def bounding_box(self):
+        if not self.values:
+            return None
+        cols = list(zip(*self.values))
+        return tuple(min(c) for c in cols), tuple(max(c) for c in cols)
+
+    def translate(self, v):
+        return DictPattern(self.alphabet, {
+            tuple(a + b for a, b in zip(c, v)): s
+            for c, s in self.values.items()})
+
+    def __eq__(self, other):
+        return (self.alphabet, self.values) == (other.alphabet, other.values)
+
+    def __hash__(self):
+        return hash((self.alphabet, frozenset(self.values.items())))
+
+
+def dilate(cells, r):
+    """Every cell within L1 distance r of some given cell.
+
+    r breadth-first layers of unit steps, each grown as one set.
+    """
+    out = set(cells)
+    if not out:
+        return out
+    dim = len(next(iter(out)))
+    frontier = out
+    for _ in range(r):
+        if dim == 1:
+            grown = {(x + d,) for (x,) in frontier for d in (-1, 1)}
+        else:
+            grown = {(x + dx, y + dy) for x, y in frontier
+                     for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))}
+        frontier = grown - out
+        out |= frontier
+    return out
+
+
+def oracle_pad(pattern, r):
+    """The dilated domain filled with zeros, then the pattern's values."""
+    values = dict.fromkeys(dilate(pattern.values, r), pattern.alphabet.zero)
+    values.update(pattern.values)
+    return DictPattern(pattern.alphabet, values)
+
+
+def oracle_blob_scan(pattern, r):
+    """(anchor, blob values at the origin, truncated) per component."""
+    out = []
+    for comp in ball_components(pattern.support(), r):
+        anchor = min(comp)
+        ball = dilate(comp, r)
+        inside = {tuple(a - b for a, b in zip(c, anchor)): pattern.values[c]
+                  for c in ball if c in pattern.values}
+        out.append((anchor, DictPattern(pattern.alphabet, inside),
+                    len(inside) < len(ball)))
+    return out
+
+
+def oracle_zero_glue(p, q):
+    """Union of two dict patterns; the first clash in the smaller's order."""
+    small, large = (p, q) if len(p.values) <= len(q.values) else (q, p)
+    zero = p.alphabet.zero
+    values = dict(large.values)
+    for cell, symbol in small.values.items():
+        prior = values.get(cell)
+        if prior is None:
+            values[cell] = symbol
+        elif prior != zero or symbol != zero:
+            raise GlueConflict(cell)
+    return DictPattern(p.alphabet, values)
+
+
+def oracle_rows_of(pattern):
+    """1D rows by ascending height."""
+    if pattern.dimension == 1:
+        return [pattern]
+    by_y = {}
+    for (x, y), symbol in pattern.values.items():
+        by_y.setdefault(y, {})[(x,)] = symbol
+    return [DictPattern(pattern.alphabet, by_y[y]) for y in sorted(by_y)]
+
+
+def oracle_occurrences(pattern, probe):
+    """Every base cell of the pattern tried for the probe's least cell."""
+    anchor = min(probe.values)
+    have = pattern.values.items()
+    hits = []
+    for base in pattern.values:
+        v = tuple(b - a for b, a in zip(base, anchor))
+        if probe.translate(v).values.items() <= have:
+            hits.append(v)
+    return sorted(hits)
+
+
+def oracle_write_rows(pattern):
+    """Bounding-box text rows, top first, one lookup per cell."""
+    if not pattern.values:
+        return []
+    lo, hi = pattern.bounding_box()
+    chars = {s: s for s in pattern.alphabet.symbols} | {
+        pattern.alphabet.zero: ".", None: "?"}
+    heights = ([()] if len(lo) == 1
+               else [(y,) for y in range(hi[1], lo[1] - 1, -1)])
+    return ["".join(chars[pattern.values.get((x,) + tail)]
+                    for x in range(lo[0], hi[0] + 1)) for tail in heights]
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from blobshift.patterns import (
     Blob,
     Pattern,
     connected_components,
-    dilate,
     pad,
     zero_glue,
 )
@@ -32,6 +31,8 @@ from blobshift.substitution import (
     iterate_2d,
     plus_substitution,
 )
+
+from conftest import dilate
 
 CANTOR_RADII = (2, 4, 10, 28)  # 3^(i-1) + 1
 

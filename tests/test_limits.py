@@ -23,7 +23,7 @@ SHIFT = automata.shift_element()
 # each site, and an input whose cells pass a 10-cell cap
 @pytest.mark.parametrize("what,call", [
     ("2-adjacency of 3 cells", lambda: patterns.adjacency({(0,), (1,), (2,)}, 2)),
-    ("dilation by 5", lambda: patterns.dilate({(0,)}, 5)),
+    ("dilation by 5", lambda: patterns.pad(Pattern.from_word("1"), 5)),
     ("bounding box", lambda: patterns.write_rows(
         Pattern(BINARY, {(0, 0): "1", (3, 3): "1"}))),
     ("sieve up to 20", lambda: primes.sieve(20)),
@@ -77,7 +77,7 @@ def test_dilate_refuses_a_ball_past_the_cap_at_once(monkeypatch, cells, r,
                                                     ball):
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "1000")
     with pytest.raises(SizeLimit, match=f"^dilation by {r} needs {ball} "):
-        patterns.dilate(cells, r)
+        patterns.pad(Pattern(BINARY, dict.fromkeys(cells, "1")), r)
 
 
 def run_capped(monkeypatch, capsys, argv):

@@ -21,7 +21,6 @@ from blobshift.patterns import (
     blobs,
     connected_components,
     density_window,
-    dilate,
     essential_width_lower_bound,
     format_pattern,
     interval_cover_count,
@@ -36,6 +35,7 @@ from blobshift.patterns import (
 )
 from conftest import (
     ball_bfs,
+    dilate,
     ball_components,
     random_padded_pattern,
     random_pattern_1d,
