@@ -103,7 +103,8 @@ class FiniteConfig:
     """Finite-support configuration: a word at an offset, zeros outside.
 
     Canonical form never carries a leading or trailing zero; the all-zero
-    configuration is the empty word at offset 0.
+    configuration is the empty word at offset 0. A word symbol outside
+    the alphabet raises ValueError.
     """
 
     alphabet: Alphabet
@@ -111,6 +112,8 @@ class FiniteConfig:
     word: str
 
     def __post_init__(self):
+        if foreign := set(self.word) - set(self.alphabet.symbols):
+            raise ValueError(f"symbol {min(foreign)!r} not in alphabet")
         zero = self.alphabet.zero
         if self.word and (self.word[0] == zero or self.word[-1] == zero):
             raise ValueError("canonical form trims boundary zeros")

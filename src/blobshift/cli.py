@@ -1,10 +1,12 @@
 """Command-line entry point wiring all modules.
 
-Every subcommand is a thin adapter over one library call. JSON reports go
-to stdout with a fixed field order and no timestamps, so identical inputs
-produce byte-identical output; `--format text|pbm|svg-paths` switches
-pattern-emitting commands to raw renders. Exit codes: 0 success, 1 usage
-error, 2 domain error; both errors print one JSON line on stderr,
+Every subcommand is a thin adapter over one library call: it returns a
+result dict, or raw bytes for a render, and :func:`main` alone writes
+it. JSON reports go to stdout with a fixed field order and no
+timestamps, so identical inputs produce byte-identical output;
+`--format text|pbm|svg-paths` switches pattern-emitting commands to raw
+renders. Exit codes: 0 success, 1 usage error, 2 domain error; both
+errors print one JSON line on stderr,
 `{"schema": 1, "error": {"kind": ..., "message": ...}}`, with kind
 `UsageError` for exit 1.
 """
@@ -51,15 +53,12 @@ def _at_least(minimum: int):
 
 
 def _slope(raw: str) -> Fraction:
-    """argparse type for a rational slope p/q in [0, 1]."""
+    """argparse type for a rational slope p/q."""
     num, _, den = raw.partition("/")
     try:
-        alpha = Fraction(int(num), int(den or "1"))
+        return Fraction(int(num), int(den or "1"))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{raw!r} is not p/q") from None
-    if not 0 <= alpha <= 1:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return alpha
 
 
 def _int_list(raw: str) -> list[int]:
@@ -96,131 +95,103 @@ def _cells(cells) -> list:
 
 
 def _emit(args, payload: bytes) -> None:
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            Path(out).write_bytes(payload)
+            Path(args.out).write_bytes(payload)
         except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc.strerror}") from exc
+            raise _UsageError(
+                f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
 
 
-def _echo(command: list[str]) -> list[str]:
-    """The command without its --out pair: reports are location-independent."""
-    out = []
-    skip = False
-    for token in command:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        out.append(token)
-    return out
+def _report(argv: list[str], inputs: dict, result: dict) -> bytes:
+    """The JSON report of a result.
 
-
-def _report(args, command: list[str], inputs: dict, result: dict) -> int:
+    The command drops its --out pair, so reports are location-independent.
+    """
+    command = list(argv)
+    while "--out" in command:
+        at = command.index("--out")
+        del command[at:at + 2]
     report = {
         "schema": 1,
         "tool": {"name": "blobshift", "version": __version__},
-        "command": _echo(command),
+        "command": command,
         "inputs": inputs,
         "result": result,
     }
-    payload = (json.dumps(report, indent=2) + "\n").encode()
-    _emit(args, payload)
-    return 0
+    return (json.dumps(report, indent=2) + "\n").encode()
 
 
-def _pattern_report(args, argv, inputs, pattern: Pattern, result: dict) -> int:
-    """The pattern rendered as --format asks, or a report ending with it."""
+def _pattern_result(args, pattern: Pattern, result: dict) -> dict | bytes:
+    """The pattern rendered as --format asks, or the result ending with it."""
     from . import render
 
     if args.format in render.PATTERN_FORMATS:
-        _emit(args, render.render_pattern(pattern, args.format))
-        return 0
-    return _report(args, argv, inputs,
-                   {**result, "pattern": format_pattern(pattern)})
+        return render.render_pattern(pattern, args.format)
+    return {**result, "pattern": format_pattern(pattern)}
 
 
 # -- subcommand handlers -------------------------------------------------------
 #
 # Each handler imports the library modules it runs, so a command loads only
 # its own: most of a short command's time is compiling and importing them.
+# A handler returns its result dict, or the bytes of a render; the library
+# checks its own arguments, and _checked turns their ValueError into exit 1.
 
 
-def _cmd_gen(args, argv, inputs):
+def _cmd_gen(args, inputs):
     from . import substitution
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
-    symbols = subst.alphabet.symbols
+    seed = args.seed or subst.alphabet.symbols[0]
     if isinstance(subst, substitution.Substitution1D):
         if args.seed_file:
             raise _UsageError("--seed-file needs a 2D substitution")
-        seed = args.seed or symbols[0]
-        if not set(seed) <= set(symbols):
-            raise _UsageError(f"--seed {seed!r} leaves the alphabet")
-        word = substitution.iterate_1d(subst, seed, args.iters)
-        pattern = Pattern.from_word(word, subst.alphabet)
+        word = _checked(substitution.iterate_1d, subst, seed, args.iters)
+        pattern = _checked(Pattern.from_word, word, subst.alphabet)
     else:
         if args.seed_file:
             seed = parse_pattern(_read(args.seed_file, inputs))
-            if any(len(c) != 2 or v not in symbols for c, v in seed.items()):
-                raise _UsageError("--seed-file needs a 2D pattern over the "
-                                  "substitution's alphabet")
         else:
-            symbol = args.seed or symbols[0]
-            if symbol not in symbols:
-                raise _UsageError(f"--seed {symbol!r} is not one symbol "
-                                  "of the alphabet")
-            seed = Pattern(subst.alphabet, {(0, 0): symbol})
-        pattern = substitution.iterate_2d(subst, seed, args.iters)
-    return _pattern_report(args, argv, inputs, pattern, {
+            seed = _checked(Pattern, subst.alphabet, {(0, 0): seed})
+        pattern = _checked(substitution.iterate_2d, subst, seed, args.iters)
+    return _pattern_result(args, pattern, {
         "cells": len(pattern), "support": len(pattern.support())})
 
 
-def _cmd_blobs(args, argv, inputs):
+def _cmd_blobs(args, inputs):
     pattern = parse_pattern(_read(args.pattern, inputs))
     if args.pad:
         pattern = pad(pattern, args.pad)
-    found = blobs(pattern, args.radius)
-    return _report(args, argv, inputs, {
+    return {
         "radius": args.radius,
         "blobs": [{"anchor": list(anchor),
                    "support": _cells(sorted(blob.support())),
                    "cells": len(blob.pattern)}
-                  for blob, anchor in found],
-    })
+                  for blob, anchor in blobs(pattern, args.radius)],
+    }
 
 
-def _cmd_glue(args, argv, inputs):
+def _cmd_glue(args, inputs):
     if len(args.pattern) != 2:
         raise _UsageError("glue needs exactly two --pattern files")
     p = parse_pattern(_read(args.pattern[0], inputs))
     q = parse_pattern(_read(args.pattern[1], inputs))
     glued = _checked(zero_glue, p, q)
-    return _pattern_report(args, argv, inputs, glued, {
+    return _pattern_result(args, glued, {
         "cells": len(glued), "support": len(glued.support())})
 
 
-def _cmd_width(args, argv, inputs):
-    pattern = parse_pattern(_read(args.pattern, inputs))
-    rows = rows_of(pattern)
-    return _report(args, argv, inputs, {
+def _cmd_width(args, inputs):
+    rows = rows_of(parse_pattern(_read(args.pattern, inputs)))
+    return {
         "radius": args.radius,
         "width_lower_bound": essential_width_lower_bound(rows, args.radius),
         "sparsity": sparsity(rows),
-    })
-
-
-def _parse_radii(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part]
-    except ValueError as exc:
-        raise _UsageError(f"bad radii list {raw!r}") from exc
+    }
 
 
 def _pair_reports(report):
@@ -238,7 +209,7 @@ def _pair_reports(report):
 
 
 def _render_levels(args, hierarchy):
-    if not getattr(args, "render_dir", None):
+    if not args.render_dir:
         return None
     from . import render
 
@@ -257,88 +228,80 @@ def _render_levels(args, hierarchy):
     return written
 
 
-def _cmd_fractal(args, argv, inputs):
+def _cmd_fractal(args, inputs):
     from . import blobfractal
 
     pattern = parse_pattern(_read(args.pattern, inputs))
     if args.pad:
         pattern = pad(pattern, args.pad)
-    radii = (_parse_radii(args.radii) if args.radii
+    radii = (_int_list(args.radii) if args.radii
              else blobfractal.auto_radii(pattern))
     hierarchy = blobfractal.build_hierarchy(pattern, radii)
     rendered = _render_levels(args, hierarchy)
-    levels = [{"radius": lvl.radius,
-               "blobs": len(lvl.placements),
-               "distinct": len(lvl.distinct())}
-              for lvl in hierarchy.levels]
+    result = {"radii": radii,
+              "levels": [{"radius": lvl.radius,
+                          "blobs": len(lvl.placements),
+                          "distinct": len(lvl.distinct())}
+                         for lvl in hierarchy.levels]}
     if args.action == "verify":
         report = _checked(blobfractal.verify_axioms, hierarchy)
-        result = {
-            "radii": radii,
-            "levels": levels,
-            "pairs": _pair_reports(report),
-        }
     else:
         verdict = blobfractal._classify(hierarchy, args.threshold)
-        result = {
-            "radii": radii,
-            "levels": levels,
+        report = verdict.report
+        result.update({
             "tag": verdict.tag,
             "radius": verdict.radius,
             "witness_length": verdict.witness_length,
             "levels_verified": verdict.levels_verified,
-            "pairs": _pair_reports(verdict.report),
-        }
+        })
+    result["pairs"] = _pair_reports(report)
     if rendered is not None:
         result["rendered"] = rendered
-    return _report(args, argv, inputs, result)
+    return result
 
 
-def _cmd_classify_path(args, argv, inputs):
+def _cmd_classify_path(args, inputs):
     from . import paths, substitution
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
-    if not isinstance(subst, substitution.Substitution1D):
-        raise _UsageError("classify-path needs a 1D substitution")
     verdict = _checked(paths.classify_path_space, subst, args.horizon)
-    return _report(args, argv, inputs, {
+    return {
         "tag": verdict.tag,
         "constant": verdict.constant,
         "witness": (paths.format_moves(verdict.witness)
                     if verdict.witness else None),
         "horizon": verdict.horizon,
         "details": verdict.details,
-    })
+    }
 
 
-def _cmd_pathcover(args, argv, inputs):
+def _cmd_pathcover(args, inputs):
     from . import pathcover
 
-    if args.action != "guided" and not args.pattern:
-        raise _UsageError(f"{args.action} needs --pattern")
-    if args.action != "guided" and args.format != "json":
-        raise _UsageError(f"{args.action} reports only as --format json")
+    if args.action != "guided":
+        if not args.pattern:
+            raise _UsageError(f"{args.action} needs --pattern")
+        if args.format != "json":
+            raise _UsageError(f"{args.action} reports only as --format json")
+        pattern = parse_pattern(_read(args.pattern, inputs))
     if args.action == "geodesic":
-        pattern = parse_pattern(_read(args.pattern, inputs))
         path = pathcover.geodesic_witness(pattern, args.radius)
-        return _report(args, argv, inputs, {
-            "length": len(path), "cells": _cells(path.cells)})
+        return {"length": len(path), "cells": _cells(path.cells)}
     if args.action == "ascend":
-        pattern = parse_pattern(_read(args.pattern, inputs))
         path, spent, complete = pathcover._ascend(
             pattern, args.radius, args.window, args.budget)
-        return _report(args, argv, inputs, {
+        return {
             "found": path is not None,
             "budget": args.budget,
             "spent": spent,
             "complete": complete,
             "length": len(path) if path else 0,
             "cells": _cells(path.cells) if path else [],
-        })
+        }
     # guided
     if args.slope is not None:
-        offsets = [int(c) for c in
-                   pathcover.sturmian_word(args.slope, args.length)]
+        offsets = [int(c) for c in _checked(pathcover.sturmian_word,
+                                            args.slope, args.length)]
         steps = [1] * args.length
     else:
         if not args.steps or not args.offsets:
@@ -346,11 +309,10 @@ def _cmd_pathcover(args, argv, inputs):
         steps = _int_list(args.steps)
         offsets = _int_list(args.offsets)
     pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
-    return _pattern_report(args, argv, inputs, pattern,
-                           {"support": len(pattern.support())})
+    return _pattern_result(args, pattern, {"support": len(pattern.support())})
 
 
-def _cmd_ca(args, argv, inputs):
+def _cmd_ca(args, inputs):
     from . import automata
 
     rule = automata.parse_ca_rule(_read(args.rule, inputs))
@@ -360,69 +322,58 @@ def _cmd_ca(args, argv, inputs):
         if hit:
             config, n, m = hit
             result.update({"word": config.word, "steps": n, "shift": m})
-        return _report(args, argv, inputs, result)
+        return result
     if args.action == "nilpotent":
         verdict = automata.nilpotency_probe(rule, args.max_width, args.max_time)
-        return _report(args, argv, inputs, {
-            "tag": verdict.tag, "steps": verdict.steps,
-            "witness": verdict.witness})
-    if not set(args.config) <= set(rule.alphabet.symbols):
-        raise _UsageError(f"--config {args.config!r} leaves the alphabet")
-    config = automata.FiniteConfig.make(args.config, args.offset, rule.alphabet)
-    profile = automata.asymptotic_profile(rule, config, args.horizon)
-    return _report(args, argv, inputs, {"profile": profile})
+        return {"tag": verdict.tag, "steps": verdict.steps,
+                "witness": verdict.witness}
+    config = _checked(automata.FiniteConfig.make, args.config, args.offset,
+                      rule.alphabet)
+    return {"profile": automata.asymptotic_profile(rule, config, args.horizon)}
 
 
-def _cmd_tfg(args, argv, inputs):
+def _cmd_tfg(args, inputs):
     from . import automata
 
     element = automata.parse_tfg_element(_read(args.rule, inputs))
     automata.tfg_validate(element)
     verdict = automata.tfg_order_search(element, args.max_order, args.max_period)
-    return _report(args, argv, inputs, {
-        "tag": verdict.tag, "order": verdict.order, "witness": verdict.witness})
+    return {"tag": verdict.tag, "order": verdict.order,
+            "witness": verdict.witness}
 
 
-def _cmd_primes(args, argv, inputs):
+def _cmd_primes(args, inputs):
     from . import primes
 
-    if args.action == "lang":
-        window = primes.sieve(args.limit)
-        words = sorted(_checked(primes.late_language, window, args.length,
-                                args.threshold))
-        return _report(args, argv, inputs, {
-            "length": args.length, "threshold": args.threshold,
-            "limit": args.limit, "words": words})
     if args.action == "crt":
         injection = _int_list(args.injection) if args.injection else None
         witness = _checked(primes.crt_zero_run, args.n, injection)
-        return _report(args, argv, inputs, {
-            "n": witness.n, "injection": list(witness.injection),
-            "k": witness.k, "modulus": witness.modulus,
-            "start": witness.start})
-    if args.action == "isolated":
-        window = primes.sieve(args.limit)
-        found = primes.isolated_prime_search(args.n, window)
-        return _report(args, argv, inputs, {
-            "n": args.n, "limit": args.limit, "prime": found})
+        return {"n": witness.n, "injection": list(witness.injection),
+                "k": witness.k, "modulus": witness.modulus,
+                "start": witness.start}
     if args.action == "dirichlet":
         k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
                                  args.scan_limit)
-        return _report(args, argv, inputs, {
-            "n": args.n, "k": k, "modulus": modulus, "prime": p})
-    if args.action == "gaps":
-        window = primes.sieve(args.limit)
-        return _report(args, argv, inputs, {
-            "threshold": args.threshold, "limit": args.limit,
-            "gap_floor": _checked(primes.gap_floor, window, args.threshold)})
-    # export
+        return {"n": args.n, "k": k, "modulus": modulus, "prime": p}
     window = primes.sieve(args.limit)
+    if args.action == "lang":
+        words = sorted(_checked(primes.late_language, window, args.length,
+                                args.threshold))
+        return {"length": args.length, "threshold": args.threshold,
+                "limit": args.limit, "words": words}
+    if args.action == "isolated":
+        return {"n": args.n, "limit": args.limit,
+                "prime": primes.isolated_prime_search(args.n, window)}
+    if args.action == "gaps":
+        return {"threshold": args.threshold, "limit": args.limit,
+                "gap_floor": _checked(primes.gap_floor, window,
+                                      args.threshold)}
+    # export
     pattern = _checked(primes.char_pattern, window, args.start, args.end)
-    _emit(args, format_pattern(pattern).encode())
-    return 0
+    return format_pattern(pattern).encode()
 
 
-def _cmd_render(args, argv, inputs):
+def _cmd_render(args, inputs):
     from . import render
 
     if args.moves:
@@ -431,13 +382,11 @@ def _cmd_render(args, argv, inputs):
         word = _checked(paths.parse_moves, args.moves)
         if args.format != "svg-paths":
             raise _UsageError("move words render as --format svg-paths")
-        _emit(args, render.render_moves(word))
-        return 0
+        return render.render_moves(word)
     if not args.pattern:
         raise _UsageError("render needs --pattern or --moves")
     pattern = parse_pattern(_read(args.pattern, inputs))
-    _emit(args, render.render_pattern(pattern, args.format))
-    return 0
+    return render.render_pattern(pattern, args.format)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -550,9 +499,13 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    inputs: dict = {}
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, argv, {})
+        result = args.handler(args, inputs)
+        _emit(args, result if isinstance(result, bytes)
+              else _report(argv, inputs, result))
+        return 0
     except _UsageError as exc:
         _print_error("UsageError", exc)
         return 1

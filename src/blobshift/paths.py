@@ -302,8 +302,11 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     such factor; inconclusive otherwise. Every verdict carries replay data
     in ``details``. Each iterate and the tiled window check their length
     against the cell cap before they are built and raise
-    :class:`SizeLimit` past it.
+    :class:`SizeLimit` past it. Any other than a 1D substitution raises
+    ValueError.
     """
+    if not isinstance(subst, Substitution1D):
+        raise ValueError("classify_path_space needs a 1D substitution")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if moves is None:

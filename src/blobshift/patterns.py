@@ -173,6 +173,11 @@ def _reach(r: int, dim: int) -> list[tuple[int, int]]:
         else [(0, r)]
 
 
+def _half_ball(r: int, dim: int) -> int:
+    """Cells of the L1 r-ball lexicographically above its centre."""
+    return r if dim == 1 else r * (r + 1)
+
+
 def _dilate(domain: Mapping[int, tuple], r: int, dim: int) -> dict:
     """The domain within L1 distance r: row y, widened by w, on y + dy."""
     reach, grown = _reach(r, dim), {}
@@ -198,7 +203,7 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     order, then its greater ones. The graph's keys are sorted too. Written
     per dimension, like :func:`neighbours`. The lists can hold up to
     2 * len(cells) * len(half ball) entries; a bound past the cell cap
-    raises :class:`SizeLimit` before the graph is built.
+    raises :class:`SizeLimit` before the half ball is listed.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -206,10 +211,10 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     if not order:
         return {}
     dim = len(order[0])
+    check_cells(2 * len(order) * _half_ball(r, dim),
+                f"{r}-adjacency of {len(order)} cells")
     origin = (0,) * dim
     half = [o for o in neighbours(dim, r)(origin) if o > origin]
-    check_cells(2 * len(order) * len(half),
-                f"{r}-adjacency of {len(order)} cells")
     graph: dict[Cell, list[Cell]] = {c: [] for c in order}
     if dim == 1:
         steps = [d for (d,) in half]
@@ -334,13 +339,38 @@ class Pattern:
         return cls._derived(alphabet, nz, rows, 1)
 
     @classmethod
-    def from_rows(cls, rows: list[str], alphabet: Alphabet = BINARY) -> "Pattern":
-        """2D pattern from text rows given top to bottom.
+    def from_rows(cls, rows: list[str], alphabet: Alphabet = BINARY,
+                  origin: Cell = _ORIGIN) -> "Pattern":
+        """The pattern of text rows, top row first, each symbol checked.
 
-        The bottom-left grid corner lands at the origin; ``.`` is read as
-        the zero symbol and ``?`` leaves a cell outside the domain.
+        The grid's bottom-left corner lands at the origin, whose length is
+        the dimension; a 1D grid is a single row. ``.`` is read as the
+        zero symbol and ``?`` leaves a cell outside the domain. A symbol
+        outside the alphabet raises ValueError, the first one in reading
+        order.
         """
-        return read_rows(rows, alphabet)
+        zero, symbols = alphabet.zero, alphabet.symbols
+        blank = {".", "?", zero}
+        dim = len(origin)
+        x0 = origin[0]
+        top = (origin[1] if dim == 2 else 0) + len(rows) - 1
+        nz: dict[Cell, str] = {}
+        domain: dict[int, tuple] = {}
+        for rix, text in enumerate(rows):
+            y = top - rix if dim == 2 else 0
+            for x, ch in enumerate(text):
+                if ch not in blank:
+                    if ch not in symbols:
+                        raise ValueError(f"symbol {ch!r} not in alphabet")
+                    nz[(x0 + x, y) if dim == 2 else (x0 + x,)] = ch
+            row, at = [], x0
+            for piece in text.split("?"):
+                if piece:
+                    row += (at, at + len(piece))
+                at += len(piece) + 1
+            if row:
+                domain[y] = tuple(row)
+        return cls._derived(alphabet, nz, domain, dim)
 
     # -- basic views ------------------------------------------------------
 
@@ -795,8 +825,7 @@ def pad(pattern: Pattern, r: int) -> Pattern:
     if not pattern._rows:
         return pattern
     pattern = pattern._plain()
-    check_cells(2 * r + 1 if dim == 1 else 2 * r * (r + 1) + 1,
-                f"dilation by {r}")
+    check_cells(2 * _half_ball(r, dim) + 1, f"dilation by {r}")
     rows = _dilate(pattern._rows, r, dim)
     check_cells(_size(rows), f"dilation by {r}")
     padded = Pattern._derived(pattern.alphabet, pattern._nz, rows, dim)
@@ -821,7 +850,7 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
 
     chars maps each symbol, and None for a cell outside the domain, to
     one character; by default zero is "." and a hole "?", the inverse of
-    :func:`read_rows`. The box's area is charged to the cell cap first:
+    :meth:`Pattern.from_rows`. The box's area is charged to the cell cap first:
     two cells far apart span a box far larger than the pattern. Each row
     is laid out from its intervals, then its support cells.
     """
@@ -846,38 +875,6 @@ def write_rows(pattern: Pattern, chars: Mapping | None = None) -> list[str]:
             line[x - x0] = chars[nz[(x, y) if two_d else (x,)]]
         out.append("".join(line))
     return out
-
-
-def read_rows(rows: list[str], alphabet: Alphabet,
-              origin: Cell = (0, 0)) -> Pattern:
-    """The pattern of text rows, top row first, each symbol checked.
-
-    The grid's bottom-left corner lands at the origin, whose length is
-    the dimension; a 1D grid is a single row. A symbol outside the
-    alphabet raises ValueError, the first one in reading order.
-    """
-    zero, symbols = alphabet.zero, alphabet.symbols
-    blank = {".", "?", zero}
-    dim = len(origin)
-    x0 = origin[0]
-    top = (origin[1] if dim == 2 else 0) + len(rows) - 1
-    nz: dict[Cell, str] = {}
-    domain: dict[int, tuple] = {}
-    for rix, text in enumerate(rows):
-        y = top - rix if dim == 2 else 0
-        for x, ch in enumerate(text):
-            if ch not in blank:
-                if ch not in symbols:
-                    raise ValueError(f"symbol {ch!r} not in alphabet")
-                nz[(x0 + x, y) if dim == 2 else (x0 + x,)] = ch
-        row, at = [], x0
-        for piece in text.split("?"):
-            if piece:
-                row += (at, at + len(piece))
-            at += len(piece) + 1
-        if row:
-            domain[y] = tuple(row)
-    return Pattern._derived(alphabet, nz, domain, dim)
 
 
 def alphabet_field(chars: str) -> Alphabet:
@@ -958,4 +955,4 @@ def parse_pattern(text: str) -> Pattern:
     width, height = (dims + [1])[:2]
     if len(rows) != height or any(len(row) != width for row in rows):
         raise UnsupportedFormat("rows do not match the declared dims")
-    return read_rows(rows, alphabet, tuple(origin))
+    return Pattern.from_rows(rows, alphabet, tuple(origin))

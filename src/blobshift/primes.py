@@ -254,6 +254,17 @@ class CRTWitness:
     start: int
 
 
+def _injection(injection: list[int], count: int, what: str) -> list[int]:
+    """The injection as a list, checked to hold count distinct primes."""
+    injection = list(injection)
+    if len(set(injection)) != len(injection) or len(injection) != count:
+        raise InjectionNotDistinct(f"need {what} distinct primes")
+    for p in injection:
+        if not is_prime(p):
+            raise InjectionNotPrime(f"{p} is not prime")
+    return injection
+
+
 def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
     """Build a verified run of n composites from a prime injection.
 
@@ -265,12 +276,7 @@ def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
         raise ValueError("n must be at least 1")
     if injection is None:
         injection = _primes_above(2 * n, n)
-    injection = list(injection)
-    if len(set(injection)) != len(injection) or len(injection) != n:
-        raise InjectionNotDistinct("need n distinct primes")
-    for p in injection:
-        if not is_prime(p):
-            raise InjectionNotPrime(f"{p} is not prime")
+    injection = _injection(injection, n, "n")
     k, modulus = crt_solve([(-i) % p for i, p in enumerate(injection)],
                            injection)
     floor = max(2 * p - i for i, p in enumerate(injection))
@@ -314,12 +320,8 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
     indices = list(range(-n, 0)) + list(range(1, n + 1))
     if injection is None:
         injection = _primes_above(2 * n, 2 * n)
-    injection = list(injection)
-    if len(set(injection)) != len(injection) or len(injection) != 2 * n:
-        raise InjectionNotDistinct("need 2n distinct primes")
+    injection = _injection(injection, 2 * n, "2n")
     for p in injection:
-        if not is_prime(p):
-            raise InjectionNotPrime(f"{p} is not prime")
         if p <= 2 * n:
             raise InjectionNotPrime(f"{p} is not above 2n")
     k, modulus = crt_solve([i % p for i, p in zip(indices, injection)],

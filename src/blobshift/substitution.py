@@ -45,7 +45,12 @@ class Substitution1D:
                     raise ValueError(f"rule image uses unknown symbol {ch!r}")
 
     def apply(self, word: str) -> str:
-        return "".join(map(self.rules.__getitem__, word))
+        """The word's image; a foreign symbol raises ValueError."""
+        try:
+            return "".join(map(self.rules.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(
+                f"symbol {exc.args[0]!r} not in alphabet") from None
 
     def image_length(self, word: str) -> int:
         """Length of ``apply(word)``, from letter counts; nothing is built."""
@@ -71,15 +76,23 @@ class Substitution2D:
             block = self.rules.get(symbol)
             if block is None:
                 raise ValueError(f"missing rule for {symbol!r}")
-            # s*s cells inside the s-by-s box fill it; no s*s set is built
-            if (len(block) != s * s
-                    or block.bounding_box() != ((0, 0), (s - 1, s - 1))):
+            if not _fills_square(block, s):
                 raise ValueError(
                     f"rule for {symbol!r} must be a full {s}x{s} block")
 
 
+def _fills_square(pattern: Pattern, side: int) -> bool:
+    """Whether the domain is the side-by-side square at the origin; side *
+    side cells inside its box fill it, so no cell set is built."""
+    return (len(pattern) == side * side
+            and pattern.bounding_box() == ((0, 0), (side - 1, side - 1)))
+
+
 def iterate_1d(subst: Substitution1D, seed: str, n: int) -> str:
-    """Apply the substitution n times to the seed word."""
+    """Apply the substitution n times to the seed word.
+
+    For n >= 1, a seed symbol outside the alphabet raises ValueError.
+    """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
     word = seed
@@ -95,7 +108,9 @@ def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
     Each domain interval [lo, end) of row y becomes [lo*s, end*s) on rows
     y*s .. y*s + s - 1. When the zero symbol's block is all zero, only the
     support's images are placed; otherwise every domain cell's is. Either
-    way the level is charged for its whole domain before it is built.
+    way the level is charged for its whole domain before it is built. A
+    seed symbol, zero included, outside the substitution's alphabet
+    raises ValueError.
     """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
@@ -104,6 +119,10 @@ def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
     s = subst.expansion
     images = {symbol: list(block._nz.items())
               for symbol, block in subst.rules.items()}
+    zeros = [seed.alphabet.zero] if len(seed) > len(seed._nz) else []
+    if foreign := {*seed._nz.values(), *zeros} - images.keys():
+        raise ValueError(f"seed symbol {min(foreign)!r} outside the "
+                         "substitution's alphabet")
     sparse = not images[subst.alphabet.zero]
     current = seed._plain()
     for _ in range(n):
@@ -238,10 +257,8 @@ class BlockHierarchySpec:
             object.__setattr__(self, "seeds", default_block_seeds(self.k))
         if len(self.seeds) != self.k:
             raise ValueError("need exactly k seed patterns")
-        side = self.seed_side
-        full = frozenset((x, y) for x in range(side) for y in range(side))
         for seed in self.seeds:
-            if seed.domain != full:
+            if not _fills_square(seed, self.seed_side):
                 raise ValueError("seed domains must be the full seed square")
             bottom = sorted(c for c in seed.support() if c[1] == 0)
             if bottom != [(0, 0)]:

@@ -61,7 +61,8 @@ def test_shift_rule_moves_left():
 
 
 def test_decrement_rule_trajectory():
-    traj = evolve(decrement_rule(), FiniteConfig.make("212"), 2)
+    rule = decrement_rule()
+    traj = evolve(rule, FiniteConfig.make("212", 0, rule.alphabet), 2)
     assert [c.word for c in traj] == ["212", "101", ""]
 
 

@@ -21,6 +21,7 @@ XOR_CA = "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n"
 SWAP_TFG = ("ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
             "100 -> shift -1\n101 -> shift -1\n")
 FIB_SUB = "subst 1d ab\na -> ab\nb -> a\n"
+PLUS_SUB = "subst 2d 3 01\n0 ->\n...\n...\n...\n1 ->\n.1.\n111\n.1.\n"
 
 
 def upto(high):
@@ -35,6 +36,7 @@ def files(tmp_path_factory):
     (root / "xor.ca").write_text(XOR_CA)
     (root / "swap.tfg").write_text(SWAP_TFG)
     (root / "fib.sub").write_text(FIB_SUB)
+    (root / "plus.sub").write_text(PLUS_SUB)
     return root
 
 
@@ -116,6 +118,70 @@ def test_unbounded_time_and_limit_meet_the_cell_cap(files, capsys,
         assert json.loads(err)["error"]["kind"] == "UsageError"
     if code == 2:
         assert json.loads(err)["error"]["kind"] == "SizeLimit"
+
+
+# A symbol outside the alphabet, in an argument or a seed file, is a usage
+# error that the library reports: exit 1 with the JSON error, no traceback.
+
+FOREIGN = st.characters(min_codepoint=33, max_codepoint=126).filter(
+    lambda c: c not in "01ab.?")
+
+
+@st.composite
+def with_foreign(draw, alphabet):
+    """A word over alphabet with one foreign symbol put in somewhere."""
+    word = draw(st.text(alphabet, max_size=6))
+    at = draw(st.integers(0, len(word)))
+    return word[:at] + draw(FOREIGN) + word[at:]
+
+
+@st.composite
+def foreign_seed_file(draw):
+    """A 2D pattern over 01 and a foreign symbol, which it uses."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = list(draw(st.text("01.", min_size=width * height,
+                              max_size=width * height)))
+    foreign = draw(FOREIGN)
+    cells[draw(st.integers(0, len(cells) - 1))] = foreign
+    rows = ["".join(cells[y * width:(y + 1) * width]) for y in range(height)]
+    return "\n".join([f"dims {width} {height}", "alphabet 01" + foreign,
+                      *rows]) + "\n"
+
+
+def foreign_commands(root):
+    """(argv, the seed file's text or None)."""
+    fib, plus, xor = (str(root / name) for name in
+                      ("fib.sub", "plus.sub", "xor.ca"))
+    iters = st.integers(0, 4).map(str)
+    return st.one_of(
+        st.tuples(with_foreign("ab"), iters).map(lambda t: ([
+            "gen", "--subst", fib, "--seed=" + t[0], "--iters", t[1]], None)),
+        st.tuples(with_foreign("01"), iters).map(lambda t: ([
+            "gen", "--subst", plus, "--seed=" + t[0], "--iters", t[1]], None)),
+        st.tuples(foreign_seed_file(), iters).map(lambda t: ([
+            "gen", "--subst", plus, "--seed-file", "seed.pat",
+            "--iters", t[1]], t[0])),
+        st.tuples(with_foreign("01"), st.integers(-5, 5).map(str),
+                  st.integers(0, 8).map(str)).map(lambda t: ([
+                      "ca", "profile", "--rule", xor, "--config=" + t[0],
+                      "--offset", t[1], "--horizon", t[2]], None)),
+    )
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_foreign_symbol_is_a_usage_error(files, capsys, monkeypatch, data):
+    monkeypatch.chdir(files)
+    argv, seed_file = data.draw(foreign_commands(files))
+    if seed_file is not None:
+        (files / "seed.pat").write_text(seed_file)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 1, err
+    error = json.loads(err)["error"]
+    assert error["kind"] == "UsageError" and error["message"]
 
 
 # -- the text parsers ------------------------------------------------------------

@@ -61,6 +61,15 @@ def workdir(tmp_path_factory):
     return root
 
 
+def test_python_dash_m_blobshift_prints_the_version():
+    from blobshift import __version__
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "blobshift", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, __version__ + "\n")
+
+
 def test_importing_the_cli_loads_no_command_module():
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(

@@ -2,6 +2,7 @@
 import ast
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +68,20 @@ def test_size_limits_are_raised_only_by_the_guard():
              == "SizeLimit"]
     assert len(SOURCES) > 10
     assert not found, found
+
+
+def test_adjacency_charges_its_ball_before_listing_it(monkeypatch):
+    # the half ball at r = 5000 holds 25 million offsets
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "10")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="^5000-adjacency of 1 cells needs "
+                           "50010000 cells, past the 10-cell cap$"):
+            patterns.adjacency({(0, 0)}, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("cells,r,ball", [

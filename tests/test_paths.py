@@ -21,6 +21,7 @@ from blobshift.paths import (
     floor_zigzag,
     format_moves,
     integrate,
+    move_substitution,
     move_word,
     normalize_heights,
     parse_moves,
@@ -307,6 +308,15 @@ def test_classify_descending():
     verdict = classify_path_space(always_down, 32)
     assert verdict.tag == "descending"
     assert verdict.constant == 1
+
+
+def test_classify_length_preserving_swap_classifies_the_first_image():
+    # + -> -, - -> +: the first image is as long as its seed but differs,
+    # so the window is that image, tiled
+    verdict = classify_path_space(move_substitution("-", "+"), 8)
+    assert (verdict.tag, verdict.constant) == ("descending", 1)
+    assert verdict.details == {"window_length": 32, "iterations": 1,
+                               "tiled": True, "step_bound": 1}
 
 
 def test_classify_thue_morse_bounded():

@@ -260,6 +260,13 @@ def test_isolated_frozen_values():
     assert isolated_prime_search(0, w) == 2
 
 
+@pytest.mark.parametrize("limit", [3, 4])
+def test_isolated_search_finds_nothing_in_a_short_window(limit):
+    # limit 3: 3 + 1 leaves the window; limit 4: 3 is next to 2, and the
+    # primes run out
+    assert isolated_prime_search(1, sieve(limit)) is None
+
+
 def test_isolated_matches_brute():
     for n in (1, 2, 3, 4, 5):
         assert isolated_prime_search(n, sieve(10 ** 4)) == brute_isolated(n, 10 ** 4)

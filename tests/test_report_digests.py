@@ -68,6 +68,9 @@ CASES = {
         "fractal classify --pattern cantor.pat --radii 2,4,10,28 "
         "--threshold 100",
         0, "02d2674670864e0dbf918e8aace99a6baf49eece6e7d361f85b760b716724b1d"),
+    "fractal_classify_auto_radii": (
+        "fractal classify --pattern window.pat --pad 3",
+        0, "503c043d59406457317823f7180929638b20bcd941de1a7d96996be3624153f4"),
     "classify_path": (
         "classify-path --subst tau.sub --horizon 32",
         0, "1f67660530ff63a576afd6d5db1a187a94b79e9b68b3a12e5464b9a1dac39229"),
@@ -123,6 +126,9 @@ CASES = {
     "usage_error_move_symbol": (
         "classify-path --subst bad.sub --horizon 8",
         1, "d4ed44d07c5451819539827495622244101de3f21eb72527ef24a1e8d08b1f21"),
+    "usage_error_unreadable_pattern": (
+        "blobs --pattern missing.pat --radius 1",
+        1, "185b3ae9534a1b635cd95b127d1094b3aea8abd87d466dbb805ae3cf1d173f33"),
     "domain_error": (
         "ca nilpotent --rule bad.ca",
         2, "b79cd25152d278069661943326bb91c92952aec3e3722aac40f2ac31ebbbac91"),
