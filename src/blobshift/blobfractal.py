@@ -82,8 +82,8 @@ class LevelPairReport:
 class FractalVerdict:
     """Finite-scale classification: candidate tags only."""
 
-    # finite_point | unbounded_component | blob_fractal (at least one
-    # level pair passes the axioms) | inconclusive (none passes)
+    # finite_point | unbounded_component | blob_fractal (the first level
+    # pair passes the axioms) | inconclusive (no passing first pair)
     tag: str
     radius: int | None = None
     witness_length: int | None = None
@@ -177,9 +177,9 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
              component_threshold: int) -> FractalVerdict:
     """Finite / unbounded-component / blob-fractal candidate trichotomy.
 
-    `blob_fractal` needs at least one level pair that passes the axioms;
-    a window that gives neither a finite point, a long component nor a
-    passing pair is `inconclusive`.
+    `blob_fractal` needs the first level pair to pass the axioms; a window
+    that gives neither a finite point, a long component nor a passing
+    first pair is `inconclusive`, whatever the later pairs give.
 
     An r-component whose geodesic witness reaches the threshold wins
     first: a window-filling component can masquerade as a single padded

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,17 +196,14 @@ def _cmd_width(args, inputs):
 
 
 def _pair_reports(report):
-    return [{
-        "lower_radius": pair.lower_radius,
-        "upper_radius": pair.upper_radius,
-        "checked": pair.checked,
-        "skipped_truncated": pair.skipped_truncated,
-        "glue_exact": pair.glue_exact,
-        "contains_all": pair.contains_all,
-        "splits_in_two": pair.splits_in_two,
-        "passed": pair.passed(),
-        "counterexample": pair.counterexample,
-    } for pair in report]
+    """Each pair's fields, with passed() inserted before its counterexample."""
+    rows = []
+    for pair in report:
+        row = asdict(pair)
+        counterexample = row.pop("counterexample")
+        rows.append({**row, "passed": pair.passed(),
+                     "counterexample": counterexample})
+    return rows
 
 
 def _render_levels(args, hierarchy):
@@ -247,13 +245,9 @@ def _cmd_fractal(args, inputs):
         report = _checked(blobfractal.verify_axioms, hierarchy)
     else:
         verdict = blobfractal._classify(hierarchy, args.threshold)
+        result.update(asdict(verdict))
+        del result["report"]
         report = verdict.report
-        result.update({
-            "tag": verdict.tag,
-            "radius": verdict.radius,
-            "witness_length": verdict.witness_length,
-            "levels_verified": verdict.levels_verified,
-        })
     result["pairs"] = _pair_reports(report)
     if rendered is not None:
         result["rendered"] = rendered
@@ -265,14 +259,8 @@ def _cmd_classify_path(args, inputs):
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
     verdict = _checked(paths.classify_path_space, subst, args.horizon)
-    return {
-        "tag": verdict.tag,
-        "constant": verdict.constant,
-        "witness": (paths.format_moves(verdict.witness)
-                    if verdict.witness else None),
-        "horizon": verdict.horizon,
-        "details": verdict.details,
-    }
+    witness = paths.format_moves(verdict.witness) if verdict.witness else None
+    return asdict(replace(verdict, witness=witness))
 
 
 def _cmd_pathcover(args, inputs):
@@ -324,9 +312,8 @@ def _cmd_ca(args, inputs):
             result.update({"word": config.word, "steps": n, "shift": m})
         return result
     if args.action == "nilpotent":
-        verdict = automata.nilpotency_probe(rule, args.max_width, args.max_time)
-        return {"tag": verdict.tag, "steps": verdict.steps,
-                "witness": verdict.witness}
+        return asdict(automata.nilpotency_probe(rule, args.max_width,
+                                                args.max_time))
     config = _checked(automata.FiniteConfig.make, args.config, args.offset,
                       rule.alphabet)
     return {"profile": automata.asymptotic_profile(rule, config, args.horizon)}
@@ -337,9 +324,8 @@ def _cmd_tfg(args, inputs):
 
     element = automata.parse_tfg_element(_read(args.rule, inputs))
     automata.tfg_validate(element)
-    verdict = automata.tfg_order_search(element, args.max_order, args.max_period)
-    return {"tag": verdict.tag, "order": verdict.order,
-            "witness": verdict.witness}
+    return asdict(automata.tfg_order_search(element, args.max_order,
+                                            args.max_period))
 
 
 def _cmd_primes(args, inputs):
@@ -347,10 +333,7 @@ def _cmd_primes(args, inputs):
 
     if args.action == "crt":
         injection = _int_list(args.injection) if args.injection else None
-        witness = _checked(primes.crt_zero_run, args.n, injection)
-        return {"n": witness.n, "injection": list(witness.injection),
-                "k": witness.k, "modulus": witness.modulus,
-                "start": witness.start}
+        return asdict(_checked(primes.crt_zero_run, args.n, injection))
     if args.action == "dirichlet":
         k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
                                  args.scan_limit)
@@ -406,7 +389,7 @@ def _build_parser() -> _Parser:
     p = add("gen", _cmd_gen, help="iterate a substitution")
     p.add_argument("--subst", required=True)
     p.add_argument("--seed")
-    p.add_argument("--seed-file", dest="seed_file")
+    p.add_argument("--seed-file")
     p.add_argument("--iters", type=_at_least(0), required=True)
     p.add_argument("--format", default="json",
                    choices=("json", "text", "pbm"))
@@ -433,7 +416,7 @@ def _build_parser() -> _Parser:
                    help="zero-pad the window by this radius first")
     p.add_argument("--radii", help="comma-separated strictly increasing radii")
     p.add_argument("--threshold", type=_at_least(1), default=50)
-    p.add_argument("--render-dir", dest="render_dir",
+    p.add_argument("--render-dir",
                    help="write one PBM per level blob into this directory")
 
     p = add("classify-path", _cmd_classify_path,
@@ -459,9 +442,9 @@ def _build_parser() -> _Parser:
     p = add("ca", _cmd_ca, help="cellular automaton probes")
     p.add_argument("action", choices=("glider", "nilpotent", "profile"))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-width", dest="max_width", type=_at_least(1),
+    p.add_argument("--max-width", type=_at_least(1),
                    default=4)
-    p.add_argument("--max-time", dest="max_time", type=_at_least(1),
+    p.add_argument("--max-time", type=_at_least(1),
                    default=16)
     p.add_argument("--config", default="1")
     p.add_argument("--offset", type=int, default=0)
@@ -470,9 +453,9 @@ def _build_parser() -> _Parser:
     p = add("tfg", _cmd_tfg, help="topological full group order search")
     p.add_argument("action", choices=("order",))
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-order", dest="max_order", type=_at_least(1),
+    p.add_argument("--max-order", type=_at_least(1),
                    default=8)
-    p.add_argument("--max-period", dest="max_period", type=_at_least(1),
+    p.add_argument("--max-period", type=_at_least(1),
                    default=4)
 
     p = add("primes", _cmd_primes, help="prime subshift probes")
@@ -483,7 +466,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=_at_least(0), default=10 ** 5)
     p.add_argument("--n", type=_at_least(0), default=1)
     p.add_argument("--injection")
-    p.add_argument("--scan-limit", dest="scan_limit", type=_at_least(0),
+    p.add_argument("--scan-limit", type=_at_least(0),
                    default=10 ** 5)
     p.add_argument("--start", type=_at_least(0), default=0)
     p.add_argument("--end", type=int, default=None)

@@ -81,9 +81,9 @@ class PathClassVerdict:
     """Classification outcome at a finite horizon, with replay data."""
 
     tag: str  # ascending | descending | bounded | unbounded_recurrent | inconclusive
-    horizon: int
     constant: int | None = None
     witness: MoveWord | None = None
+    horizon: int = field(kw_only=True)
     details: dict = field(default_factory=dict)
 
 
@@ -339,11 +339,11 @@ def classify_path_space(subst: Substitution1D, horizon: int,
 
     m_up = _ascension_up_to(heights, horizon, le)
     if m_up is not None:
-        return PathClassVerdict("ascending", horizon, constant=m_up,
+        return PathClassVerdict("ascending", m_up, horizon=horizon,
                                 details=detail)
     m_down = _ascension_up_to(heights, horizon, ge)
     if m_down is not None:
-        return PathClassVerdict("descending", horizon, constant=m_down,
+        return PathClassVerdict("descending", m_down, horizon=horizon,
                                 details=detail)
 
     # the window is the last iterate unless it was tiled
@@ -351,7 +351,7 @@ def classify_path_space(subst: Substitution1D, horizon: int,
     ranges = [max(hs) - min(hs) for hs in walks + [heights]]
     detail["iterate_ranges"] = ranges
     if len(ranges) >= 2 and ranges[-1] == ranges[-2]:
-        return PathClassVerdict("bounded", horizon, constant=ranges[-1],
+        return PathClassVerdict("bounded", ranges[-1], horizon=horizon,
                                 details=detail)
 
     # growing heights: hunt for a factor re-entering [0, r-1] horizon times
@@ -363,12 +363,13 @@ def classify_path_space(subst: Substitution1D, horizon: int,
             witness = MoveWord(tuple(map(to_moves, word[start:stop])), step)
             detail.update({"witness_start": start, "witness_visits": count,
                            "search_length": len(word)})
-            return PathClassVerdict("unbounded_recurrent", horizon,
-                                    witness=witness, details=detail)
+            return PathClassVerdict("unbounded_recurrent", witness=witness,
+                                    horizon=horizon, details=detail)
         projected = subst.image_length(word)
         if projected > _WITNESS_CELLS or projected <= len(word):
             detail["search_length"] = len(word)
-            return PathClassVerdict("inconclusive", horizon, details=detail)
+            return PathClassVerdict("inconclusive", horizon=horizon,
+                                    details=detail)
         word = iterate_1d(subst, word, 1)
         heights = _heights(word, to_moves)
 

@@ -106,11 +106,11 @@ def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
     """Apply the block substitution n times; side multiplies by the expansion.
 
     Each domain interval [lo, end) of row y becomes [lo*s, end*s) on rows
-    y*s .. y*s + s - 1. When the zero symbol's block is all zero, only the
-    support's images are placed; otherwise every domain cell's is. Either
-    way the level is charged for its whole domain before it is built. A
-    seed symbol, zero included, outside the substitution's alphabet
-    raises ValueError.
+    y*s .. y*s + s - 1. Only the support's images are placed when the
+    level's zero (the seed's at the first level) has an all-zero block or
+    no rule; otherwise every domain cell's is. Either way the level is
+    charged for its whole domain before it is built. A seed symbol, zero
+    included, outside the substitution's alphabet raises ValueError.
     """
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
@@ -123,11 +123,11 @@ def iterate_2d(subst: Substitution2D, seed: Pattern, n: int) -> Pattern:
     if foreign := {*seed._nz.values(), *zeros} - images.keys():
         raise ValueError(f"seed symbol {min(foreign)!r} outside the "
                          "substitution's alphabet")
-    sparse = not images[subst.alphabet.zero]
     current = seed._plain()
     for _ in range(n):
         check_cells(len(current) * s * s, "2D iterate")
         values = {}
+        sparse = not images.get(current.alphabet.zero)
         for (x, y), symbol in (current._nz.items() if sparse
                                else current.items()):
             bx, by = x * s, y * s

@@ -384,6 +384,16 @@ def test_classify_without_a_passing_pair_is_inconclusive():
     assert verdict.levels_verified == 1
 
 
+def test_blob_fractal_needs_the_first_pair_to_pass():
+    # the second pair passes, the first does not: levels_verified counts
+    # only the leading run of passing pairs, so the tag is inconclusive
+    p = pad(Pattern.from_word(iterate_1d(cantor_substitution(), "1", 4)), 28)
+    verdict = classify(p, (2, 3, 4), 1000)
+    assert [pair.passed() for pair in verdict.report] == [False, True]
+    assert verdict.tag == "inconclusive"
+    assert verdict.levels_verified == 1
+
+
 def test_classify_plus_unbounded():
     verdict = classify(plus_pattern(4), (1, 2), 50)
     assert verdict.tag == "unbounded_component"

@@ -138,6 +138,14 @@ def test_cli_gen_matches_library(files, capsys):
     assert report["result"]["support"] == len(direct.support())
 
 
+def test_cli_gen_seed_file_with_another_zero(files, capsys):
+    # "alphabet 10" makes "1" the seed's zero; the "1" cell still grows
+    (files / "seed.pat").write_text("dims 2 1\nalphabet 10\n10\n")
+    report = run_json(capsys, "gen", "--subst", str(files / "plus.sub"),
+                      "--seed-file", str(files / "seed.pat"), "--iters", "1")
+    assert report["result"]["support"] == 5
+
+
 def test_cli_blobs(files, capsys):
     report = run_json(capsys, "blobs", "--pattern", str(files / "word.pat"),
                       "--radius", "1")
@@ -375,6 +383,20 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
         kind = ("SizeLimit" if argv[0] in ("ca", "tfg", "primes")
                 else "UnsupportedFormat")
         assert json.loads(err)["error"]["kind"] == kind
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pathcover", "guided"], "guided needs --slope or --steps with --offsets"),
+    (["pathcover", "guided", "--steps", "1,1"],
+     "guided needs --slope or --steps with --offsets"),
+    (["render", "--moves", "++", "--format", "text"],
+     "move words render as --format svg-paths"),
+    (["render", "--format", "pbm"], "render needs --pattern or --moves"),
+])
+def test_cli_usage_errors_name_the_missing_input(capsys, argv, message):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "schema": 1, "error": {"kind": "UsageError", "message": message}}
 
 
 @pytest.mark.parametrize("command,text", [

@@ -90,6 +90,22 @@ def test_plus_growth_and_connectivity():
         assert len(connected_components(current.support(), 1)) == 1
 
 
+def test_seed_with_another_zero_iterates_by_symbol():
+    # the seed's zero is "1", so its support is the "0" cell alone; the
+    # level still maps each cell by its symbol, as over BINARY
+    seed = Pattern(Alphabet(("1", "0"), "1"), {(0, 0): "1", (1, 0): "0"})
+    out = iterate_2d(plus_substitution(), seed, 1)
+    assert len(out.support()) == 5
+    assert out == iterate_2d(plus_substitution(), Pattern(
+        BINARY, {(0, 0): "1", (1, 0): "0"}), 1)
+
+
+def test_seed_without_zero_cells_needs_no_rule_for_its_zero():
+    seed = Pattern(Alphabet(("x", "1"), "x"), {(0, 0): "1"})
+    assert iterate_2d(plus_substitution(), seed, 2) == iterate_2d(
+        plus_substitution(), Pattern(BINARY, {(0, 0): "1"}), 2)
+
+
 def test_size_limit_2d(monkeypatch):
     s = plus_substitution()
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(10 ** 5))
