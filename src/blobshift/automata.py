@@ -536,14 +536,6 @@ class OrderVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def cocycle_on_cycle(element: TFGElement, word: str, position: int) -> int:
-    """Cocycle value at a rotation of a periodic word."""
-    rho = element.radius
-    n = len(word)
-    window = "".join(word[(position + d) % n] for d in range(-rho, rho + 1))
-    return element.table[window]
-
-
 def tfg_order_search(element: TFGElement, max_order: int,
                      max_period: int) -> OrderVerdict:
     """Torsion via symbolic powers, infinite order via periodic drift.
@@ -588,12 +580,17 @@ def _drift_search(element: TFGElement, max_order: int,
     """infinite_order at the first periodic word that drifts."""
     check_cells(_table_cells(element.alphabet, max_period),
                 f"drift search up to period {max_period}")
+    rho, table = element.radius, element.table
+    width = 2 * rho + 1
     for period in range(1, max_period + 1):
         for word in _words(element.alphabet.symbols, period):
+            ring = word * (width // period + 2)
+            shifts = [table[ring[(j - rho) % period:][:width]]  # centred at j
+                      for j in range(period)]
             total = 0
             seen = {0: (0, 0)}
             for t in range(1, max_order + 1):
-                total += cocycle_on_cycle(element, word, total % period)
+                total += shifts[total % period]
                 state = total % period
                 if state in seen:
                     prev_t, prev_total = seen[state]

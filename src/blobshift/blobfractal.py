@@ -87,6 +87,8 @@ class FractalVerdict:
     tag: str
     radius: int | None = None
     witness_length: int | None = None
+    # finite_point: the trailing single-blob levels, no pair checked;
+    # blob_fractal | inconclusive: 1 plus the leading run of passing pairs
     levels_verified: int | None = None
     report: tuple[LevelPairReport, ...] = field(default=())
 
@@ -179,7 +181,10 @@ def classify(pattern: Pattern, radii_schedule: Sequence[int],
 
     `blob_fractal` needs the first level pair to pass the axioms; a window
     that gives neither a finite point, a long component nor a passing
-    first pair is `inconclusive`, whatever the later pairs give.
+    first pair is `inconclusive`, whatever the later pairs give. For both,
+    `levels_verified` is 1 plus the leading run of passing pairs; for a
+    finite point it counts the trailing single-blob levels, with an empty
+    report, since no pair is checked.
 
     An r-component whose geodesic witness reaches the threshold wins
     first: a window-filling component can masquerade as a single padded

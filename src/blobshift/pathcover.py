@@ -211,20 +211,11 @@ def trace_guided_path(vertical_steps: Sequence[int], offsets: Sequence[int],
 def sturmian_word(alpha: Fraction, length: int) -> str:
     """Mechanical 0/1 word of slope alpha and intercept 0.
 
-    Symbol i is floor((i+1) alpha) - floor(i alpha), computed with exact
-    rationals.
+    Symbol i is floor((i+1) alpha) - floor(i alpha), computed in integers
+    from alpha's numerator and denominator.
     """
     if not 0 <= alpha <= 1:
         raise ValueError("slope must lie in [0, 1]")
     check_cells(length, "Sturmian word")
-    out = []
-    prev = 0
-    for i in range(1, length + 1):
-        cur = _floor(alpha * i)
-        out.append(str(cur - prev))
-        prev = cur
-    return "".join(out)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
+    p, q = alpha.numerator, alpha.denominator
+    return "".join(str((i + 1) * p // q - i * p // q) for i in range(length))

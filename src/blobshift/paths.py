@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .limits import check_cells
 from .substitution import Substitution1D, iterate_1d
-from .patterns import Alphabet
+from .patterns import alphabet_field
 
 @dataclass(frozen=True)
 class MoveWord:
@@ -187,19 +187,15 @@ def parse_move_symbol(symbol: str) -> int:
 # -- canned move substitutions --------------------------------------------------
 
 
-def _move_alphabet(symbols: str) -> Alphabet:
-    return Alphabet(tuple(symbols), symbols[0])
-
-
 def move_substitution(up_image: str, down_image: str) -> Substitution1D:
     """Substitution over the unit-move symbols '+' and '-'."""
-    return Substitution1D(_move_alphabet("+-"),
+    return Substitution1D(alphabet_field("+-"),
                           {"+": up_image, "-": down_image})
 
 
 def always_up() -> Substitution1D:
     """Fixed rule '+' -> '+': the all-ascending path space."""
-    return Substitution1D(_move_alphabet("+"), {"+": "+"})
+    return Substitution1D(alphabet_field("+"), {"+": "+"})
 
 
 def deep_zigzag() -> Substitution1D:
@@ -225,7 +221,7 @@ def thue_morse_moves() -> tuple[Substitution1D, dict[str, int]]:
     resolves them.
     """
     subst = Substitution1D(
-        _move_alphabet("abcd"),
+        alphabet_field("abcd"),
         {"a": "ab", "b": "ca", "c": "cd", "d": "ac"})
     return subst, {"a": 1, "b": 0, "c": -1, "d": 0}
 
@@ -324,8 +320,6 @@ def classify_path_space(subst: Substitution1D, horizon: int,
                 words.append(nxt)
             break
         words.append(nxt)
-    if len(words) == 1 and not tiled:
-        words.append(iterate_1d(subst, words[-1], 1))
     window = words[-1]
     if tiled:
         reps = -(-target // len(window))

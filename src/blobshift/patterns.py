@@ -18,7 +18,7 @@ when :attr:`Blob.pattern` is read; whether the dilation leaves the
 window is an interval test per row of the piece.
 
 :func:`adjacency` builds a cell set's r-adjacency graph once, probing
-each pair from its lesser cell over half of :func:`neighbours`' ball.
+each pair from its lesser cell over half of the L1 ball.
 :func:`bfs` walks it from one cell; :func:`component_sweeps` from each
 component's least cell, which gives :func:`connected_components`, blob
 scans and the path searches of :mod:`blobshift.pathcover`.
@@ -66,25 +66,10 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"), "0")
 
 
-def neighbours(dim: int, r: int):
-    """Function mapping a cell to the cells at L1 distance 1..r, sorted.
-
-    The only enumeration of L1 offsets, written per dimension. `adjacency`
-    calls it once, at the origin, whose image is the offsets.
-    """
-    if dim == 1:
-        steps = [d for d in range(-r, r + 1) if d]
-        return lambda cell: [(cell[0] + d,) for d in steps]
-    offsets = [(dx, dy) for dx in range(-r, r + 1)
-               for dy in range(abs(dx) - r, r - abs(dx) + 1) if dx or dy]
-    return lambda cell: [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]
-
-
 def translate_values(values: Mapping[Cell, T], v: Cell) -> dict[Cell, T]:
     """values moved by v, in the order of values.
 
-    Written per dimension, like :func:`neighbours`; v must have the cells'
-    dimension.
+    Written per dimension; v must have the cells' dimension.
     """
     if len(v) == 1:
         (a,) = v
@@ -200,10 +185,10 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     Each unordered pair is probed once, from its lesser cell, over the
     lexicographically positive half of the L1 ball. Cells are visited in
     sorted order, so every list gets its lesser neighbours first, in
-    order, then its greater ones. The graph's keys are sorted too. Written
-    per dimension, like :func:`neighbours`. The lists can hold up to
-    2 * len(cells) * len(half ball) entries; a bound past the cell cap
-    raises :class:`SizeLimit` before the half ball is listed.
+    order, then its greater ones. The graph's keys are sorted too. The
+    half ball is 1..r in 1D and read off :func:`_reach`'s rows in 2D. The
+    lists can hold up to 2 * len(cells) * len(half ball) entries; a bound
+    past the cell cap raises :class:`SizeLimit` before it is listed.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -213,20 +198,19 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     dim = len(order[0])
     check_cells(2 * len(order) * _half_ball(r, dim),
                 f"{r}-adjacency of {len(order)} cells")
-    origin = (0,) * dim
-    half = [o for o in neighbours(dim, r)(origin) if o > origin]
     graph: dict[Cell, list[Cell]] = {c: [] for c in order}
     if dim == 1:
-        steps = [d for (d,) in half]
         for c in order:
             x = c[0]
             out = graph[c]
-            for d in steps:
+            for d in range(1, r + 1):
                 nb = (x + d,)
                 if nb in graph:
                     out.append(nb)
                     graph[nb].append(c)
     else:
+        half = sorted((dx, dy) for dy, w in _reach(r, 2)
+                      for dx in range(-w, w + 1) if (dx, dy) > _ORIGIN)
         for c in order:
             x, y = c
             out = graph[c]
@@ -807,10 +791,8 @@ def sparse_not_uniform_family(n: int) -> Pattern:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    support = {i for i in range(0, n * n + 1, n)}
-    values = {(x,): ("1" if x in support else "0")
-              for x in range(-n, n * n + n + 1)}
-    return Pattern(BINARY, values)
+    return Pattern.from_word(
+        "0" * n + ("1" + "0" * (n - 1)) * n + "1" + "0" * n, BINARY, -n)
 
 
 def pad(pattern: Pattern, r: int) -> Pattern:

@@ -7,7 +7,7 @@ from itertools import accumulate
 import pytest
 
 from blobshift.errors import GlueConflict
-from blobshift.patterns import BINARY, Pattern, neighbours, pad
+from blobshift.patterns import BINARY, Pattern, pad
 
 
 def random_pattern_1d(rng: random.Random, length: int = 40,
@@ -30,6 +30,20 @@ def random_padded_pattern(rng: random.Random, r: int = 3) -> Pattern:
     else:
         core = random_pattern_2d(rng)
     return pad(core, r)
+
+
+def neighbours(dim: int, r: int):
+    """Function mapping a cell to the cells at L1 distance 1..r, sorted.
+
+    The oracles' own L1 ball, written per dimension; the library reads
+    the ball by rows instead.
+    """
+    if dim == 1:
+        steps = [d for d in range(-r, r + 1) if d]
+        return lambda cell: [(cell[0] + d,) for d in steps]
+    offsets = [(dx, dy) for dx in range(-r, r + 1)
+               for dy in range(abs(dx) - r, r - abs(dx) + 1) if dx or dy]
+    return lambda cell: [(cell[0] + dx, cell[1] + dy) for dx, dy in offsets]
 
 
 def ball_bfs(nodes, start, r):
@@ -64,6 +78,22 @@ def ball_components(cells, r):
             seen |= comp
             components.append(comp)
     return components
+
+
+def three_bfs_geodesic(pattern, r):
+    """The witness before adjacency graphs: components, then two sweeps.
+
+    Every search tests each popped cell's whole r-ball (:func:`ball_bfs`).
+    """
+    comps = ball_components(pattern.support(), r)
+    comp = max(comps, key=lambda c: (len(c), sorted(c)[0]))
+    dist, _ = ball_bfs(comp, min(comp), r)
+    a = max(dist, key=lambda c: (dist[c], c))
+    dist, parent = ball_bfs(comp, a, r)
+    cells = [max(dist, key=lambda c: (dist[c], c))]
+    while cells[-1] != a:
+        cells.append(parent[cells[-1]])
+    return cells[::-1]
 
 
 def scan_late_language(window, length, threshold):

@@ -1,4 +1,5 @@
 """Blob hierarchies: levels, the three axioms, the trichotomy."""
+import json
 import random
 
 import pytest
@@ -14,16 +15,15 @@ from blobshift.blobfractal import (
     classify,
     verify_axioms,
 )
+from blobshift.cli import main
 from blobshift.errors import RadiiNotIncreasing
-from blobshift.pathcover import geodesic_witness
 from blobshift.patterns import (
     BINARY,
     Alphabet,
     Blob,
     Pattern,
-    connected_components,
+    format_pattern,
     pad,
-    zero_glue,
 )
 from blobshift.substitution import (
     cantor_substitution,
@@ -32,7 +32,8 @@ from blobshift.substitution import (
     plus_substitution,
 )
 
-from conftest import dilate
+from conftest import (DictPattern, ball_components, dilate, oracle_zero_glue,
+                      three_bfs_geodesic)
 
 CANTOR_RADII = (2, 4, 10, 28)  # 3^(i-1) + 1
 
@@ -56,7 +57,7 @@ def plus_pattern(level: int) -> Pattern:
 
 def oracle_scan(pattern: Pattern, r: int, cells) -> list[BlobPlacement]:
     out = []
-    for comp in connected_components(cells, r):
+    for comp in ball_components(cells, r):
         anchor = min(comp)
         ball = dilate(comp, r)
         inside = {c: pattern.value(c) for c in ball if c in pattern}
@@ -110,11 +111,13 @@ def oracle_verify_axioms(hierarchy: BlobHierarchy):
             if glue_exact:
                 rebuilt = None
                 for part in parts:
-                    piece = part.blob.pattern.translate(part.anchor)
-                    rebuilt = piece if rebuilt is None else zero_glue(rebuilt, piece)
+                    piece = DictPattern.of(part.blob.pattern).translate(
+                        part.anchor)
+                    rebuilt = (piece if rebuilt is None
+                               else oracle_zero_glue(rebuilt, piece))
                 target = pl.absolute_support()
                 if not (rebuilt is not None and rebuilt.support() == target
-                        and all(rebuilt.value(c) == pattern.value(c)
+                        and all(rebuilt.values[c] == pattern.value(c)
                                 for c in target)):
                     glue_exact = False
                     counterexample = counterexample or {
@@ -130,7 +133,7 @@ def oracle_classify(pattern: Pattern, radii, threshold: int) -> FractalVerdict:
     if not pattern.support():
         return FractalVerdict("finite_point")
     for r in radii:
-        witness = geodesic_witness(pattern, r)
+        witness = three_bfs_geodesic(pattern, r)
         if len(witness) >= threshold:
             return FractalVerdict("unbounded_component", radius=r,
                                   witness_length=len(witness))
@@ -392,6 +395,21 @@ def test_blob_fractal_needs_the_first_pair_to_pass():
     assert [pair.passed() for pair in verdict.report] == [False, True]
     assert verdict.tag == "inconclusive"
     assert verdict.levels_verified == 1
+
+
+def test_a_finite_point_counts_its_single_blob_levels(tmp_path, capsys):
+    # levels_verified counts levels here, not passing pairs: none is checked
+    window = pad(Pattern.from_word("111"), 10)
+    verdict = classify(window, (1, 2, 3, 4), 100)
+    assert verdict.tag == "finite_point"
+    assert verdict.levels_verified == 4
+    assert verdict.report == ()
+    (tmp_path / "w.pat").write_text(format_pattern(window))
+    assert main(["fractal", "classify", "--pattern", str(tmp_path / "w.pat"),
+                 "--radii", "1,2,3,4", "--threshold", "100"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["tag"], result["levels_verified"], result["pairs"]) == (
+        "finite_point", 4, [])
 
 
 def test_classify_plus_unbounded():

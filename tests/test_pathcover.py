@@ -15,7 +15,6 @@ from blobshift.patterns import (
     adjacency,
     connected_components,
     essential_width_lower_bound,
-    neighbours,
     rows_of,
     sparsity,
 )
@@ -37,7 +36,8 @@ from blobshift.substitution import (
     iterate_2d,
     plus_substitution,
 )
-from conftest import ball_bfs, ball_components
+from conftest import (ball_bfs, ball_components, neighbours,
+                      three_bfs_geodesic)
 
 GOLDEN = Fraction(377, 610)  # continued-fraction approximant of 1/phi
 
@@ -108,22 +108,6 @@ def shipped_patterns():
             out[f"block{k}_{j}"] = build_unbounded_rows(block_spec(k),
                                                         level, j)
     return out
-
-
-def three_bfs_geodesic(pattern, r):
-    """The witness before adjacency graphs: components, then two sweeps.
-
-    Every search tests each popped cell's whole r-ball (:func:`ball_bfs`).
-    """
-    comps = ball_components(pattern.support(), r)
-    comp = max(comps, key=lambda c: (len(c), sorted(c)[0]))
-    dist, _ = ball_bfs(comp, min(comp), r)
-    a = max(dist, key=lambda c: (dist[c], c))
-    dist, parent = ball_bfs(comp, a, r)
-    cells = [max(dist, key=lambda c: (dist[c], c))]
-    while cells[-1] != a:
-        cells.append(parent[cells[-1]])
-    return cells[::-1]
 
 
 def test_geodesic_matches_the_three_bfs_witness():

@@ -24,7 +24,6 @@ from blobshift.patterns import (
     essential_width_lower_bound,
     format_pattern,
     interval_cover_count,
-    neighbours,
     occurrences,
     pad,
     parse_pattern,
@@ -37,6 +36,7 @@ from conftest import (
     ball_bfs,
     dilate,
     ball_components,
+    neighbours,
     random_padded_pattern,
     random_pattern_1d,
 )
