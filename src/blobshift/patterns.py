@@ -17,11 +17,13 @@ r-dilation cut to the window, is implied and built from intervals only
 when :attr:`Blob.pattern` is read; whether the dilation leaves the
 window is an interval test per row of the piece.
 
-:func:`adjacency` builds a cell set's r-adjacency graph once, probing
-each pair from its lesser cell over half of the L1 ball.
-:func:`bfs` walks it from one cell; :func:`component_sweeps` from each
-component's least cell, which gives :func:`connected_components`, blob
-scans and the path searches of :mod:`blobshift.pathcover`.
+:func:`connected_components` and blob scans read the r-components off
+the support's sorted rows: each row is cut into runs of cells, and runs
+of nearby rows are joined in a union-find, so no cell graph is built.
+The path searches of :mod:`blobshift.pathcover` need paths, not only a
+partition: :func:`adjacency` builds their r-adjacency graph, probing
+each pair from its lesser cell over half of the L1 ball, and
+:func:`bfs` and :func:`component_sweeps` walk it.
 
 The public :class:`Pattern` constructor checks every cell and symbol.
 Values derived only from checked patterns of one alphabet and its zero
@@ -51,12 +53,20 @@ _ORIGIN = (0, 0)
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered symbol list with a distinguished zero symbol."""
+    """Ordered symbol list with a distinguished zero symbol.
+
+    Each symbol is one character, since every word is read one character
+    at a time.
+    """
 
     symbols: tuple[str, ...]
     zero: str
 
     def __post_init__(self):
+        for symbol in self.symbols:
+            if len(symbol) != 1:
+                raise ValueError("alphabet symbols must be single "
+                                 f"characters, got {symbol!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
         if self.zero not in self.symbols:
@@ -150,6 +160,19 @@ def _union(a: tuple, b: tuple) -> tuple:
 
 def _size(domain: Mapping[int, tuple]) -> int:
     return sum(sum(row[1::2]) - sum(row[::2]) for row in domain.values())
+
+
+def _rows_of(cells: Iterable[Cell], dim: int,
+             at: Cell = _ORIGIN) -> dict[int, list[int]]:
+    """Row -> the sorted xs of the cells, moved by -at (row 0 in 1D)."""
+    a, b = at
+    xs_by_y: dict[int, list[int]] = {}
+    for cell in cells:
+        xs_by_y.setdefault(cell[-1] - b if dim == 2 else 0,
+                           []).append(cell[0] - a)
+    for xs in xs_by_y.values():
+        xs.sort()
+    return xs_by_y
 
 
 def _reach(r: int, dim: int) -> list[tuple[int, int]]:
@@ -247,7 +270,9 @@ def component_sweeps(graph: Mapping[Cell, list[Cell]]) -> Iterator[dict]:
 
     Components come in order of their least cell, since the graph lists
     its cells in sorted order, as :func:`adjacency` does; each map's
-    first key is that cell.
+    first key is that cell. The path searches sweep with it; the
+    partition alone comes from :func:`connected_components`, which
+    builds no graph.
     """
     seen: set[Cell] = set()
     for start in graph:
@@ -409,14 +434,7 @@ class Pattern:
     def _support_rows(self) -> dict[int, list[int]]:
         """Row -> the sorted xs of its support cells, in the rows' frame."""
         if self._xs is None:
-            a, b = self._at
-            xs_by_y: dict[int, list[int]] = {}
-            for cell in self._nz:
-                xs_by_y.setdefault(cell[-1] - b if self._dim == 2 else 0,
-                                   []).append(cell[0] - a)
-            for xs in xs_by_y.values():
-                xs.sort()
-            self._xs = xs_by_y
+            self._xs = _rows_of(self._nz, self._dim, self._at)
         return self._xs
 
     def bounding_box(self) -> tuple[Cell, Cell] | None:
@@ -562,13 +580,83 @@ class Blob:
 # -- connectivity ----------------------------------------------------------
 
 
+def _components(xs_by_y: Mapping[int, list[int]], r: int,
+                dim: int) -> list[tuple[Cell, dict[int, list[int]]]]:
+    """(least cell, sorted xs per row) per r-component of the cells.
+
+    The cells come as sorted xs per row. Each row is cut into runs
+    wherever a gap exceeds r, so in 1D the runs are the components. For
+    dy = 1..r and w = r - dy, each cell b of row y + dy joins every run of
+    row y holding an x in [b - w, b + w], in a union-find over runs (He,
+    Chao & Suzuki, "A run-based two-scan labeling algorithm", 2008).
+    Components come in order of their least cell.
+
+    The runs and the union-find hold 2 * n entries for n cells. In 2D the
+    joins, a blob scan's exit test and a blob's dilation also probe each
+    cell against the ball's 2r + 1 rows, so 2 * n * (r + 1) is charged
+    first; in 1D, 2 * n.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    n = sum(map(len, xs_by_y.values()))
+    check_cells(2 * n * (r + 1 if dim == 2 else 1),
+                f"{r}-components of {n} cells")
+    parent: list[int] = []
+    runs = []  # per row: (y, xs, first run id, its runs' bounds in xs)
+    for y in sorted(xs_by_y):
+        xs = xs_by_y[y]
+        cut = [0, *[i for i in range(1, len(xs)) if xs[i] - xs[i - 1] > r],
+               len(xs)]
+        runs.append((y, xs, len(parent), cut))
+        parent += range(len(parent), len(parent) + len(cut) - 1)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for k, (y, xs, base, cut) in enumerate(runs):
+        m = len(xs)
+        for y2, xs2, base2, cut2 in runs[k + 1:k + 1 + r]:
+            w = r - (y2 - y)
+            if w < 0:
+                break
+            for t in range(len(cut2) - 1):
+                mine = base2 + t
+                for b in xs2[cut2[t]:cut2[t + 1]]:
+                    i, end = bisect_left(xs, b - w), b + w
+                    while i < m and xs[i] <= end:
+                        j = bisect_right(cut, i)
+                        a, c = find(base + j - 1), find(mine)
+                        if a != c:
+                            parent[c if c > a else a] = a if c > a else c
+                        i = cut[j]
+
+    found: dict[int, list] = {}
+    for y, xs, base, cut in runs:
+        for t in range(len(cut) - 1):
+            run = xs[cut[t]:cut[t + 1]]
+            comp = found.setdefault(find(base + t), [(run[0], y), {}])
+            comp[0] = min(comp[0], (run[0], y))
+            comp[1].setdefault(y, []).extend(run)
+    return [(least if dim == 2 else least[:1], rows)
+            for least, rows in sorted(found.values())]
+
+
 def connected_components(cells: Iterable[Cell], r: int) -> list[frozenset]:
     """Partition cells into maximal r-connected subsets.
 
     Two cells are adjacent when their L1 distance is at most r. Components
     come back ordered by their lexicographically least member.
     """
-    return [frozenset(dist) for dist in component_sweeps(adjacency(cells, r))]
+    cells = set(cells)
+    dims = {len(c) for c in cells}
+    if len(dims) > 1 or dims - {1, 2}:
+        raise ValueError("cells must be all 1D or all 2D")
+    dim = dims.pop() if dims else 1
+    return [frozenset((x, y) if dim == 2 else (x,)
+                      for y, xs in rows.items() for x in xs)
+            for _, rows in _components(_rows_of(cells, dim), r, dim)]
 
 
 def blobs(pattern: Pattern, r: int) -> list[tuple[Blob, Cell]]:
@@ -600,27 +688,15 @@ def _blob_scan(pattern: Pattern, r: int):
     """
     pattern = pattern._plain()
     nz, window, dim = pattern._nz, pattern._rows, pattern._dim
-    graph = adjacency(nz, r)
-    reach = _reach(r, dim) if graph else []  # past adjacency's cap check
-    for dist in component_sweeps(graph):
-        anchor = next(iter(dist))
+    found = _components(pattern._support_rows(), r, dim)
+    reach = _reach(r, dim) if found else []  # past _components' cap check
+    for anchor, xs_by_y in found:
         ax, ay = anchor[0], anchor[-1] if dim == 2 else 0
-        xs_by_y: dict[int, list[int]] = {}
         if dim == 1:
-            xs_by_y[0] = xs = sorted([c[0] for c in dist])
-            values = {(x - ax,): nz[(x,)] for x in xs}
+            values = {(x - ax,): nz[(x,)] for x in xs_by_y[0]}
         else:
-            values = {}
-            for c in dist:
-                x, y = c
-                values[(x - ax, y - ay)] = nz[c]
-                xs = xs_by_y.get(y)
-                if xs is None:
-                    xs_by_y[y] = [x]
-                else:
-                    xs.append(x)
-            for xs in xs_by_y.values():
-                xs.sort()
+            values = {(x - ax, y - ay): nz[(x, y)]
+                      for y, xs in xs_by_y.items() for x in xs}
         truncated = _exits(window, xs_by_y, reach)
         yield anchor, Blob._scanned(values, r, (
             pattern.alphabet, dim, xs_by_y, window if truncated else None,
@@ -898,9 +974,9 @@ def text_parser(parse):
 
 def format_pattern(pattern: Pattern) -> str:
     for symbol in pattern.alphabet.symbols:
-        if len(symbol) != 1 or symbol in ".?":
+        if symbol in ".?":
             raise UnsupportedFormat(
-                f"text format needs single-character symbols, got {symbol!r}")
+                f"text format reserves '.' and '?', got the symbol {symbol!r}")
     alpha = pattern.alphabet
     others = [s for s in alpha.symbols if s != alpha.zero]
     dim = pattern.dimension

@@ -24,6 +24,8 @@ SHIFT = automata.shift_element()
 # each site, and an input whose cells pass a 10-cell cap
 @pytest.mark.parametrize("what,call", [
     ("2-adjacency of 3 cells", lambda: patterns.adjacency({(0,), (1,), (2,)}, 2)),
+    ("1-components of 6 cells", lambda: patterns.connected_components(
+        {(x,) for x in range(6)}, 1)),
     ("dilation by 5", lambda: patterns.pad(Pattern.from_word("1"), 5)),
     ("bounding box", lambda: patterns.write_rows(
         Pattern(BINARY, {(0, 0): "1", (3, 3): "1"}))),

@@ -14,8 +14,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 
 KERNELS = frozenset({"adjacency", "bfs", "component_sweeps",
-                     "connected_components", "neighbours", "zero_glue",
-                     "geodesic_witness", "blobs", "pad"})
+                     "_components", "connected_components", "neighbours",
+                     "zero_glue", "geodesic_witness", "blobs", "pad"})
 
 
 def is_oracle(name: str) -> bool:

@@ -89,6 +89,17 @@ def test_components_match_oracle(rng):
             assert [set(c) for c in got] == [set(c) for c in want]
 
 
+def test_one_cell_joins_every_run_it_reaches():
+    # (0, 0) and (4, 0) are 4 apart, two runs of row 0 at r = 3, and
+    # (2, 1) lies within 3 of both
+    cells = {(0, 0), (4, 0), (2, 1)}
+    assert connected_components(cells, 3) == [frozenset(cells)]
+    window = pad(Pattern(BINARY, dict.fromkeys(cells, "1")), 3)
+    [(blob, anchor)] = blobs(window, 3)
+    assert anchor == (0, 0)
+    assert blob.support() == frozenset(cells)
+
+
 def test_components_radius_zero_is_singletons():
     cells = {(0,), (1,), (7,)}
     assert connected_components(cells, 0) == [
@@ -132,6 +143,11 @@ def test_adjacency_checks_the_cell_cap_at_its_edge(monkeypatch, cells, r,
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(bound - 1))
     with pytest.raises(SizeLimit):
         adjacency(cells, r)
+    # components charge two entries per cell, times r + 1 in 2D
+    charge = 2 * len(cells) * (r + 1 if len(min(cells)) == 2 else 1)
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(charge))
+    assert connected_components(cells, r) == ball_components(cells, r)
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(charge - 1))
     with pytest.raises(SizeLimit):
         connected_components(cells, r)
 
@@ -338,6 +354,22 @@ def test_blobs_padding_unavailable():
     p = Pattern.from_word("1")
     with pytest.raises(PaddingUnavailable):
         blobs(p, 1)
+
+
+def test_a_scan_charges_the_ball_rows_it_probes(monkeypatch):
+    # 5 support cells in 2D: 2 * 5 * (r + 1)
+    p = Pattern.from_rows(["1.?1", "..1.", "1..1"], origin=(0, 0))
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(2 * 5 * 4))
+    [level] = build_hierarchy(p, [3]).levels
+    [placement] = level.placements
+    assert (placement.anchor, placement.truncated) == ((0, 0), True)
+    assert placement.blob.pattern.translate((0, 0)).domain == p.domain
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(2 * 5 * 4 - 1))
+    with pytest.raises(SizeLimit, match="3-components of 5 cells needs 40"):
+        build_hierarchy(p, [3])
+    monkeypatch.delenv("BLOBSHIFT_CELL_CAP")
+    with pytest.raises(SizeLimit, match="10000000010 cells"):
+        blobs(p, 10 ** 9)
 
 
 def test_blob_equality_ignores_construction_route():

@@ -37,7 +37,7 @@ from conftest import (
 )
 
 TERNARY = Alphabet(("0", "1", "2"), "0")
-RADII = range(5)
+RADII = range(7)
 
 
 @st.composite
