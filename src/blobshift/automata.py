@@ -658,14 +658,6 @@ def parse_tfg_element(text: str) -> TFGElement:
 # -- canned rules ----------------------------------------------------------------
 
 
-def zero_rule(alphabet: Alphabet = BINARY) -> CARule:
-    return CARule(alphabet, 0, {s: alphabet.zero for s in alphabet.symbols})
-
-
-def identity_rule(alphabet: Alphabet = BINARY) -> CARule:
-    return CARule(alphabet, 0, {s: s for s in alphabet.symbols})
-
-
 def shift_rule(alphabet: Alphabet = BINARY) -> CARule:
     """f(x)_i = x_(i+1): contents drift one cell to the left."""
     table = {word: word[2] for word in _words(alphabet.symbols, 3)}

@@ -368,6 +368,8 @@ def _cmd_render(args, inputs):
         return render.render_moves(word)
     if not args.pattern:
         raise _UsageError("render needs --pattern or --moves")
+    if args.format not in render.PATTERN_FORMATS:
+        raise _UsageError("patterns render as --format text or pbm")
     pattern = parse_pattern(_read(args.pattern, inputs))
     return render.render_pattern(pattern, args.format)
 

@@ -1,11 +1,10 @@
 """Paths drawn on pattern supports.
 
 Geodesic witnesses certify component sizes, the ascending-path search
-hunts simple paths whose height gains are window-uniform, road checks
-test whether a path's range dominates the support, and guided traces
-build staircase-like supports from step directions. Sturmian offset
-sequences come from the mechanical-word formula with exact rationals, so
-there is no floating-point drift.
+hunts simple paths whose height gains are window-uniform, and guided
+traces build staircase-like supports from step directions. Sturmian
+offset sequences come from the mechanical-word formula with exact
+rationals, so there is no floating-point drift.
 """
 from __future__ import annotations
 
@@ -162,20 +161,6 @@ def _ascend(pattern: Pattern, r: int, m: int,
 
 def _cell_path(cells: list[Cell] | None, r: int) -> CellPath | None:
     return None if cells is None else CellPath(tuple(cells), r)
-
-
-def road_check(pattern: Pattern, path: CellPath, bound: int) -> bool:
-    """True when every support cell lies within L1 `bound` of the path."""
-    support = pattern.support()
-    path_cells = set(path.cells)
-    if not path_cells <= support:
-        raise ValueError("path cells must lie in the support")
-    for cell in support:
-        if cell in path_cells:
-            continue
-        if all(_l1(cell, p) > bound for p in path_cells):
-            return False
-    return True
 
 
 def trace_guided_path(vertical_steps: Sequence[int], offsets: Sequence[int],

@@ -115,15 +115,6 @@ def visit_profile(word: MoveWord) -> VisitProfile:
                         len(word.moves) + 1)
 
 
-def ascension_constant(word: MoveWord) -> int | None:
-    """Least m with every length-m window summing positive, if any.
-
-    Quadratic in the word length; meant for the short words it certifies.
-    """
-    return _ascension_up_to(list(accumulate(word.moves, initial=0)),
-                            len(word.moves), le)
-
-
 def _ascension_up_to(heights: list[int], m_max: int, fails) -> int | None:
     # every length-m window sums positive (le) or negative (ge) iff no
     # height m places on fails against the one it starts from

@@ -38,7 +38,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from math import prod
 from typing import Iterable, Iterator, Mapping, TypeVar
@@ -208,10 +207,12 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     Each unordered pair is probed once, from its lesser cell, over the
     lexicographically positive half of the L1 ball. Cells are visited in
     sorted order, so every list gets its lesser neighbours first, in
-    order, then its greater ones. The graph's keys are sorted too. The
-    half ball is 1..r in 1D and read off :func:`_reach`'s rows in 2D. The
-    lists can hold up to 2 * len(cells) * len(half ball) entries; a bound
-    past the cell cap raises :class:`SizeLimit` before it is listed.
+    order, then its greater ones. The graph's keys are sorted too. Every
+    pair lies within the cells' span (x-extent plus y-extent), so the
+    half ball is that of s = min(r, span): 1..s in 1D, read off
+    :func:`_reach`'s rows in 2D. The lists can hold up to
+    2 * len(cells) * len(half ball) entries; a bound past the cell cap
+    raises :class:`SizeLimit` before it is listed.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -219,20 +220,21 @@ def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
     if not order:
         return {}
     dim = len(order[0])
-    check_cells(2 * len(order) * _half_ball(r, dim),
+    s = min(r, sum(max(axis) - min(axis) for axis in zip(*order)))
+    check_cells(2 * len(order) * _half_ball(s, dim),
                 f"{r}-adjacency of {len(order)} cells")
     graph: dict[Cell, list[Cell]] = {c: [] for c in order}
     if dim == 1:
         for c in order:
             x = c[0]
             out = graph[c]
-            for d in range(1, r + 1):
+            for d in range(1, s + 1):
                 nb = (x + d,)
                 if nb in graph:
                     out.append(nb)
                     graph[nb].append(c)
     else:
-        half = sorted((dx, dy) for dy, w in _reach(r, 2)
+        half = sorted((dx, dy) for dy, w in _reach(s, 2)
                       for dx in range(-w, w + 1) if (dx, dy) > _ORIGIN)
         for c in order:
             x, y = c
@@ -471,14 +473,6 @@ class Pattern:
         moved._at = (a + v[0], b + v[-1] if self._dim == 2 else 0)
         moved._xs, moved._size = self._xs, self._size
         return moved
-
-    def to_word(self) -> str:
-        """The 1D pattern's symbols in cell order; domain must be an interval."""
-        if self._dim != 1:
-            raise ValueError("to_word needs a 1D pattern")
-        if len(self._rows.get(0, ())) > 2:
-            raise ValueError("domain is not a contiguous interval")
-        return "".join(s for _, s in self.items())
 
     # -- equality ----------------------------------------------------------
 
@@ -762,38 +756,7 @@ def zero_glue(p: Pattern, q: Pattern) -> Pattern:
     return glued
 
 
-def occurrences(pattern: Pattern, probe: Pattern,
-                window: Iterable[Cell] | None = None) -> list[Cell]:
-    """All translations v placing probe inside pattern with equal values.
-
-    An empty probe matches vacuously everywhere, so a search window is
-    required in that case and is returned sorted. A probe of another
-    dimension than a nonempty pattern raises ValueError. A probe with a
-    nonzero cell is tried with its least one on each support cell of that
-    symbol; an all-zero probe, with its least cell on each domain cell.
-    """
-    if len(probe) == 0:
-        if window is None:
-            raise ValueError("empty probe needs an explicit search window")
-        return sorted(window)
-    if len(pattern) and probe.dimension != pattern.dimension:
-        raise ValueError(f"a {probe.dimension}D probe cannot occur in a "
-                         f"{pattern.dimension}D pattern")
-    want = dict(probe.items())
-    anchor = min(probe._nz or want)
-    bases = ([c for c, s in pattern._nz.items() if s == want[anchor]]
-             if probe._nz else pattern.cells())
-    get = pattern.get
-    hits = []
-    for base in bases:
-        v = tuple(b - a for b, a in zip(base, anchor))
-        if all(get(tuple(a + b for a, b in zip(c, v))) == s
-               for c, s in want.items()):
-            hits.append(v)
-    return sorted(hits)
-
-
-# -- width, sparsity, density ------------------------------------------------
+# -- width and sparsity ------------------------------------------------------
 
 
 def interval_cover_count(xs: Iterable[int], r: int) -> int:
@@ -841,34 +804,6 @@ def rows_of(pattern: Pattern) -> list[Pattern]:
                              {(x,): nz[(x, y)] for x in xs_by_y.get(y, ())},
                              {0: row}, 1)
             for y, row in sorted(pattern._rows.items())]
-
-
-def density_window(pattern: Pattern, window: int) -> Fraction:
-    """Max nonzero density over all length-`window` subwords, exactly."""
-    word = pattern.to_word()
-    if not 1 <= window <= len(word):
-        raise ValueError("window must satisfy 1 <= window <= pattern length")
-    zero = pattern.alphabet.zero
-    flags = [0 if c == zero else 1 for c in word]
-    count = sum(flags[:window])
-    best = count
-    for i in range(window, len(flags)):
-        count += flags[i] - flags[i - window]
-        if count > best:
-            best = count
-    return Fraction(best, window)
-
-
-def sparse_not_uniform_family(n: int) -> Pattern:
-    """Binary word on [-n, n*n + n] supported on the multiples of n in [0, n*n].
-
-    The family is sparse at every member but the nonzero counts grow with
-    n, so no uniform sparsity constant works across the family.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Pattern.from_word(
-        "0" * n + ("1" + "0" * (n - 1)) * n + "1" + "0" * n, BINARY, -n)
 
 
 def pad(pattern: Pattern, r: int) -> Pattern:

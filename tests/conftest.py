@@ -259,18 +259,6 @@ def oracle_rows_of(pattern):
     return [DictPattern(pattern.alphabet, by_y[y]) for y in sorted(by_y)]
 
 
-def oracle_occurrences(pattern, probe):
-    """Every base cell of the pattern tried for the probe's least cell."""
-    anchor = min(probe.values)
-    have = pattern.values.items()
-    hits = []
-    for base in pattern.values:
-        v = tuple(b - a for b, a in zip(base, anchor))
-        if probe.translate(v).values.items() <= have:
-            hits.append(v)
-    return sorted(hits)
-
-
 def oracle_write_rows(pattern):
     """Bounding-box text rows, top first, one lookup per cell."""
     if not pattern.values:

@@ -29,7 +29,6 @@ from blobshift.automata import (
     evolve,
     find_glider,
     identity_element,
-    identity_rule,
     is_identity,
     nilpotency_probe,
     parse_ca_rule,
@@ -40,16 +39,19 @@ from blobshift.automata import (
     tfg_order_search,
     tfg_validate,
     xor_rule,
-    zero_rule,
 )
 from blobshift.patterns import BINARY, Alphabet
+
+# the radius-0 rules that kill every cell and that keep every cell
+ZERO = CARule(BINARY, 0, {"0": "0", "1": "0"})
+IDENTITY = CARule(BINARY, 0, {"0": "0", "1": "1"})
 
 
 # ------------------------------------------------------------------ evolution
 
 
 def test_zero_rule_kills_everything():
-    traj = evolve(zero_rule(), FiniteConfig.make("101"), 3)
+    traj = evolve(ZERO, FiniteConfig.make("101"), 3)
     assert traj[0].word == "101"
     assert all(c.is_zero() for c in traj[1:])
 
@@ -115,7 +117,7 @@ def test_shift_rule_glider():
 
 
 def test_zero_rule_no_glider():
-    assert find_glider(zero_rule(), 3, 8) is None
+    assert find_glider(ZERO, 3, 8) is None
 
 
 def test_xor_rule_no_small_glider():
@@ -141,7 +143,7 @@ def test_decrement_probe():
 
 
 def test_identity_probe_not_nilpotent():
-    verdict = nilpotency_probe(identity_rule(), 3, 8)
+    verdict = nilpotency_probe(IDENTITY, 3, 8)
     assert verdict.tag == "not_nilpotent"
 
 
@@ -167,7 +169,7 @@ def binomial_parity_count(t: int) -> int:
 
 
 def test_zero_rule_profile():
-    prof = asymptotic_profile(zero_rule(), FiniteConfig.make("111"), 4)
+    prof = asymptotic_profile(ZERO, FiniteConfig.make("111"), 4)
     assert prof == [3, 0, 0, 0, 0]
 
 
@@ -194,9 +196,9 @@ def test_evolve_checks_its_light_cone_against_the_cell_cap(monkeypatch):
     with pytest.raises(SizeLimit):
         asymptotic_profile(xor_rule(), one, 20)
     # a radius-0 rule's light cone is one cell per step, even for zero
-    assert len(evolve(identity_rule(), one, 439)) == 440
+    assert len(evolve(IDENTITY, one, 439)) == 440
     with pytest.raises(SizeLimit):
-        evolve(identity_rule(), FiniteConfig.make("0"), 440)
+        evolve(IDENTITY, FiniteConfig.make("0"), 440)
 
 
 def test_probes_check_seeds_times_light_cone_against_the_cell_cap(
@@ -625,7 +627,7 @@ def test_probes_match_per_cell_oracle():
         verdict = nilpotency_probe(rule, width, time)
         assert verdict == oracle_nilpotency_probe(rule, width, time)
         verdicts.add(verdict.witness.get("kind", verdict.tag))
-    for rule in (xor_rule(), shift_rule(), identity_rule(), decrement_rule()):
+    for rule in (xor_rule(), shift_rule(), IDENTITY, decrement_rule()):
         assert find_glider(rule, 6, 16) == oracle_find_glider(rule, 6, 16)
         assert (nilpotency_probe(rule, 6, 16)
                 == oracle_nilpotency_probe(rule, 6, 16))

@@ -73,17 +73,20 @@ def test_size_limits_are_raised_only_by_the_guard():
 
 
 def test_adjacency_charges_its_ball_before_listing_it(monkeypatch):
-    # the half ball at r = 5000 holds 25 million offsets
+    # two cells 5000 apart span 5000: the half ball at r = 5000 holds
+    # 25 million offsets
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "10")
     tracemalloc.start()
     try:
-        with pytest.raises(SizeLimit, match="^5000-adjacency of 1 cells needs "
-                           "50010000 cells, past the 10-cell cap$"):
-            patterns.adjacency({(0, 0)}, 5000)
+        with pytest.raises(SizeLimit, match="^5000-adjacency of 2 cells needs "
+                           "100020000 cells, past the 10-cell cap$"):
+            patterns.adjacency({(0, 0), (5000, 0)}, 5000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+    # one cell spans 0, so no radius probes anything
+    assert patterns.adjacency({(0, 0)}, 5000) == {(0, 0): []}
 
 
 @pytest.mark.parametrize("cells,r,ball", [

@@ -1,4 +1,4 @@
-"""Paths on supports: geodesics, ascending search, roads, guided traces."""
+"""Paths on supports: geodesics, ascending search, guided traces."""
 import hashlib
 import json
 import random
@@ -19,11 +19,9 @@ from blobshift.patterns import (
     sparsity,
 )
 from blobshift.pathcover import (
-    CellPath,
     _ascend,
     find_ascending_path,
     geodesic_witness,
-    road_check,
     sturmian_word,
     trace_guided_path,
 )
@@ -333,42 +331,6 @@ def test_ascending_absence_can_be_complete():
     assert _ascend(row, 1, 1, 1000) == (None, 10, True)
     assert _ascend(row, 1, 1, 5) == (None, 5, False)
     assert _ascend(Pattern.from_word("000"), 1, 1, 5) == (None, 0, True)
-
-
-# ----------------------------------------------------------------- road check
-
-
-def test_road_check_full_cover():
-    p = Pattern(BINARY, {(0, y): "1" for y in range(6)})
-    path = CellPath(tuple((0, y) for y in range(6)), 1)
-    assert road_check(p, path, 0)
-
-
-def test_road_check_outlier():
-    cells = {(0, y): "1" for y in range(6)}
-    cells[(10, 3)] = "1"
-    p = Pattern(BINARY, cells)
-    path = CellPath(tuple((0, y) for y in range(6)), 1)
-    assert not road_check(p, path, 5)
-    assert road_check(p, path, 10)
-
-
-def test_road_check_decorated_staircase():
-    offsets = [int(c) for c in sturmian_word(GOLDEN, 60)]
-    p = trace_guided_path([1] * 60, offsets, 40)
-    path = find_ascending_path(p, 1, 3)
-    decorated = dict(p.items())
-    for (x, y) in list(p.support())[:5]:
-        decorated[(x + 2, y)] = "1"
-    q = Pattern(BINARY, decorated)
-    assert road_check(q, path, 2)
-
-
-def test_road_check_requires_path_in_support():
-    p = Pattern(BINARY, {(0, 0): "1"})
-    stray = CellPath(((5, 5),), 1)
-    with pytest.raises(ValueError):
-        road_check(p, stray, 1)
 
 
 # -------------------------------------------------------------- guided traces

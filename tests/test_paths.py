@@ -2,7 +2,7 @@
 import random
 from collections import Counter
 from itertools import accumulate
-from operator import le
+from operator import ge, le
 
 import pytest
 
@@ -12,7 +12,6 @@ from blobshift.paths import (
     HeightWord,
     MoveWord,
     always_up,
-    ascension_constant,
     classify_path_space,
     cut_path_search,
     deep_zigzag,
@@ -146,17 +145,26 @@ def ascension_oracle(moves):
     return None
 
 
+def ascension(moves, fails=le):
+    """classify_path_space's kernel: ascending (le) or descending (ge)."""
+    heights = list(accumulate(moves, initial=0))
+    return paths._ascension_up_to(heights, len(moves), fails)
+
+
 def test_ascension_examples():
-    assert ascension_constant(zig("+++")) == 1
-    assert ascension_constant(zig("++--++")) == 5
-    assert ascension_constant(zig("---")) is None
+    assert ascension(zig("+++").moves) == 1
+    assert ascension(zig("++--++").moves) == 5
+    assert ascension(zig("---").moves) is None
+    assert ascension(zig("---").moves, ge) == 1
+    assert ascension(zig("--++--").moves, ge) == 5
 
 
 def test_ascension_matches_oracle():
     rng = random.Random(13)
     for _ in range(200):
         moves = tuple(rng.choice((-1, 1)) for _ in range(rng.randrange(1, 14)))
-        assert ascension_constant(move_word(moves)) == ascension_oracle(moves)
+        assert ascension(moves) == ascension_oracle(moves)
+        assert ascension(moves, ge) == ascension_oracle([-m for m in moves])
 
 
 # ------------------------------------------------------------------ cut paths

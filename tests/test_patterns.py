@@ -1,6 +1,5 @@
-"""Pattern geometry: components, blobs, gluing, width, density."""
+"""Pattern geometry: components, blobs, gluing, width, sparsity."""
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,6 +11,7 @@ from blobshift.errors import (
     SizeLimit,
     UnsupportedFormat,
 )
+from blobshift.pathcover import geodesic_witness
 from blobshift.patterns import (
     BINARY,
     Alphabet,
@@ -20,15 +20,12 @@ from blobshift.patterns import (
     bfs,
     blobs,
     connected_components,
-    density_window,
     essential_width_lower_bound,
     format_pattern,
     interval_cover_count,
-    occurrences,
     pad,
     parse_pattern,
     rows_of,
-    sparse_not_uniform_family,
     sparsity,
     zero_glue,
 )
@@ -106,6 +103,13 @@ def test_components_radius_zero_is_singletons():
         frozenset({(0,)}), frozenset({(1,)}), frozenset({(7,)})]
 
 
+def sparse_wide_rows(rng):
+    """A few cells on each of 3 rows 30 wide: at r >= 3 a row's runs lie
+    more than r apart, and often only a cell of a nearby row joins them."""
+    return {(rng.randrange(30), rng.randrange(3))
+            for _ in range(rng.randrange(6, 16))}
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_adjacency_bfs_and_components_match_ball_probing(dim):
     rng = random.Random(70 + dim)
@@ -113,8 +117,17 @@ def test_adjacency_bfs_and_components_match_ball_probing(dim):
     sets = [set()] + [{tuple(rng.randrange(span) for _ in range(dim))
                        for _ in range(rng.randrange(1, 40))}
                       for _ in range(12)]
+    # tiny supports, whose span the radii pass
+    sets += [{tuple(rng.randrange(3) for _ in range(dim))
+              for _ in range(rng.randrange(1, 4))} for _ in range(6)]
+    if dim == 2:
+        sets += [sparse_wide_rows(rng) for _ in range(30)]
+    past = below = 0
     for cells in sets:
+        extent = sum(max(axis) - min(axis) for axis in zip(*cells))
         for r in range(7):
+            past += bool(cells) and r > extent
+            below += r < extent
             graph = adjacency(cells, r)
             assert list(graph) == sorted(cells)
             around = neighbours(dim, r)
@@ -129,6 +142,7 @@ def test_adjacency_bfs_and_components_match_ball_probing(dim):
             assert connected_components(cells, r) == ball_components(cells, r)
             assert connected_components(sorted(cells) * 2, r) == \
                 ball_components(cells, r)
+    assert past and below
 
 
 @pytest.mark.parametrize("cells, r, bound", [
@@ -315,13 +329,8 @@ def test_other_dimensions_are_refused():
         plane.translate((5,))
     with pytest.raises(ValueError):
         word.translate((1, 2))
-    with pytest.raises(ValueError):
-        occurrences(plane, Pattern.from_word("1"))
-    with pytest.raises(ValueError):
-        occurrences(word, Pattern.from_rows(["1"]))
     empty = Pattern(BINARY, {})
     assert empty.translate((1, 2)) == empty
-    assert occurrences(empty, Pattern.from_rows(["1"])) == []
 
 
 # ---------------------------------------------------------------------- blobs
@@ -370,6 +379,24 @@ def test_a_scan_charges_the_ball_rows_it_probes(monkeypatch):
     monkeypatch.delenv("BLOBSHIFT_CELL_CAP")
     with pytest.raises(SizeLimit, match="10000000010 cells"):
         blobs(p, 10 ** 9)
+
+
+def test_adjacency_clips_its_radius_to_the_span(monkeypatch):
+    # 5 cells of a 4x3 window span 3 + 2 = 5, so every pair is 5-adjacent;
+    # the ball oracles cannot list a 10000-ball, so r = 5 stands in
+    p = Pattern.from_rows(["1.?1", "..1.", "1..1"], origin=(0, 0))
+    cells = p.support()
+    graph = adjacency(cells, 10_000)
+    assert list(graph.items()) == list(adjacency(cells, 5).items())
+    assert all(len(nbs) == 4 for nbs in graph.values())
+    assert geodesic_witness(p, 10_000).cells == geodesic_witness(p, 5).cells
+    # charged for the clipped half ball, 2 * 5 * 5 * 6 entries
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "300")
+    assert adjacency(cells, 10_000) == graph
+    monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "299")
+    with pytest.raises(SizeLimit,
+                       match="^10000-adjacency of 5 cells needs 300 "):
+        adjacency(cells, 10_000)
 
 
 def test_blob_equality_ignores_construction_route():
@@ -456,53 +483,6 @@ def test_zero_glue_associative_when_defined():
     assert zero_glue(zero_glue(a, b), c) == zero_glue(a, zero_glue(b, c))
 
 
-# ---------------------------------------------------------------- occurrences
-
-
-def occurrences_oracle(pattern, probe):
-    """Sliding scan over the pattern's bounding range."""
-    lo, hi = pattern.bounding_box()
-    hits = []
-    for v in range(lo[0] - 5, hi[0] + 6):
-        ok = True
-        for cell, symbol in probe.items():
-            tgt = (cell[0] + v,)
-            if pattern.get(tgt) != symbol:
-                ok = False
-                break
-        if ok:
-            hits.append((v,))
-    return hits
-
-
-def test_occurrences_word():
-    p = Pattern.from_word("10101")
-    q = Pattern.from_word("101")
-    assert occurrences(p, q) == [(0,), (2,)]
-    assert occurrences(p, q) == occurrences_oracle(p, q)
-
-
-def test_occurrences_empty_probe_needs_window():
-    p = Pattern.from_word("10101")
-    empty = Pattern(BINARY, {})
-    with pytest.raises(ValueError):
-        occurrences(p, empty)
-    assert occurrences(p, empty, window=[(2,), (0,)]) == [(0,), (2,)]
-
-
-def test_occurrences_absent():
-    assert occurrences(Pattern.from_word("000"), Pattern.from_word("1")) == []
-
-
-def test_occurrences_translation_equivariant(rng):
-    for _ in range(30):
-        p = random_pattern_1d(rng, length=20)
-        q = Pattern.from_word("101")
-        base = occurrences(p, q)
-        shifted = occurrences(p.translate((7,)), q)
-        assert shifted == [(v + 7,) for (v,) in base]
-
-
 # ------------------------------------------------------- width and sparsity
 
 
@@ -561,49 +541,11 @@ def test_width_monotone_in_radius_and_bounded_by_sparsity(rng):
 
 
 def test_sparsity_counts():
-    row = sparse_not_uniform_family(5)
+    # the multiples of 5 in [0, 25]
+    row = Pattern.from_word("10000" * 5 + "1")
     assert sparsity([row]) == 6
     assert sparsity([Pattern.from_word("0000")]) == 0
     assert sparsity([Pattern.from_word("11011")]) == 4
-
-
-# ----------------------------------------------------------------- density
-
-
-def density_oracle(word, window):
-    counts = [word[i:i + window].count("1")
-              for i in range(len(word) - window + 1)]
-    return Fraction(max(counts), window)
-
-
-def test_density_windows():
-    assert density_window(Pattern.from_word("1111"), 2) == 1
-    assert density_window(Pattern.from_word("1010"), 2) == Fraction(1, 2)
-    assert density_window(Pattern.from_word("0000"), 4) == 0
-
-
-def test_density_matches_oracle(rng):
-    for _ in range(30):
-        p = random_pattern_1d(rng, length=20)
-        for window in (1, 3, 7):
-            assert density_window(p, window) == density_oracle(p.to_word(), window)
-
-
-# ------------------------------------------------------------ sparse family
-
-
-def test_sparse_family_small():
-    p1 = sparse_not_uniform_family(1)
-    assert sorted(c[0] for c in p1.support()) == [0, 1]
-    assert min(c[0] for c in p1.cells()) == -1
-    assert max(c[0] for c in p1.cells()) == 2
-    p2 = sparse_not_uniform_family(2)
-    assert sorted(c[0] for c in p2.support()) == [0, 2, 4]
-
-
-def test_sparse_family_counts_grow():
-    counts = [len(sparse_not_uniform_family(n).support()) for n in (1, 2, 5, 8)]
-    assert counts == [2, 3, 6, 9]  # n + 1 multiples of n in [0, n*n]
 
 
 # ------------------------------------------------------------- text format

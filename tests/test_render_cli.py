@@ -244,6 +244,18 @@ def test_cli_fractal_classify(files, capsys, tmp_path):
     assert report["result"]["levels_verified"] >= 4
 
 
+def test_cli_fractal_classify_answers_past_the_span(capsys, tmp_path):
+    # 5 cells of a 4x3 window: the path searches clip r = 10000 to the
+    # span 5, so classify answers where verify does
+    (tmp_path / "sq.pat").write_text(
+        "dims 4 3\nalphabet 01\n1.?1\n..1.\n1..1\n")
+    argv = ["--pattern", str(tmp_path / "sq.pat"), "--radii", "1,10000"]
+    verified = run_json(capsys, "fractal", "verify", *argv)["result"]
+    classified = run_json(capsys, "fractal", "classify", *argv)["result"]
+    assert classified["tag"] == "inconclusive"
+    assert {k: classified[k] for k in verified} == verified
+
+
 def test_cli_fractal_render_dir(files, capsys, tmp_path):
     from blobshift.patterns import format_pattern, pad
     single = pad(Pattern(BINARY, {(0,): "1"}), 4)
@@ -392,6 +404,9 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     (["render", "--moves", "++", "--format", "text"],
      "move words render as --format svg-paths"),
     (["render", "--format", "pbm"], "render needs --pattern or --moves"),
+    # refused before the pattern file is read, so it need not exist
+    (["render", "--pattern", "no_such.pat", "--format", "svg-paths"],
+     "patterns render as --format text or pbm"),
 ])
 def test_cli_usage_errors_name_the_missing_input(capsys, argv, message):
     assert main(argv) == 1

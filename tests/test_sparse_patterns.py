@@ -18,7 +18,6 @@ from blobshift.patterns import (
     Pattern,
     blobs,
     format_pattern,
-    occurrences,
     pad,
     parse_pattern,
     rows_of,
@@ -29,7 +28,6 @@ from blobshift.substitution import Substitution2D, iterate_2d, plus_substitution
 from conftest import (
     DictPattern,
     oracle_blob_scan,
-    oracle_occurrences,
     oracle_pad,
     oracle_rows_of,
     oracle_write_rows,
@@ -161,19 +159,6 @@ def test_zero_glue_matches_the_oracle(data):
         assert zero_glue(p, q) == Pattern(p.alphabet, want)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_occurrences_match_the_oracle(data):
-    p = data.draw(windows())
-    probe = data.draw(windows(dim=p.dimension, max_side=3))
-    if probe.alphabet != p.alphabet:
-        probe = Pattern(p.alphabet, {c: "0" for c in probe.cells()})
-    if len(probe) == 0:
-        return
-    assert occurrences(p, probe) == oracle_occurrences(
-        DictPattern.of(p), DictPattern.of(probe))
-
-
 @settings(max_examples=100, deadline=None)
 @given(windows(), windows())
 def test_equality_and_hash_follow_the_oracle(p, q):
@@ -196,15 +181,6 @@ def test_glue_conflict_names_the_first_cell_in_cell_order():
     with pytest.raises(GlueConflict) as caught:
         zero_glue(q, p)
     assert caught.value.cell == (0, 1)
-
-
-def test_occurrences_try_only_support_cells_and_keep_zero_probes():
-    p = Pattern.from_rows(["1.1?", "..1.", "?..."])
-    assert occurrences(p, Pattern.from_rows(["1"])) == [(0, 2), (2, 1), (2, 2)]
-    assert occurrences(p, Pattern.from_rows(["1", "."])) == [(0, 1), (2, 0)]
-    assert occurrences(p, Pattern.from_rows([".."])) == [
-        (0, 1), (1, 0), (2, 0)]
-    assert occurrences(p, Pattern.from_rows(["..", "?."])) == [(0, 0)]
 
 
 def test_sparse_plus_iterate_stores_only_its_support():
