@@ -129,9 +129,6 @@ class FiniteConfig:
         return cls(alphabet, offset + len(word) - len(core),
                    core.rstrip(alphabet.zero))
 
-    def is_zero(self) -> bool:
-        return not self.word
-
     def support_size(self) -> int:
         return len(self.word) - self.word.count(self.alphabet.zero)
 
@@ -494,16 +491,16 @@ def _table_cells(alphabet: Alphabet, width: int,
     return len(alphabet.symbols) ** letters * per_word
 
 
-def identity_element(alphabet: Alphabet = BINARY) -> TFGElement:
-    return TFGElement(alphabet, 0, {s: 0 for s in alphabet.symbols})
+def identity_element() -> TFGElement:
+    return TFGElement(BINARY, 0, dict.fromkeys("01", 0))
 
 
-def shift_element(alphabet: Alphabet = BINARY, amount: int = 1) -> TFGElement:
+def shift_element(amount: int = 1) -> TFGElement:
     rho = abs(amount)
     width = 2 * rho + 1
-    check_cells(_table_cells(alphabet, width), f"shift table at radius {rho}")
-    table = dict.fromkeys(_words(alphabet.symbols, width), amount)
-    return TFGElement(alphabet, rho, table)
+    check_cells(_table_cells(BINARY, width), f"shift table at radius {rho}")
+    table = dict.fromkeys(_words("01", width), amount)
+    return TFGElement(BINARY, rho, table)
 
 
 def block_swap_element() -> TFGElement:
@@ -658,10 +655,10 @@ def parse_tfg_element(text: str) -> TFGElement:
 # -- canned rules ----------------------------------------------------------------
 
 
-def shift_rule(alphabet: Alphabet = BINARY) -> CARule:
+def shift_rule() -> CARule:
     """f(x)_i = x_(i+1): contents drift one cell to the left."""
-    table = {word: word[2] for word in _words(alphabet.symbols, 3)}
-    return CARule(alphabet, 1, table)
+    table = {word: word[2] for word in _words("01", 3)}
+    return CARule(BINARY, 1, table)
 
 
 def xor_rule() -> CARule:

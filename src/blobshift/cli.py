@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BlobshiftError, UnsupportedFormat
@@ -32,6 +32,9 @@ from .patterns import (
     sparsity,
     zero_glue,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _UsageError(Exception):
@@ -55,6 +58,8 @@ def _at_least(minimum: int):
 
 def _slope(raw: str) -> Fraction:
     """argparse type for a rational slope p/q."""
+    from fractions import Fraction
+
     num, _, den = raw.partition("/")
     try:
         return Fraction(int(num), int(den or "1"))
@@ -110,9 +115,10 @@ def _emit(args, payload: bytes) -> None:
 def _report(argv: list[str], inputs: dict, result: dict) -> bytes:
     """The JSON report of a result.
 
-    The command drops its --out pair, so reports are location-independent.
+    The command drops its --out pair or --out=... token, so reports are
+    location-independent; the parser takes no abbreviation of --out.
     """
-    command = list(argv)
+    command = [token for token in argv if not token.startswith("--out=")]
     while "--out" in command:
         at = command.index("--out")
         del command[at:at + 2]
@@ -335,8 +341,9 @@ def _cmd_primes(args, inputs):
         injection = _int_list(args.injection) if args.injection else None
         return asdict(_checked(primes.crt_zero_run, args.n, injection))
     if args.action == "dirichlet":
+        injection = _int_list(args.injection) if args.injection else None
         k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
-                                 args.scan_limit)
+                                 args.scan_limit, injection)
         return {"n": args.n, "k": k, "modulus": modulus, "prime": p}
     window = primes.sieve(args.limit)
     if args.action == "lang":
@@ -378,12 +385,13 @@ def _cmd_render(args, inputs):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="blobshift", description=__doc__)
+    parser = _Parser(prog="blobshift", description=__doc__,
+                     allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p

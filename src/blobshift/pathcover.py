@@ -9,8 +9,7 @@ rationals, so there is no floating-point drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptySupport
 from .limits import check_cells
@@ -22,6 +21,9 @@ from .patterns import (
     bfs,
     component_sweeps,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)

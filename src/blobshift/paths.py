@@ -142,7 +142,7 @@ def format_moves(word: MoveWord) -> str:
     return "".join(parts)
 
 
-def parse_moves(text: str, bound: int | None = None) -> MoveWord:
+def parse_moves(text: str) -> MoveWord:
     # digits follow a sign only for |move| >= 2, so "+0" reads as +1, 0
     moves = []
     pos = 0
@@ -165,7 +165,7 @@ def parse_moves(text: str, bound: int | None = None) -> MoveWord:
         else:
             moves.append(sign)
             pos += 1
-    return move_word(moves, bound)
+    return move_word(moves)
 
 
 def parse_move_symbol(symbol: str) -> int:

@@ -300,7 +300,6 @@ class Pattern:
         zero, symbols = alphabet.zero, alphabet.symbols
         dim = None
         nz = {}
-        xs_by_y: dict[int, list[int]] = {}
         for cell, symbol in values.items():
             if dim is None:
                 dim = len(cell)
@@ -312,9 +311,8 @@ class Pattern:
                 raise ValueError(f"symbol {symbol!r} not in alphabet")
             if symbol != zero:
                 nz[cell] = symbol
-            xs_by_y.setdefault(cell[-1] if dim == 2 else 0, []).append(cell[0])
-        self._fill(alphabet, nz, {y: _runs(sorted(xs))
-                                  for y, xs in xs_by_y.items()}, dim)
+        self._fill(alphabet, nz, {y: _runs(xs) for y, xs
+                                  in _rows_of(values, dim).items()}, dim)
 
     def _fill(self, alphabet: Alphabet, nz: dict, rows: dict, dim) -> None:
         self.alphabet, self._nz, self._rows = alphabet, nz, rows
@@ -388,10 +386,6 @@ class Pattern:
     @property
     def dimension(self) -> int:
         return self._dim
-
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(self.cells())
 
     def cells(self) -> Iterator[Cell]:
         rows, (a, b) = self._rows, self._at
@@ -505,10 +499,6 @@ class Blob:
 
     __slots__ = ("radius", "_values", "_pattern", "_source", "_key")
 
-    def __init__(self, pattern: Pattern, radius: int):
-        self.radius, self._values, self._pattern = radius, pattern._nz, pattern
-        self._source = self._key = None
-
     @classmethod
     def _scanned(cls, values: dict[Cell, str], radius: int, source: tuple):
         """A blob of canonical values, its pattern built on demand.
@@ -549,10 +539,7 @@ class Blob:
         return self._pattern
 
     def support(self) -> frozenset:
-        pattern = self._pattern
-        if pattern is None:
-            return frozenset(self._values)
-        return pattern.support()
+        return frozenset(self._values)
 
     def _support_key(self):
         if self._key is None:

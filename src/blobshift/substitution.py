@@ -7,9 +7,8 @@ level and fails with :class:`SizeLimit` instead of exhausting memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import UnsupportedFormat
 from .limits import cell_cap, check_cells
@@ -24,6 +23,9 @@ from .patterns import (
     translate_values,
     write_rows,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,8 @@ def density_word(k: int) -> DensityWord:
     Returns the resulting word (when it fits the cap) together with its
     exact nonzero density as a rational.
     """
+    from fractions import Fraction
+
     if k < 2:
         raise ValueError("k must be at least 2")
     cap = cell_cap()
@@ -209,13 +213,7 @@ def density_word(k: int) -> DensityWord:
 # -- block hierarchy ---------------------------------------------------------
 
 
-def _single_cell(alphabet: Alphabet) -> Pattern:
-    nonzero = next(s for s in alphabet.symbols if s != alphabet.zero)
-    return Pattern(alphabet, {(0, 0): nonzero})
-
-
-def _assemble(k: int, level: dict[int, Pattern], j: int, side: int,
-              alphabet: Alphabet) -> Pattern:
+def _assemble(k: int, level: dict[int, Pattern], j: int, side: int) -> Pattern:
     """One recursion step: bottom-left self block plus a slice on block-row j.
 
     The level patterns fill side-by-side squares, so the result fills its
@@ -225,55 +223,40 @@ def _assemble(k: int, level: dict[int, Pattern], j: int, side: int,
     values = dict(level[j]._nz)
     for col in range(1, k + 1):
         values.update(translate_values(level[col]._nz, (col * side, j * side)))
-    return Pattern._derived(alphabet, values,
+    return Pattern._derived(BINARY, values,
                             dict.fromkeys(range(big), (0, big)), 2)
 
 
-def default_block_seeds(k: int, alphabet: Alphabet = BINARY) -> tuple[Pattern, ...]:
+def default_block_seeds(k: int) -> tuple[Pattern, ...]:
     """Seeds produced by one assembly step from single-cell blocks.
 
     Side k+1; seed j carries a 1 at the corner and a row of k 1s at height
     j, which gives pairwise disjoint nonzero rows above row zero across
-    the k seeds. Any seeds with the required structure may replace these.
+    the k seeds.
     """
-    singles = {j: _single_cell(alphabet) for j in range(1, k + 1)}
-    return tuple(_assemble(k, singles, j, 1, alphabet) for j in range(1, k + 1))
+    singles = dict.fromkeys(range(1, k + 1), Pattern(BINARY, {(0, 0): "1"}))
+    return tuple(_assemble(k, singles, j, 1) for j in range(1, k + 1))
 
 
 @dataclass(frozen=True)
 class BlockHierarchySpec:
-    """Seed patterns for the unbounded-rows block construction."""
+    """The unbounded-rows block construction for k, seeded by
+    default_block_seeds(k)."""
 
     k: int
-    seed_side: int
-    seeds: tuple[Pattern, ...] = field(default=())
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not self.seeds:
-            if self.seed_side != self.k + 1:
-                raise ValueError("the default seeds have side k+1")
-            object.__setattr__(self, "seeds", default_block_seeds(self.k))
-        if len(self.seeds) != self.k:
-            raise ValueError("need exactly k seed patterns")
-        for seed in self.seeds:
-            if not _fills_square(seed, self.seed_side):
-                raise ValueError("seed domains must be the full seed square")
-            bottom = sorted(c for c in seed.support() if c[1] == 0)
-            if bottom != [(0, 0)]:
-                raise ValueError(
-                    "seed bottom row must hold exactly one nonzero, at the corner")
-            rows: dict[int, int] = {}
-            for (_, y) in seed.support():
-                rows[y] = rows.get(y, 0) + 1
-            if any(count > self.k for count in rows.values()):
-                raise ValueError("no seed row may exceed k nonzeros")
+
+    @property
+    def seed_side(self) -> int:
+        return self.k + 1
 
 
 def block_spec(k: int) -> BlockHierarchySpec:
     """Spec with the default seeds (side k+1)."""
-    return BlockHierarchySpec(k=k, seed_side=k + 1)
+    return BlockHierarchySpec(k)
 
 
 def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
@@ -289,11 +272,10 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
         raise ValueError("i must be at least 1")
     side = block_side(spec, i)
     check_cells(side * side, f"level {i} pattern")
-    level = {jj: spec.seeds[jj - 1] for jj in range(1, spec.k + 1)}
+    level = dict(enumerate(default_block_seeds(spec.k), 1))
     current_side = spec.seed_side
     for _ in range(i - 1):
-        level = {jj: _assemble(spec.k, level, jj, current_side,
-                               spec.seeds[0].alphabet)
+        level = {jj: _assemble(spec.k, level, jj, current_side)
                  for jj in range(1, spec.k + 1)}
         current_side *= spec.k + 1
     return level[j]

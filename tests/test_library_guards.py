@@ -18,8 +18,7 @@ from blobshift.primes import (char_pattern, dirichlet_isolated, gap_floor,
                               isolated_prime_search, late_contains, sieve)
 from blobshift.substitution import (BlockHierarchySpec, block_spec,
                                     build_unbounded_rows, cantor_substitution,
-                                    default_block_seeds, density_word,
-                                    iterate_1d, iterate_2d,
+                                    density_word, iterate_1d, iterate_2d,
                                     parse_substitution, plus_substitution,
                                     thinning_substitution)
 
@@ -49,10 +48,8 @@ NOT_ZERO_PRESERVING = CARule(BINARY, 0, {"0": "1", "1": "1"})
      ValueError, "iteration count must be nonnegative"),
     (lambda: iterate_2d(plus_substitution(), ONE_2D, -1),
      ValueError, "iteration count must be nonnegative"),
-    (lambda: BlockHierarchySpec(k=0, seed_side=1),
+    (lambda: BlockHierarchySpec(k=0),
      ValueError, "k must be at least 1"),
-    (lambda: BlockHierarchySpec(k=2, seed_side=4),
-     ValueError, "the default seeds have side k\\+1"),
     (lambda: build_unbounded_rows(block_spec(2), 1, 3),
      ValueError, "j must be in \\[1, k\\]"),
     (lambda: build_unbounded_rows(block_spec(2), 0, 1),
@@ -113,19 +110,10 @@ NOT_ZERO_PRESERVING = CARule(BINARY, 0, {"0": "1", "1": "1"})
      ValueError, "threshold \\+ length must stay within the window"),
     (lambda: dirichlet_isolated(2, scan_limit=0),
      NoPrimeInRange, "no verified isolated prime in 0 progression steps"),
-    (lambda: BlockHierarchySpec(k=2, seed_side=3,
-                                seeds=default_block_seeds(2)[:1]),
-     ValueError, "need exactly k seed patterns"),
-    (lambda: BlockHierarchySpec(k=1, seed_side=2,
-                                seeds=(Pattern.from_rows(["1."]),)),
-     ValueError, "seed domains must be the full seed square"),
-    (lambda: BlockHierarchySpec(k=1, seed_side=2,
-                                seeds=(Pattern.from_rows(["11", "1."]),)),
-     ValueError, "no seed row may exceed k nonzeros"),
 ], ids=["cut_path_search_empty", "classify_threshold", "hierarchy_radii",
         "width_2d_row", "gap_floor_at_limit", "gap_floor_one_prime",
         "char_pattern_end", "isolated_negative", "iterate_1d_negative",
-        "iterate_2d_negative", "block_k", "block_seed_side",
+        "iterate_2d_negative", "block_k",
         "unbounded_rows_j", "unbounded_rows_i", "substitution_header",
         "thinning_n", "density_k",
         "ca_rule_radius", "config_boundary_zero", "config_empty_offset",
@@ -138,8 +126,7 @@ NOT_ZERO_PRESERVING = CARule(BINARY, 0, {"0": "1", "1": "1"})
         "width_radius", "pad_radius",
         "components_mixed_dims", "components_3d", "alphabet_symbol",
         "format_symbol", "parse_dims", "parse_origin", "sieve_limit",
-        "late_contains_threshold", "dirichlet_scan", "block_seed_count",
-        "block_seed_square", "block_seed_row"])
+        "late_contains_threshold", "dirichlet_scan"])
 def test_library_guards(call, error, message):
     if error is None:
         assert call() is None

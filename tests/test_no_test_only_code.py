@@ -1,13 +1,19 @@
-"""Every public name in ``src/`` is reached by something other than tests.
+"""Everything public in ``src/`` is reached by something other than tests.
 
 Code that only tests call is code nothing uses. This lint walks the
-syntax tree of each ``src/blobshift/*.py`` module and fails on a public
-top-level ``def`` or ``class`` that no reader reaches. A reader is the
-name's own module outside its definition, another library module, a
-``perfbench`` script, the acceptance criteria in
-``tests/test_acceptance.py``, or the text of README.md. A reach is a
-``Name``, an ``Attribute`` or an import alias spelling the name; in
-README.md, the name as a whole word.
+syntax tree of each ``src/blobshift/*.py`` module. A reader is the
+module itself outside the definition in question, another library
+module, a ``perfbench`` script, the acceptance criteria in
+``tests/test_acceptance.py``, or the text of README.md. The lint fails on
+
+- a public top-level ``def`` or ``class`` that no reader spells as a
+  ``Name``, an ``Attribute`` or an import alias, or README.md as a whole
+  word;
+- a public method or property of a top-level class that no reader spells
+  as an attribute ``x.name``, or README.md as ``.name``;
+- a defaulted parameter of a public top-level function that no reader's
+  call passes, by position or by keyword. ``_checked(f, *args)``, the
+  CLI's wrapper, counts as a call of ``f``.
 """
 import ast
 import re
@@ -20,48 +26,99 @@ ROOT = SRC.parent.parent
 TESTS = Path(__file__).resolve().parent
 
 
-def public_defs(tree: ast.Module) -> dict[str, range]:
-    """Public top-level def/class name -> the lines its definition spans."""
-    return {node.name: range(node.lineno, node.end_lineno + 1)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")}
+def public_defs(node: ast.Module | ast.ClassDef) -> dict[str, ast.AST]:
+    """Public def/class name -> its definition, in the body of node."""
+    return {child.name: child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+            and not child.name.startswith("_")}
 
 
-def spelled(tree: ast.Module, skip: range = range(0)) -> set[str]:
-    """Names a tree reaches, leaving out nodes on the lines in `skip`."""
-    names = set()
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
+    """(line, reach) for each reach a tree makes.
+
+    A reach is ("name", n) for a Name, an Attribute or an import alias
+    spelling n; ("attr", n) for an Attribute alone; ("pass", f, key) for
+    an argument that a call of f passes, key being its position or
+    keyword, ``*`` for a starred one and ``**`` for a double-starred one.
+    """
+    out = []
     for node in ast.walk(tree):
-        if getattr(node, "lineno", None) in skip:
-            continue
+        line = getattr(node, "lineno", None)
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            out.append((line, ("name", node.id)))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            out += [(line, ("name", node.attr)), (line, ("attr", node.attr))]
         elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
-    return names
+            out.append((line, ("name", node.name.split(".")[-1])))
+        elif isinstance(node, ast.Call):
+            callee, args = _callee(node.func), node.args
+            if callee == "_checked" and args:
+                callee, args = _callee(args[0]), args[1:]
+            out += [(line, ("pass", callee,
+                            "*" if isinstance(arg, ast.Starred) else at))
+                    for at, arg in enumerate(args)]
+            out += [(line, ("pass", callee, kw.arg or "**"))
+                    for kw in node.keywords]
+    return out
+
+
+def defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None for keyword-only; name) per defaulted parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(at, arg.arg) for at, arg in enumerate(positional) if at >= first]
+    out += [(None, arg.arg) for arg, default
+            in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+    return out
 
 
 def unreached(modules: dict[str, str], readers: list[str],
               text: str) -> list[str]:
-    """module.name for each public def no reader reaches.
+    """module.name, module.Class.method and module.function(parameter)
+    for each that no reader reaches.
 
     `modules` maps a library module's name to its source; `readers` are
     the other sources that count, and `text` the prose that does.
     """
     trees = {name: ast.parse(source, name) for name, source in modules.items()}
-    outside = set().union(*(spelled(ast.parse(source)) for source in readers))
+    made = {name: reaches(tree) for name, tree in trees.items()}
+    outside = {reach for source in readers for _, reach in reaches(
+        ast.parse(source))}
     words = set(re.findall(r"\w+", text))
+    dotted = set(re.findall(r"\.(\w+)", text))
     found = []
     for name, tree in sorted(trees.items()):
-        others = set().union(*(spelled(t) for n, t in trees.items()
-                               if n != name))
-        for fn, lines in public_defs(tree).items():
-            own = spelled(tree, lines)
-            if not {fn} & (own | others | outside | words):
+        others = outside | {reach for n, rs in made.items() if n != name
+                            for _, reach in rs}
+
+        def reached(node: ast.AST) -> set[tuple]:
+            skip = range(node.lineno, node.end_lineno + 1)
+            return others | {reach for line, reach in made[name]
+                             if line not in skip}
+
+        for fn, node in public_defs(tree).items():
+            seen = reached(node)
+            if ("name", fn) not in seen and fn not in words:
                 found.append(f"{name}.{fn}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{name}.{fn}.{method}"
+                          for method, child in public_defs(node).items()
+                          if ("attr", method) not in reached(child)
+                          and method not in dotted]
+                continue
+            for at, param in defaulted(node):
+                keys = {param, "**"} | ({at, "*"} if at is not None else set())
+                if not any(("pass", fn, key) in seen for key in keys):
+                    found.append(f"{name}.{fn}({param})")
     return sorted(found)
 
 
@@ -93,23 +150,59 @@ class Shown:
 
 
 class Benched:
+    def run(self):
+        return self.size
+
+    @property
+    def size(self):
+        return 0
+
+    def step(self):
+        return self.step()
+
+    def shown(self):
+        pass
+
+    def worded(self):
+        pass
+
+    def _private(self):
+        pass
+
+
+def knobs(a, b=1, c=2, *, d=3, e=None):
+    return knobs(a, b, c, d=d, e=e)
+
+
+def starred(a=0, b=1):
     pass
 
 
-def _private():
+def _private(x=0):
     pass
 '''
 
 
 def test_the_lint_flags_only_what_tests_alone_reach():
-    # tests are no reader: a name only they import is flagged, and its
-    # own recursive call does not reach it
-    bench = "import blobshift.lib as L\nL.kept()\nL.Benched()\n"
-    assert unreached({"lib": LIB}, [bench], "Run `Shown` here.") == [
-        "lib.tested_only"]
-    # a perfbench script, README's text and another library module reach
-    cli = "from .lib import tested_only\n"
-    assert unreached({"lib": LIB, "cli": cli}, [bench], "Shown") == []
-    # helper is reached inside its own module, by kept
+    # tests are no reader: a name only they reach is flagged, and a
+    # recursive call of a function or a method does not reach it; README
+    # reaches a method only as `.name`
+    bench = ("import blobshift.lib as L\nL.kept()\nL.Benched().run()\n"
+             "L.knobs(0, 1, d=2)\nargs = (0,)\nL.starred(*args)\n")
+    prose = "Run `Shown`, `worded` and `Benched.shown` here."
+    assert unreached({"lib": LIB}, [bench], prose) == [
+        "lib.Benched.step", "lib.Benched.worded", "lib.knobs(c)",
+        "lib.knobs(e)", "lib.tested_only"]
+    # another library module reaches too, and the CLI's _checked(f, *args)
+    # is a call of f
+    cli = ("from .lib import tested_only\n_checked(knobs, 0, 1, 2)\n"
+           "knobs(0, e=1)\nB().step()\n")
+    assert unreached({"lib": LIB, "cli": cli}, [bench],
+                     "Shown, `.worded` and `.shown`") == []
+    # helper is reached inside its own module, by kept, and size by run
     assert unreached({"lib": LIB}, [], "") == [
-        "lib.Benched", "lib.Shown", "lib.kept", "lib.tested_only"]
+        "lib.Benched", "lib.Benched.run", "lib.Benched.shown",
+        "lib.Benched.step", "lib.Benched.worded", "lib.Shown", "lib.kept",
+        "lib.knobs", "lib.knobs(b)", "lib.knobs(c)", "lib.knobs(d)",
+        "lib.knobs(e)", "lib.starred", "lib.starred(a)", "lib.starred(b)",
+        "lib.tested_only"]

@@ -399,7 +399,7 @@ def test_recurrent_witness_is_a_window_of_the_searched_word(name, horizon):
     while len(word) < verdict.details["search_length"]:
         word = subst.apply(word)
     start, witness = verdict.details["witness_start"], verdict.witness
-    assert witness == parse_moves(word[start:start + len(witness)], 1)
+    assert witness == parse_moves(word[start:start + len(witness)])
     # a shortest window ends on a visit to its start height
     heights = integrate(witness).heights
     assert heights[-1] == 0

@@ -287,9 +287,7 @@ def test_dirichlet_isolated_two():
 
 
 def test_dirichlet_explicit_injection():
-    k, modulus, p = dirichlet_isolated(1, injection=[7, 5])
-    assert modulus == 35
-    assert is_prime(p)
+    assert dirichlet_isolated(1, injection=[7, 5]) == (6, 35, 41)
 
 
 def test_dirichlet_coprimality_random_injections():

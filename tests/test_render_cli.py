@@ -223,6 +223,26 @@ def test_cli_primes_crt_golden(capsys):
     assert report["result"]["modulus"] == 385
 
 
+def test_cli_primes_dirichlet_takes_the_injection(capsys):
+    report = run_json(capsys, "primes", "dirichlet", "--n", "1")
+    assert report["result"] == {"n": 1, "k": 11, "modulus": 15, "prime": 11}
+    report = run_json(capsys, "primes", "dirichlet", "--n", "1",
+                      "--injection", "7,5")
+    assert report["result"] == {"n": 1, "k": 6, "modulus": 35, "prime": 41}
+    assert main(["primes", "dirichlet", "--n", "1", "--injection", "9,5"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "InjectionNotPrime", "message": "9 is not prime"}
+
+
+def test_cli_out_in_either_spelling_leaves_the_report_alone(files):
+    argv = ["blobs", "--pattern", str(files / "word.pat"), "--radius", "1"]
+    assert main(argv + ["--out", str(files / "pair.json")]) == 0
+    assert main(argv + [f"--out={files / 'token.json'}"]) == 0
+    report = (files / "pair.json").read_bytes()
+    assert (files / "token.json").read_bytes() == report
+    assert json.loads(report)["command"] == argv
+
+
 def test_cli_primes_export(capsys, tmp_path):
     out = tmp_path / "primes.pat"
     code = main(["primes", "export", "--limit", "50", "--out", str(out)])
@@ -367,6 +387,7 @@ def test_cli_usage_error_is_exit_one(capsys):
       "no_such_dir/width.json"], 1),
     (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
       "--render-dir", "word.pat/levels"], 1),
+    (["blobs", "--pattern", "word.pat", "--radius", "1", "--ou", "o.json"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):

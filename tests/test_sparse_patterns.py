@@ -69,7 +69,6 @@ def check_views(p, oracle):
     assert list(p.cells()) == text_order(oracle.values)
     assert as_dict(p) == oracle.values
     assert len(p) == len(oracle.values)
-    assert p.domain == frozenset(oracle.values)
     assert p.support() == oracle.support()
     assert p.bounding_box() == oracle.bounding_box()
     assert p.dimension == oracle.dimension

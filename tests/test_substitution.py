@@ -6,13 +6,13 @@ import pytest
 from blobshift.errors import SizeLimit
 from blobshift.patterns import BINARY, Alphabet, Pattern, connected_components, rows_of
 from blobshift.substitution import (
-    BlockHierarchySpec,
     Substitution1D,
     Substitution2D,
     block_side,
     block_spec,
     build_unbounded_rows,
     cantor_substitution,
+    default_block_seeds,
     density_word,
     format_substitution,
     iterate_1d,
@@ -149,9 +149,9 @@ def test_block_invariants(k):
 
 
 def test_block_base_case_returns_seed():
-    spec = block_spec(2)
+    spec, seeds = block_spec(2), default_block_seeds(2)
     for j in (1, 2):
-        assert build_unbounded_rows(spec, 1, j) == spec.seeds[j - 1]
+        assert build_unbounded_rows(spec, 1, j) == seeds[j - 1]
 
 
 def test_block_side_recursion():
@@ -176,16 +176,6 @@ def test_block_width_lower_bounds():
     for i, expected in ((2, 1), (3, 2), (4, 2)):
         rows = rows_of(build_unbounded_rows(spec, i, 1))
         assert essential_width_lower_bound(rows, m1) == expected
-
-
-def test_block_custom_seeds_validated():
-    ok = Pattern.from_rows(["1..", "...", "1.."])  # corner 1 plus one top-row 1
-    spec = BlockHierarchySpec(k=1, seed_side=3, seeds=(ok,))
-    assert spec.seeds == (ok,)
-    with pytest.raises(ValueError):
-        # bottom row must hold its single nonzero at the corner
-        BlockHierarchySpec(k=1, seed_side=3,
-                           seeds=(Pattern.from_rows(["...", "...", ".1."]),))
 
 
 def test_block_sparsity_matches_k():
