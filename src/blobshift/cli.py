@@ -273,10 +273,6 @@ def _cmd_pathcover(args, inputs):
     from . import pathcover
 
     if args.action != "guided":
-        if not args.pattern:
-            raise _UsageError(f"{args.action} needs --pattern")
-        if args.format != "json":
-            raise _UsageError(f"{args.action} reports only as --format json")
         pattern = parse_pattern(_read(args.pattern, inputs))
     if args.action == "geodesic":
         path = pathcover.geodesic_witness(pattern, args.radius)
@@ -294,6 +290,9 @@ def _cmd_pathcover(args, inputs):
         }
     # guided
     if args.slope is not None:
+        if args.steps or args.offsets:
+            raise _UsageError("guided takes --slope or --steps with --offsets,"
+                              " not both")
         offsets = [int(c) for c in _checked(pathcover.sturmian_word,
                                             args.slope, args.length)]
         steps = [1] * args.length
@@ -382,110 +381,141 @@ def _cmd_render(args, inputs):
 
 
 # -- parser ----------------------------------------------------------------------
+#
+# A command with actions has one parser per action, and each takes only the
+# flags its branch of the handler reads, so any other flag is a usage error.
+# Each command defines its flags once; its actions name the ones they take.
+
+_FORMATS = ("json", "text", "pbm")
+
+# command: (handler, summary, flag definitions, each action's flags)
+_ACTIONS = {
+    "fractal": (_cmd_fractal, "blob hierarchy verification", {
+        "--pattern": dict(required=True),
+        "--pad": dict(type=_at_least(0), default=0,
+                      help="zero-pad the window by this radius first"),
+        "--radii": dict(help="comma-separated strictly increasing radii"),
+        "--threshold": dict(type=_at_least(1), default=50),
+        "--render-dir": dict(
+            help="write one PBM per level blob into this directory"),
+    }, {
+        "verify": ("--pattern", "--pad", "--radii", "--render-dir"),
+        "classify": ("--pattern", "--pad", "--radii", "--threshold",
+                     "--render-dir"),
+    }),
+    "pathcover": (_cmd_pathcover, "paths drawn on supports", {
+        "--pattern": dict(required=True),
+        "--radius": dict(type=_at_least(0), default=1),
+        "--window": dict(type=_at_least(1), default=1,
+                         help="ascension window"),
+        "--budget": dict(type=_at_least(1), default=200_000),
+        "--length": dict(type=_at_least(0), default=64),
+        "--slope": dict(type=_slope, help="rational slope p/q in [0, 1] "
+                                          "for Sturmian offsets"),
+        "--steps": dict(help="comma-separated vertical steps"),
+        "--offsets": dict(help="comma-separated horizontal offsets"),
+        "--format": dict(default="json", choices=_FORMATS),
+    }, {
+        "geodesic": ("--pattern", "--radius"),
+        "ascend": ("--pattern", "--radius", "--window", "--budget"),
+        "guided": ("--length", "--slope", "--steps", "--offsets", "--format"),
+    }),
+    "ca": (_cmd_ca, "cellular automaton probes", {
+        "--rule": dict(required=True),
+        "--max-width": dict(type=_at_least(1), default=4),
+        "--max-time": dict(type=_at_least(1), default=16),
+        "--config": dict(default="1"),
+        "--offset": dict(type=int, default=0),
+        "--horizon": dict(type=_at_least(0), default=32),
+    }, {
+        "glider": ("--rule", "--max-width", "--max-time"),
+        "nilpotent": ("--rule", "--max-width", "--max-time"),
+        "profile": ("--rule", "--config", "--offset", "--horizon"),
+    }),
+    "tfg": (_cmd_tfg, "topological full group order search", {
+        "--rule": dict(required=True),
+        "--max-order": dict(type=_at_least(1), default=8),
+        "--max-period": dict(type=_at_least(1), default=4),
+    }, {
+        "order": ("--rule", "--max-order", "--max-period"),
+    }),
+    "primes": (_cmd_primes, "prime subshift probes", {
+        "--limit": dict(type=_at_least(2), default=10 ** 6),
+        "--length": dict(type=_at_least(1), default=3),
+        "--threshold": dict(type=_at_least(0), default=10 ** 5),
+        "--n": dict(type=_at_least(0), default=1),
+        "--injection": dict(),
+        "--scan-limit": dict(type=_at_least(0), default=10 ** 5),
+        "--start": dict(type=_at_least(0), default=0),
+        "--end": dict(type=int, default=None),
+    }, {
+        "lang": ("--limit", "--length", "--threshold"),
+        "crt": ("--n", "--injection"),
+        "isolated": ("--n", "--limit"),
+        "dirichlet": ("--n", "--scan-limit", "--injection"),
+        "gaps": ("--limit", "--threshold"),
+        "export": ("--limit", "--start", "--end"),
+    }),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="blobshift", description=__doc__,
                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    # each prog is the one argparse would format from the usage line, which
+    # costs more than the rest of add_subparsers
+    sub = parser.add_subparsers(dest="cmd", required=True, prog=parser.prog)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    def add(parsers, name, handler, **kwargs):
+        p = parsers.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
-    p = add("gen", _cmd_gen, help="iterate a substitution")
+    p = add(sub, "gen", _cmd_gen, help="iterate a substitution")
     p.add_argument("--subst", required=True)
-    p.add_argument("--seed")
-    p.add_argument("--seed-file")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed")
+    seed.add_argument("--seed-file")
     p.add_argument("--iters", type=_at_least(0), required=True)
-    p.add_argument("--format", default="json",
-                   choices=("json", "text", "pbm"))
+    p.add_argument("--format", default="json", choices=_FORMATS)
 
-    p = add("blobs", _cmd_blobs, help="blob decomposition of a pattern")
+    p = add(sub, "blobs", _cmd_blobs, help="blob decomposition of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--radius", type=_at_least(0), required=True)
     p.add_argument("--pad", type=_at_least(0), default=0,
                    help="zero-pad the window by this radius first")
 
-    p = add("glue", _cmd_glue, help="zero-glue two patterns")
+    p = add(sub, "glue", _cmd_glue, help="zero-glue two patterns")
     p.add_argument("--pattern", action="append", required=True)
-    p.add_argument("--format", default="json",
-                   choices=("json", "text", "pbm"))
+    p.add_argument("--format", default="json", choices=_FORMATS)
 
-    p = add("width", _cmd_width, help="essential width lower bound and sparsity")
+    p = add(sub, "width", _cmd_width,
+            help="essential width lower bound and sparsity")
     p.add_argument("--pattern", required=True)
     p.add_argument("--radius", type=_at_least(0), required=True)
 
-    p = add("fractal", _cmd_fractal, help="blob hierarchy verification")
-    p.add_argument("action", choices=("verify", "classify"))
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--pad", type=_at_least(0), default=0,
-                   help="zero-pad the window by this radius first")
-    p.add_argument("--radii", help="comma-separated strictly increasing radii")
-    p.add_argument("--threshold", type=_at_least(1), default=50)
-    p.add_argument("--render-dir",
-                   help="write one PBM per level blob into this directory")
-
-    p = add("classify-path", _cmd_classify_path,
+    p = add(sub, "classify-path", _cmd_classify_path,
             help="classify the path space of a move substitution")
     p.add_argument("--subst", required=True)
     p.add_argument("--horizon", type=_at_least(1), required=True)
 
-    p = add("pathcover", _cmd_pathcover, help="paths drawn on supports")
-    p.add_argument("action", choices=("geodesic", "ascend", "guided"))
-    p.add_argument("--pattern")
-    p.add_argument("--radius", type=_at_least(0), default=1)
-    p.add_argument("--window", type=_at_least(1), default=1,
-                   help="ascension window for ascend")
-    p.add_argument("--budget", type=_at_least(1), default=200_000)
-    p.add_argument("--length", type=_at_least(0), default=64)
-    p.add_argument("--slope", type=_slope,
-                   help="rational slope p/q in [0, 1] for Sturmian offsets")
-    p.add_argument("--steps", help="comma-separated vertical steps")
-    p.add_argument("--offsets", help="comma-separated horizontal offsets")
-    p.add_argument("--format", default="json",
-                   choices=("json", "text", "pbm"))
-
-    p = add("ca", _cmd_ca, help="cellular automaton probes")
-    p.add_argument("action", choices=("glider", "nilpotent", "profile"))
-    p.add_argument("--rule", required=True)
-    p.add_argument("--max-width", type=_at_least(1),
-                   default=4)
-    p.add_argument("--max-time", type=_at_least(1),
-                   default=16)
-    p.add_argument("--config", default="1")
-    p.add_argument("--offset", type=int, default=0)
-    p.add_argument("--horizon", type=_at_least(0), default=32)
-
-    p = add("tfg", _cmd_tfg, help="topological full group order search")
-    p.add_argument("action", choices=("order",))
-    p.add_argument("--rule", required=True)
-    p.add_argument("--max-order", type=_at_least(1),
-                   default=8)
-    p.add_argument("--max-period", type=_at_least(1),
-                   default=4)
-
-    p = add("primes", _cmd_primes, help="prime subshift probes")
-    p.add_argument("action", choices=("lang", "crt", "isolated",
-                                      "dirichlet", "gaps", "export"))
-    p.add_argument("--limit", type=_at_least(2), default=10 ** 6)
-    p.add_argument("--length", type=_at_least(1), default=3)
-    p.add_argument("--threshold", type=_at_least(0), default=10 ** 5)
-    p.add_argument("--n", type=_at_least(0), default=1)
-    p.add_argument("--injection")
-    p.add_argument("--scan-limit", type=_at_least(0),
-                   default=10 ** 5)
-    p.add_argument("--start", type=_at_least(0), default=0)
-    p.add_argument("--end", type=int, default=None)
-
-    p = add("render", _cmd_render, help="render a pattern or a move word")
-    p.add_argument("--pattern")
-    p.add_argument("--moves")
+    p = add(sub, "render", _cmd_render, help="render a pattern or a move word")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--pattern")
+    source.add_argument("--moves")
     p.add_argument("--format", default="text",
                    choices=("text", "pbm", "svg-paths"))
+
+    for name, (handler, summary, flags, actions) in _ACTIONS.items():
+        command = sub.add_parser(name, allow_abbrev=False, help=summary)
+        leaves = command.add_subparsers(dest="action", required=True,
+                                        prog=command.prog)
+        for action, names in actions.items():
+            p = add(leaves, action, handler)
+            for flag in names:
+                p.add_argument(flag, **flags[flag])
     return parser
 
 

@@ -388,6 +388,22 @@ def test_cli_usage_error_is_exit_one(capsys):
     (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
       "--render-dir", "word.pat/levels"], 1),
     (["blobs", "--pattern", "word.pat", "--radius", "1", "--ou", "o.json"], 1),
+    # a flag the action does not read
+    (["primes", "crt", "--n", "3", "--scan-limit", "7", "--start", "5"], 1),
+    (["primes", "lang", "--n", "2"], 1),
+    (["ca", "glider", "--rule", "xor.ca", "--config", "1"], 1),
+    (["ca", "profile", "--rule", "xor.ca", "--max-width", "3"], 1),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
+      "--threshold", "5"], 1),
+    (["pathcover", "geodesic", "--pattern", "word.pat", "--budget", "5"], 1),
+    (["pathcover", "guided", "--slope", "1/2", "--radius", "2"], 1),
+    # two flags where one would override the other
+    (["gen", "--subst", "plus.sub", "--seed", "1", "--seed-file", "plane.pat",
+      "--iters", "1"], 1),
+    (["pathcover", "guided", "--slope", "1/2", "--steps", "1,1", "--offsets",
+      "0,1"], 1),
+    (["render", "--pattern", "word.pat", "--moves", "++", "--format",
+      "svg-paths"], 1),
 ])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
                                                   argv, code):
