@@ -459,7 +459,38 @@ _ACTIONS = {
 }
 
 
-def _build_parser() -> _Parser:
+# the commands without actions
+_PLAIN = ("gen", "blobs", "glue", "width", "classify-path", "render")
+
+
+def _named(argv: list[str]) -> tuple[str | None, str | None]:
+    """The command and the action that argv names; None where it names none.
+
+    A flag between an action command and its action is refused: the
+    command's parser does not know the flag, so it would read the flag's
+    value as the action and name that in its error.
+    """
+    if not argv or argv[0] not in _PLAIN and argv[0] not in _ACTIONS:
+        return None, None
+    command = argv[0]
+    if command in _PLAIN or len(argv) < 2:
+        return command, None
+    word, actions = argv[1], _ACTIONS[command][3]
+    if word.startswith("-") and word not in ("-h", "--help"):
+        flag = word.partition("=")[0]
+        raise _UsageError(f"{flag} before the action: flags go after the "
+                          f"action, as in blobshift {command} "
+                          f"{{{','.join(actions)}}} {flag} ...")
+    return command, word if word in actions else None
+
+
+def _build_parser(command: str | None = None,
+                  action: str | None = None) -> _Parser:
+    """The parser tree, cut to one command and one action where given.
+
+    A parser that argv does not reach changes neither the parse nor any
+    message, so :func:`main` builds only what :func:`_named` names.
+    """
     parser = _Parser(prog="blobshift", description=__doc__,
                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
@@ -473,58 +504,68 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
-    p = add(sub, "gen", _cmd_gen, help="iterate a substitution")
-    p.add_argument("--subst", required=True)
-    seed = p.add_mutually_exclusive_group()
-    seed.add_argument("--seed")
-    seed.add_argument("--seed-file")
-    p.add_argument("--iters", type=_at_least(0), required=True)
-    p.add_argument("--format", default="json", choices=_FORMATS)
+    if command in (None, "gen"):
+        p = add(sub, "gen", _cmd_gen, help="iterate a substitution")
+        p.add_argument("--subst", required=True)
+        seed = p.add_mutually_exclusive_group()
+        seed.add_argument("--seed")
+        seed.add_argument("--seed-file")
+        p.add_argument("--iters", type=_at_least(0), required=True)
+        p.add_argument("--format", default="json", choices=_FORMATS)
 
-    p = add(sub, "blobs", _cmd_blobs, help="blob decomposition of a pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--radius", type=_at_least(0), required=True)
-    p.add_argument("--pad", type=_at_least(0), default=0,
-                   help="zero-pad the window by this radius first")
+    if command in (None, "blobs"):
+        p = add(sub, "blobs", _cmd_blobs,
+                help="blob decomposition of a pattern")
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--radius", type=_at_least(0), required=True)
+        p.add_argument("--pad", type=_at_least(0), default=0,
+                       help="zero-pad the window by this radius first")
 
-    p = add(sub, "glue", _cmd_glue, help="zero-glue two patterns")
-    p.add_argument("--pattern", action="append", required=True)
-    p.add_argument("--format", default="json", choices=_FORMATS)
+    if command in (None, "glue"):
+        p = add(sub, "glue", _cmd_glue, help="zero-glue two patterns")
+        p.add_argument("--pattern", action="append", required=True)
+        p.add_argument("--format", default="json", choices=_FORMATS)
 
-    p = add(sub, "width", _cmd_width,
-            help="essential width lower bound and sparsity")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--radius", type=_at_least(0), required=True)
+    if command in (None, "width"):
+        p = add(sub, "width", _cmd_width,
+                help="essential width lower bound and sparsity")
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--radius", type=_at_least(0), required=True)
 
-    p = add(sub, "classify-path", _cmd_classify_path,
-            help="classify the path space of a move substitution")
-    p.add_argument("--subst", required=True)
-    p.add_argument("--horizon", type=_at_least(1), required=True)
+    if command in (None, "classify-path"):
+        p = add(sub, "classify-path", _cmd_classify_path,
+                help="classify the path space of a move substitution")
+        p.add_argument("--subst", required=True)
+        p.add_argument("--horizon", type=_at_least(1), required=True)
 
-    p = add(sub, "render", _cmd_render, help="render a pattern or a move word")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--pattern")
-    source.add_argument("--moves")
-    p.add_argument("--format", default="text",
-                   choices=("text", "pbm", "svg-paths"))
+    if command in (None, "render"):
+        p = add(sub, "render", _cmd_render,
+                help="render a pattern or a move word")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--pattern")
+        source.add_argument("--moves")
+        p.add_argument("--format", default="text",
+                       choices=("text", "pbm", "svg-paths"))
 
     for name, (handler, summary, flags, actions) in _ACTIONS.items():
-        command = sub.add_parser(name, allow_abbrev=False, help=summary)
-        leaves = command.add_subparsers(dest="action", required=True,
-                                        prog=command.prog)
-        for action, names in actions.items():
-            p = add(leaves, action, handler)
-            for flag in names:
-                p.add_argument(flag, **flags[flag])
+        if command not in (None, name):
+            continue
+        parsers = sub.add_parser(name, allow_abbrev=False, help=summary)
+        leaves = parsers.add_subparsers(dest="action", required=True,
+                                        prog=parsers.prog)
+        for leaf, names in actions.items():
+            if action in (None, leaf):
+                p = add(leaves, leaf, handler)
+                for flag in names:
+                    p.add_argument(flag, **flags[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     inputs: dict = {}
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(*_named(argv)).parse_args(argv)
         result = args.handler(args, inputs)
         _emit(args, result if isinstance(result, bytes)
               else _report(argv, inputs, result))

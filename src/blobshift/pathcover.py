@@ -5,22 +5,26 @@ hunts simple paths whose height gains are window-uniform, and guided
 traces build staircase-like supports from step directions. Sturmian
 offset sequences come from the mechanical-word formula with exact
 rationals, so there is no floating-point drift.
+
+The path searches need paths, not only the partition that
+:func:`~blobshift.patterns.connected_components` reads off the rows:
+:func:`_adjacency` builds their r-adjacency graph, probing each pair
+from its lesser cell over half of the L1 ball, and :func:`_bfs` and
+:func:`_sweeps` walk it. The graph is keyed by cells packed into ints,
+whose order is the cells' order, so a probe adds two ints instead of
+building and hashing a tuple; keys become cells again only in the paths
+returned.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from operator import sub
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import EmptySupport
 from .limits import check_cells
-from .patterns import (
-    BINARY,
-    Cell,
-    Pattern,
-    adjacency,
-    bfs,
-    component_sweeps,
-)
+from .patterns import BINARY, Cell, Pattern, _half_ball
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -35,7 +39,7 @@ class CellPath:
 
     def __post_init__(self):
         for a, b in zip(self.cells, self.cells[1:]):
-            if _l1(a, b) > self.step:
+            if sum(map(abs, map(sub, a, b))) > self.step:
                 raise ValueError("consecutive path cells exceed the step bound")
 
     def __len__(self) -> int:
@@ -45,12 +49,101 @@ class CellPath:
         return [c[-1] for c in self.cells]
 
 
-def _l1(a: Cell, b: Cell) -> int:
-    return sum(abs(x - y) for x, y in zip(a, b))
+# -- the r-adjacency graph on packed cells -------------------------------------
 
 
-def _farthest(dist: dict) -> Cell:
-    return max(dist, key=lambda c: (dist[c], c))
+def _adjacency(cells: Iterable[Cell],
+               r: int) -> tuple[dict[int, list[int]], dict[int, Cell]]:
+    """Each cell's r-adjacent cells, keyed by packed ints; and each key's cell.
+
+    A 1D cell (x,) packs to x. A 2D cell packs to (x - x0) * W + (y - y0),
+    (x0, y0) being the cells' least coordinates and W = y-extent + 2s + 1,
+    for s below. Keys then sort as their cells do, and the half ball's
+    offsets dx * W + dy sort as their (dx, dy) do, since |dy| <= s < W / 2.
+    No probe aliases: if key k + dx * W + dy is the key of (x', y'), then
+    (x + dx - x') * W = y' - y - dy, at most y-extent + s < W in size, so
+    both sides are 0.
+
+    Each unordered pair is probed once, from its lesser cell, over the
+    lexicographically positive half of the L1 ball. Cells are visited in
+    sorted order, so every list gets its lesser neighbours first, in
+    order, then its greater ones. The graph's keys are sorted too. Every
+    pair lies within the cells' span (x-extent plus y-extent), so the
+    half ball is that of s = min(r, span): 1..s in 1D. The lists can hold
+    up to 2 * len(cells) * len(half ball) entries; a bound past the cell
+    cap raises :class:`SizeLimit` before it is listed.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    cells = frozenset(cells)
+    if not cells:
+        return {}, {}
+    dim = len(next(iter(cells)))
+    if dim == 1:
+        xs = [x for x, in cells]
+        s = min(r, max(xs) - min(xs))
+    else:
+        xs, ys = zip(*cells)
+        x0, y0 = min(xs), min(ys)
+        s = min(r, max(xs) - x0 + max(ys) - y0)
+    check_cells(2 * len(cells) * _half_ball(s, dim),
+                f"{r}-adjacency of {len(cells)} cells")
+    if dim == 1:
+        cell_of = dict(zip(xs, cells))
+        half = range(1, s + 1)
+    else:
+        width = max(ys) - y0 + 2 * s + 1
+        cell_of = dict(zip([(x - x0) * width + y - y0 for x, y in cells],
+                           cells))
+        half = [dx * width + dy for dx in range(s + 1)
+                for dy in range(dx - s if dx else 1, s - dx + 1)]
+    graph: dict[int, list[int]] = {k: [] for k in sorted(cell_of)}
+    get = graph.get
+    for k, out in graph.items():
+        for d in half:
+            theirs = get(k + d)
+            if theirs is not None:
+                out.append(k + d)
+                theirs.append(k)
+    return graph, cell_of
+
+
+def _bfs(graph: dict[int, list[int]], start: int) -> tuple[dict, dict]:
+    """Distances and parents from start over an adjacency graph.
+
+    Lists are read in order, so a key's parent is the first key taken off
+    the queue that lists it: parent ties follow the list order.
+    """
+    dist = {start: 0}
+    parent: dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        k = queue.popleft()
+        d = dist[k] + 1
+        for nb in graph[k]:
+            if nb not in dist:
+                dist[nb] = d
+                parent[nb] = k
+                queue.append(nb)
+    return dist, parent
+
+
+def _sweeps(graph: dict[int, list[int]]) -> Iterator[dict]:
+    """One :func:`_bfs` distance map per component, from its least key.
+
+    Components come in order of their least cell, since the graph lists
+    its keys in sorted order; each map's first key is that cell's.
+    """
+    seen: set[int] = set()
+    for start in graph:
+        if start not in seen:
+            dist = _bfs(graph, start)[0]
+            seen.update(dist)
+            yield dist
+
+
+def _farthest(dist: dict) -> int:
+    return max(dist, key=lambda k: (dist[k], k))
 
 
 def geodesic_witness(pattern: Pattern, r: int) -> CellPath:
@@ -65,20 +158,19 @@ def geodesic_witness(pattern: Pattern, r: int) -> CellPath:
     length certifies component size at least that length. Of equal-sized
     components, the one with the greater least cell is taken.
     """
-    graph = adjacency(pattern.support(), r)
+    graph, cell_of = _adjacency(pattern.support(), r)
     if not graph:
         raise EmptySupport("geodesic witness needs a nonzero cell")
     # each component's sweep starts at its least cell, the map's first key,
     # so the largest one's is also the double sweep's first
-    dist = max(component_sweeps(graph), key=lambda d: (len(d), next(iter(d))))
+    dist = max(_sweeps(graph), key=lambda d: (len(d), next(iter(d))))
     a = _farthest(dist)
-    dist, parent = bfs(graph, a)
-    b = _farthest(dist)
-    cells = [b]
-    while cells[-1] != a:
-        cells.append(parent[cells[-1]])
-    cells.reverse()
-    return CellPath(tuple(cells), r)
+    dist, parent = _bfs(graph, a)
+    keys = [_farthest(dist)]
+    while keys[-1] != a:
+        keys.append(parent[keys[-1]])
+    keys.reverse()
+    return _cell_path(keys, cell_of, r)
 
 
 def find_ascending_path(pattern: Pattern, r: int, m: int,
@@ -115,26 +207,27 @@ def _ascend(pattern: Pattern, r: int, m: int,
     """
     if m < 1 or budget < 1:
         raise ValueError("window and budget must be at least 1")
-    graph = adjacency(pattern.support(), r)
+    graph, cell_of = _adjacency(pattern.support(), r)
     if not graph:
         return None, 0, True
-    longest = max(map(len, component_sweeps(graph)))
-    best: list[Cell] | None = None
+    height = {k: cell[-1] for k, cell in cell_of.items()}
+    longest = max(map(len, _sweeps(graph)))
+    best: list[int] | None = None
     best_len = 2 * m - 1  # a path counts from 2m cells on
     spent = 0
 
-    def extensions(path: list[Cell], used: set) -> list[Cell]:
+    def extensions(path: list[int], used: set) -> list[int]:
         t = len(path)
-        floor = path[t - m][-1] if t >= m else None
+        floor = height[path[t - m]] if t >= m else None
         return [nb for nb in graph[path[-1]]
-                if nb not in used and (floor is None or nb[-1] > floor)]
+                if nb not in used and (floor is None or height[nb] > floor)]
 
     # `best` is copied from `path` only when the search backs out of it
     # or stops, so a run of ever longer paths costs no copy per node
     fresh = False
     for start in graph:
         if spent >= budget:
-            return _cell_path(best, r), spent, False
+            return _cell_path(best, cell_of, r), spent, False
         path, used = [start], {start}
         spent += 1
         pending = [iter(extensions(path, used))]
@@ -149,20 +242,22 @@ def _ascend(pattern: Pattern, r: int, m: int,
             if spent >= budget:
                 if fresh:
                     best = path[:best_len]
-                return _cell_path(best, r), spent, False
+                return _cell_path(best, cell_of, r), spent, False
             path.append(nb)
             used.add(nb)
             spent += 1
             if len(path) > best_len:
                 best_len, fresh = len(path), True
                 if best_len == longest:
-                    return _cell_path(path, r), spent, True
+                    return _cell_path(path, cell_of, r), spent, True
             pending.append(iter(extensions(path, used)))
-    return _cell_path(best, r), spent, True
+    return _cell_path(best, cell_of, r), spent, True
 
 
-def _cell_path(cells: list[Cell] | None, r: int) -> CellPath | None:
-    return None if cells is None else CellPath(tuple(cells), r)
+def _cell_path(keys: list[int] | None, cell_of: dict[int, Cell],
+               r: int) -> CellPath | None:
+    return None if keys is None else CellPath(
+        tuple(map(cell_of.__getitem__, keys)), r)
 
 
 def trace_guided_path(vertical_steps: Sequence[int], offsets: Sequence[int],

@@ -20,10 +20,6 @@ window is an interval test per row of the piece.
 :func:`connected_components` and blob scans read the r-components off
 the support's sorted rows: each row is cut into runs of cells, and runs
 of nearby rows are joined in a union-find, so no cell graph is built.
-The path searches of :mod:`blobshift.pathcover` need paths, not only a
-partition: :func:`adjacency` builds their r-adjacency graph, probing
-each pair from its lesser cell over half of the L1 ball, and
-:func:`bfs` and :func:`component_sweeps` walk it.
 
 The public :class:`Pattern` constructor checks every cell and symbol.
 Values derived only from checked patterns of one alphabet and its zero
@@ -36,7 +32,6 @@ integers, hence arbitrary precision.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import wraps
 from math import prod
@@ -199,89 +194,6 @@ def _dilate(domain: Mapping[int, tuple], r: int, dim: int) -> dict:
                     spans.append((lo - w, end + w))
     return {y: spans[0] if len(spans) == 1 else _merged(sorted(spans))
             for y, spans in grown.items()}
-
-
-def adjacency(cells: Iterable[Cell], r: int) -> dict[Cell, list[Cell]]:
-    """Each cell's r-adjacent cells within cells, in sorted order.
-
-    Each unordered pair is probed once, from its lesser cell, over the
-    lexicographically positive half of the L1 ball. Cells are visited in
-    sorted order, so every list gets its lesser neighbours first, in
-    order, then its greater ones. The graph's keys are sorted too. Every
-    pair lies within the cells' span (x-extent plus y-extent), so the
-    half ball is that of s = min(r, span): 1..s in 1D, read off
-    :func:`_reach`'s rows in 2D. The lists can hold up to
-    2 * len(cells) * len(half ball) entries; a bound past the cell cap
-    raises :class:`SizeLimit` before it is listed.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    order = sorted(set(cells))
-    if not order:
-        return {}
-    dim = len(order[0])
-    s = min(r, sum(max(axis) - min(axis) for axis in zip(*order)))
-    check_cells(2 * len(order) * _half_ball(s, dim),
-                f"{r}-adjacency of {len(order)} cells")
-    graph: dict[Cell, list[Cell]] = {c: [] for c in order}
-    if dim == 1:
-        for c in order:
-            x = c[0]
-            out = graph[c]
-            for d in range(1, s + 1):
-                nb = (x + d,)
-                if nb in graph:
-                    out.append(nb)
-                    graph[nb].append(c)
-    else:
-        half = sorted((dx, dy) for dy, w in _reach(s, 2)
-                      for dx in range(-w, w + 1) if (dx, dy) > _ORIGIN)
-        for c in order:
-            x, y = c
-            out = graph[c]
-            for dx, dy in half:
-                nb = (x + dx, y + dy)
-                if nb in graph:
-                    out.append(nb)
-                    graph[nb].append(c)
-    return graph
-
-
-def bfs(graph: Mapping[Cell, list[Cell]], start: Cell) -> tuple[dict, dict]:
-    """Distances and parents from start over an adjacency graph.
-
-    Lists are read in order, so a cell's parent is the first cell taken
-    off the queue that lists it: parent ties follow the list order.
-    """
-    dist = {start: 0}
-    parent: dict[Cell, Cell] = {}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        d = dist[cell] + 1
-        for nb in graph[cell]:
-            if nb not in dist:
-                dist[nb] = d
-                parent[nb] = cell
-                queue.append(nb)
-    return dist, parent
-
-
-def component_sweeps(graph: Mapping[Cell, list[Cell]]) -> Iterator[dict]:
-    """One :func:`bfs` distance map per component, from its least cell.
-
-    Components come in order of their least cell, since the graph lists
-    its cells in sorted order, as :func:`adjacency` does; each map's
-    first key is that cell. The path searches sweep with it; the
-    partition alone comes from :func:`connected_components`, which
-    builds no graph.
-    """
-    seen: set[Cell] = set()
-    for start in graph:
-        if start not in seen:
-            dist = bfs(graph, start)[0]
-            seen.update(dist)
-            yield dist
 
 
 class Pattern:

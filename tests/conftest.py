@@ -80,6 +80,53 @@ def ball_components(cells, r):
     return components
 
 
+def oracle_adjacency(cells, r):
+    """Each cell's r-adjacent cells, in sorted order, keyed by cell tuples.
+
+    The graph before packed cells: every pair probed once, from its
+    lesser cell, over the greater cells of its sorted ball of radius r
+    clipped to the cells' span.
+    """
+    order = sorted(set(cells))
+    if not order:
+        return {}
+    s = min(r, sum(max(axis) - min(axis) for axis in zip(*order)))
+    around = neighbours(len(order[0]), s)
+    graph = {c: [] for c in order}
+    for c in order:
+        for nb in around(c):
+            if nb > c and nb in graph:
+                graph[c].append(nb)
+                graph[nb].append(c)
+    return graph
+
+
+def oracle_bfs(graph, start):
+    """Distances and parents from start, reading each list in order."""
+    dist = {start: 0}
+    parent = {}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        d = dist[cell] + 1
+        for nb in graph[cell]:
+            if nb not in dist:
+                dist[nb] = d
+                parent[nb] = cell
+                queue.append(nb)
+    return dist, parent
+
+
+def oracle_sweeps(graph):
+    """One :func:`oracle_bfs` distance map per component, from its least cell."""
+    seen = set()
+    for start in graph:
+        if start not in seen:
+            dist = oracle_bfs(graph, start)[0]
+            seen.update(dist)
+            yield dist
+
+
 def three_bfs_geodesic(pattern, r):
     """The witness before adjacency graphs: components, then two sweeps.
 

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from blobshift.cli import _build_parser, main
+from test_render_cli import BAD_ARGUMENTS, write_bad_files, write_files
+from test_report_digests import INPUTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -95,3 +97,36 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])
+
+
+# argv that end in help, the version or an error of the parser
+HELP = [[], ["--help"], ["--version"], ["nonsense"], ["--out", "f.json"],
+        ["gen", "-h"], ["primes"], ["primes", "-h"], ["primes", "bogus"],
+        ["primes", "lang", "--help"], ["pathcover", "geodesic", "-h"]]
+ANSWERED = ([shlex.split(line)[1:] for line in readme_commands()]
+            + [argv for argv, _ in BAD_ARGUMENTS] + HELP)
+
+
+def answer(capsys, argv):
+    """(exit code, stdout, stderr) of one command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # help and --version exit in argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ANSWERED,
+                         ids=[" ".join(argv) or "-" for argv in ANSWERED])
+def test_the_cut_parser_answers_as_the_full_tree(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # main builds only the command and action that argv names
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    write_bad_files(write_files(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    cut = answer(capsys, argv)
+    monkeypatch.setattr("blobshift.cli._build_parser",
+                        lambda *names: _build_parser())
+    assert answer(capsys, argv) == cut

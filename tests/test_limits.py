@@ -23,7 +23,8 @@ SHIFT = automata.shift_element()
 
 # each site, and an input whose cells pass a 10-cell cap
 @pytest.mark.parametrize("what,call", [
-    ("2-adjacency of 3 cells", lambda: patterns.adjacency({(0,), (1,), (2,)}, 2)),
+    ("2-adjacency of 3 cells", lambda: pathcover._adjacency(
+        {(0,), (1,), (2,)}, 2)),
     ("1-components of 6 cells", lambda: patterns.connected_components(
         {(x,) for x in range(6)}, 1)),
     ("dilation by 5", lambda: patterns.pad(Pattern.from_word("1"), 5)),
@@ -80,13 +81,13 @@ def test_adjacency_charges_its_ball_before_listing_it(monkeypatch):
     try:
         with pytest.raises(SizeLimit, match="^5000-adjacency of 2 cells needs "
                            "100020000 cells, past the 10-cell cap$"):
-            patterns.adjacency({(0, 0), (5000, 0)}, 5000)
+            pathcover._adjacency({(0, 0), (5000, 0)}, 5000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
     # one cell spans 0, so no radius probes anything
-    assert patterns.adjacency({(0, 0)}, 5000) == {(0, 0): []}
+    assert pathcover._adjacency({(0, 0)}, 5000) == ({0: []}, {0: (0, 0)})
 
 
 @pytest.mark.parametrize("cells,r,ball", [

@@ -12,13 +12,13 @@ from blobshift.errors import EmptySupport
 from blobshift.patterns import (
     BINARY,
     Pattern,
-    adjacency,
     connected_components,
     essential_width_lower_bound,
     rows_of,
     sparsity,
 )
 from blobshift.pathcover import (
+    _adjacency,
     _ascend,
     find_ascending_path,
     geodesic_witness,
@@ -162,7 +162,7 @@ def test_shipped_supports_have_cycles_past_radius_one():
 def test_negative_radius_is_refused():
     for p in (Pattern.from_word("0110"), Pattern.from_word("000"),
               Pattern(BINARY, {(0, 0): "1", (0, 1): "1"})):
-        for call in (lambda: adjacency(p.support(), -1),
+        for call in (lambda: _adjacency(p.support(), -1),
                      lambda: connected_components(p.support(), -1),
                      lambda: geodesic_witness(p, -1),
                      lambda: find_ascending_path(p, -1, 1)):

@@ -11,13 +11,11 @@ from blobshift.errors import (
     SizeLimit,
     UnsupportedFormat,
 )
-from blobshift.pathcover import geodesic_witness
+from blobshift.pathcover import _adjacency, _bfs, _sweeps, geodesic_witness
 from blobshift.patterns import (
     BINARY,
     Alphabet,
     Pattern,
-    adjacency,
-    bfs,
     blobs,
     connected_components,
     essential_width_lower_bound,
@@ -110,6 +108,13 @@ def sparse_wide_rows(rng):
             for _ in range(rng.randrange(6, 16))}
 
 
+def decoded(cells, r):
+    """(cell, its neighbour cells) per key of the packed r-adjacency graph."""
+    graph, cell_of = _adjacency(cells, r)
+    return [(cell_of[k], [cell_of[nb] for nb in nbs])
+            for k, nbs in graph.items()]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_adjacency_bfs_and_components_match_ball_probing(dim):
     rng = random.Random(70 + dim)
@@ -128,17 +133,23 @@ def test_adjacency_bfs_and_components_match_ball_probing(dim):
         for r in range(7):
             past += bool(cells) and r > extent
             below += r < extent
-            graph = adjacency(cells, r)
-            assert list(graph) == sorted(cells)
+            graph, cell_of = _adjacency(cells, r)
+            key_of = {cell: k for k, cell in cell_of.items()}
+            assert list(graph) == sorted(graph)
+            assert [cell_of[k] for k in graph] == sorted(cells)
             around = neighbours(dim, r)
-            for cell, nbs in graph.items():
+            for cell, nbs in decoded(cells, r):
                 assert nbs == [nb for nb in around(cell) if nb in cells]
             for start in sorted(cells)[::3]:
-                dist, parent = bfs(graph, start)
+                dist, parent = _bfs(graph, key_of[start])
                 want_dist, want_parent = ball_bfs(cells, start, r)
                 # same insertion order too: the queue order is pinned
-                assert list(dist.items()) == list(want_dist.items())
-                assert list(parent.items()) == list(want_parent.items())
+                assert [(cell_of[k], d) for k, d in dist.items()] == \
+                    list(want_dist.items())
+                assert [(cell_of[k], cell_of[p]) for k, p in parent.items()] \
+                    == list(want_parent.items())
+            assert [frozenset(map(cell_of.get, dist))
+                    for dist in _sweeps(graph)] == ball_components(cells, r)
             assert connected_components(cells, r) == ball_components(cells, r)
             assert connected_components(sorted(cells) * 2, r) == \
                 ball_components(cells, r)
@@ -152,11 +163,11 @@ def test_adjacency_bfs_and_components_match_ball_probing(dim):
 def test_adjacency_checks_the_cell_cap_at_its_edge(monkeypatch, cells, r,
                                                    bound):
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(bound))
-    graph = adjacency(cells, r)
+    graph, _ = _adjacency(cells, r)
     assert sum(map(len, graph.values())) <= bound
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(bound - 1))
     with pytest.raises(SizeLimit):
-        adjacency(cells, r)
+        _adjacency(cells, r)
     # components charge two entries per cell, times r + 1 in 2D
     charge = 2 * len(cells) * (r + 1 if len(min(cells)) == 2 else 1)
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", str(charge))
@@ -390,17 +401,17 @@ def test_adjacency_clips_its_radius_to_the_span(monkeypatch):
     # the ball oracles cannot list a 10000-ball, so r = 5 stands in
     p = Pattern.from_rows(["1.?1", "..1.", "1..1"], origin=(0, 0))
     cells = p.support()
-    graph = adjacency(cells, 10_000)
-    assert list(graph.items()) == list(adjacency(cells, 5).items())
-    assert all(len(nbs) == 4 for nbs in graph.values())
+    graph = decoded(cells, 10_000)
+    assert graph == decoded(cells, 5)
+    assert all(len(nbs) == 4 for _, nbs in graph)
     assert geodesic_witness(p, 10_000).cells == geodesic_witness(p, 5).cells
     # charged for the clipped half ball, 2 * 5 * 5 * 6 entries
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "300")
-    assert adjacency(cells, 10_000) == graph
+    assert decoded(cells, 10_000) == graph
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "299")
     with pytest.raises(SizeLimit,
                        match="^10000-adjacency of 5 cells needs 300 "):
-        adjacency(cells, 10_000)
+        _adjacency(cells, 10_000)
 
 
 def test_blob_equality_ignores_construction_route():

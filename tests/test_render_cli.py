@@ -38,15 +38,19 @@ TAU1_SUB = """subst 1d +-
 """
 
 
+def write_files(directory):
+    (directory / "plus.sub").write_text(PLUS_SUB)
+    (directory / "shift.ca").write_text(SHIFT_CA)
+    (directory / "tau1.sub").write_text(TAU1_SUB)
+    (directory / "word.pat").write_text("dims 7\nalphabet 01\n.11..1.\n")
+    (directory / "a.pat").write_text("dims 3\nalphabet 01\n1..\n")
+    (directory / "b.pat").write_text("dims 3\nalphabet 01\norigin 6\n1..\n")
+    return directory
+
+
 @pytest.fixture
 def files(tmp_path):
-    (tmp_path / "plus.sub").write_text(PLUS_SUB)
-    (tmp_path / "shift.ca").write_text(SHIFT_CA)
-    (tmp_path / "tau1.sub").write_text(TAU1_SUB)
-    (tmp_path / "word.pat").write_text("dims 7\nalphabet 01\n.11..1.\n")
-    (tmp_path / "a.pat").write_text("dims 3\nalphabet 01\n1..\n")
-    (tmp_path / "b.pat").write_text("dims 3\nalphabet 01\norigin 6\n1..\n")
-    return tmp_path
+    return write_files(tmp_path)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -333,7 +337,7 @@ def test_cli_usage_error_is_exit_one(capsys):
     assert main(["glue", "--pattern", "only-one.pat"]) == 1
 
 
-@pytest.mark.parametrize("argv,code", [
+BAD_ARGUMENTS = [
     (["blobs", "--pattern", "word.pat", "--radius", "-1"], 1),
     (["blobs", "--pattern", "word.pat", "--radius", "1", "--pad", "-2"], 1),
     (["pathcover", "ascend", "--pattern", "word.pat", "--window", "0"], 1),
@@ -404,9 +408,14 @@ def test_cli_usage_error_is_exit_one(capsys):
       "0,1"], 1),
     (["render", "--pattern", "word.pat", "--moves", "++", "--format",
       "svg-paths"], 1),
-])
-def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
-                                                  argv, code):
+    # a flag before the action: its value is not the action
+    (["primes", "--out", "f.json", "crt"], 1),
+    (["ca", "--rule", "xor.ca", "glider"], 1),
+]
+
+
+def write_bad_files(files):
+    """The files of BAD_ARGUMENTS beside those of write_files."""
     (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
     (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
     (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
@@ -419,6 +428,12 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
         "100 -> shift -1\n101 -> shift -1\n")
     (files / "xor.ca").write_text(
         "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n")
+
+
+@pytest.mark.parametrize("argv,code", BAD_ARGUMENTS)
+def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
+                                                  argv, code):
+    write_bad_files(files)
     monkeypatch.chdir(files)
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -444,6 +459,12 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     # refused before the pattern file is read, so it need not exist
     (["render", "--pattern", "no_such.pat", "--format", "svg-paths"],
      "patterns render as --format text or pbm"),
+    (["primes", "--out=f.json", "crt"],
+     "--out before the action: flags go after the action, as in blobshift "
+     "primes {lang,crt,isolated,dirichlet,gaps,export} --out ..."),
+    (["ca", "--rule", "xor.ca", "glider"],
+     "--rule before the action: flags go after the action, as in blobshift "
+     "ca {glider,nilpotent,profile} --rule ..."),
 ])
 def test_cli_usage_errors_name_the_missing_input(capsys, argv, message):
     assert main(argv) == 1
