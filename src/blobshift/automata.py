@@ -229,7 +229,7 @@ def evolve(rule: CARule, config: FiniteConfig,
         if word:
             word, shift = step_word(word)
             offset += shift
-        # light cone: support stays within rho*t of the original
+        # lemma: the light cone of a radius-rho rule grows by rho a step
         if word and (offset < lo - rho * t
                      or offset + len(word) > hi + rho * t):
             raise InvariantViolation(

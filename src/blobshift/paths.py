@@ -55,9 +55,6 @@ class HeightWord:
         if not self.heights or self.heights[0] != 0:
             raise ValueError("height words start at height 0")
 
-    def __len__(self) -> int:
-        return len(self.heights)
-
 
 @dataclass(frozen=True)
 class VisitProfile:

@@ -282,6 +282,7 @@ def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
     floor = max(2 * p - i for i, p in enumerate(injection))
     start = k + ((floor - k + modulus - 1) // modulus) * modulus if k < floor else k
     for i in range(n):
+        # lemma: p = injection[i] divides start + i >= 2p > p: composite
         if not is_composite(start + i):
             raise InvariantViolation(f"run member {start + i} is not composite")
     return CRTWitness(n, tuple(injection), k, modulus, start)
@@ -326,6 +327,7 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
             raise InjectionNotPrime(f"{p} is not above 2n")
     k, modulus = crt_solve([i % p for i, p in zip(indices, injection)],
                            injection)
+    # lemma: k = i mod p with 0 < |i| <= n < p, so no injected p divides k
     if gcd(k, modulus) != 1:
         raise InvariantViolation(
             f"gcd({k}, {modulus}) is not 1, against the construction")

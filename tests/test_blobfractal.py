@@ -1,10 +1,14 @@
 """Blob hierarchies: levels, the three axioms, the trichotomy."""
+import inspect
 import json
 import random
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+from blobshift import blobfractal
 from blobshift.blobfractal import (
     BlobHierarchy,
     BlobPlacement,
@@ -82,8 +86,15 @@ def oracle_scan(pattern: Pattern, r: int, cells) -> list[BlobPlacement]:
     return out
 
 
-def oracle_hierarchy(pattern: Pattern, radii) -> BlobHierarchy:
-    return BlobHierarchy(pattern, tuple(
+class OracleHierarchy(NamedTuple):
+    """A source and levels put together by hand, from any windows."""
+
+    source: Pattern
+    levels: tuple[HierarchyLevel, ...]
+
+
+def oracle_hierarchy(pattern: Pattern, radii) -> OracleHierarchy:
+    return OracleHierarchy(pattern, tuple(
         HierarchyLevel(r, tuple(oracle_scan(pattern, r, pattern.support())))
         for r in radii))
 
@@ -92,7 +103,7 @@ def oracle_constituents(pattern: Pattern, placement: BlobPlacement, r: int):
     return oracle_scan(pattern, r, placement.absolute_support())
 
 
-def oracle_verify_axioms(hierarchy: BlobHierarchy):
+def oracle_verify_axioms(hierarchy: BlobHierarchy | OracleHierarchy):
     pattern = hierarchy.source
     reports = []
     for lower, upper in zip(hierarchy.levels, hierarchy.levels[1:]):
@@ -174,7 +185,7 @@ def oracle_classify(pattern: Pattern, radii, threshold: int) -> FractalVerdict:
     return FractalVerdict(tag, levels_verified=verified, report=report)
 
 
-def placements_in_full(hierarchy: BlobHierarchy) -> list:
+def placements_in_full(hierarchy: BlobHierarchy | OracleHierarchy) -> list:
     """Every level's placements with the whole blob pattern, padding too."""
     return [(lvl.radius, [(pl.anchor, pl.blob.radius, pl.blob.pattern,
                            pl.truncated) for pl in lvl.placements])
@@ -213,8 +224,9 @@ def test_single_cell_hierarchy():
 
 def test_radii_must_increase():
     p = pad(Pattern(BINARY, {(0,): "1"}), 4)
-    with pytest.raises(RadiiNotIncreasing):
-        build_hierarchy(p, (2, 2))
+    for radii in ((4, 2), (2, 2)):
+        with pytest.raises(RadiiNotIncreasing):
+            BlobHierarchy(p, radii)
     with pytest.raises(RadiiNotIncreasing):
         build_hierarchy(p, ())
 
@@ -305,14 +317,6 @@ def test_axiom_counts_conserved_inside_parents():
                 len(pl.blob.support())
 
 
-def test_hand_built_hierarchy_needs_increasing_radii():
-    p = cantor_pattern(4)
-    low, high = build_hierarchy(p, (2, 4)).levels
-    for levels in ((high, low), (low, low)):
-        with pytest.raises(RadiiNotIncreasing):
-            verify_axioms(BlobHierarchy(p, levels))
-
-
 def test_hierarchy_axioms_and_verdicts_match_the_rescanning_oracle():
     rng = random.Random(0xA710)
     passing = pairs = 0
@@ -324,7 +328,10 @@ def test_hierarchy_axioms_and_verdicts_match_the_rescanning_oracle():
         assert placements_in_full(h) == \
             placements_in_full(oracle_hierarchy(window, radii))
         report = verify_axioms(h)
-        assert report == oracle_verify_axioms(h)
+        oracle_report = oracle_verify_axioms(h)
+        assert report == oracle_report
+        # axiom (a) is a lemma on one window: the oracle's rebuild agrees
+        assert all(pair.glue_exact for pair in oracle_report)
         pairs += len(report)
         passing += sum(pair.passed() for pair in report)
         threshold = rng.choice([3, 8, 50])
@@ -375,14 +382,14 @@ def test_classify_staircase_unbounded():
 
 
 def test_first_counterexample_is_kept_when_glue_fails_twice():
-    # a lower level scanned from another window: glue fails at two upper
-    # blobs, first at 8; the report keeps that first counterexample
-    # (pinned from the flag-based verifier)
+    # levels scanned from one window paired with another as the source,
+    # which no BlobHierarchy can hold: the oracle's glue fails at two
+    # upper blobs, first at 8, and its report keeps that first
+    # counterexample
     window = Pattern.from_word("110101001010100011000")
     other = Pattern.from_word("110101001010110001000")
-    upper = build_hierarchy(window, (1, 2)).levels[1]
-    lower = build_hierarchy(other, (1, 2)).levels[0]
-    (pair,) = verify_axioms(BlobHierarchy(window, (lower, upper)))
+    levels = build_hierarchy(window, (1, 2)).levels
+    (pair,) = oracle_verify_axioms(OracleHierarchy(other, levels))
     assert not (pair.glue_exact or pair.contains_all or pair.splits_in_two)
     assert pair.counterexample == {"axiom": "glue_exact", "anchor": [8]}
 
@@ -447,3 +454,59 @@ def test_auto_radii_stabilizes():
     assert radii[0] == 1
     assert all(b == 2 * a for a, b in zip(radii, radii[1:]))
     assert len(radii) <= 3
+
+
+# ---------------------------------------------------------------- line gate
+
+
+def function_body_lines(path: str) -> set[int]:
+    """Lines that hold code of some function body in the module at path."""
+    todo = [compile(Path(path).read_text(), path, "exec")]
+    lines = set()
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if inspect.iscode(c)]
+        if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class
+            # the def line only runs its RESUME, which fires no line event
+            lines |= {line for _, _, line in code.co_lines()
+                      if line is not None and line != code.co_firstlineno}
+    return lines
+
+
+def test_every_blobfractal_line_runs():
+    # a line that no input reaches is dead code or an untested guard; the
+    # trace covers blobfractal.py only, which keeps it cheap enough to gate
+    path = blobfractal.__file__
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == path else None
+
+    rng = random.Random(0x11E5)
+    one = pad(Pattern(BINARY, {(0,): "1"}), 4)
+    prior = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for _ in range(100):
+            window = random_window(rng)
+            radii = sorted(rng.sample(range(9), rng.randint(2, 4)))
+            verify_axioms(build_hierarchy(window, radii))
+            classify(window, radii, rng.choice([3, 8, 50]))
+            auto_radii(window)
+        for call, error in [
+                (lambda: build_hierarchy(one, (2, 2)), RadiiNotIncreasing),
+                (lambda: build_hierarchy(one, (-1, 2)), RadiiNotIncreasing),
+                (lambda: verify_axioms(build_hierarchy(one, (1,))),
+                 ValueError),
+                (lambda: classify(one, (1, 2), 0), ValueError)]:
+            with pytest.raises(error):
+                call()
+    finally:
+        sys.settrace(prior)
+    missed = sorted(function_body_lines(path) - ran)
+    assert not missed, f"blobfractal.py lines never run: {missed}"

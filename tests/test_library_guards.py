@@ -4,8 +4,9 @@ import pytest
 from blobshift.automata import (CARule, FiniteConfig, evolve, find_glider,
                                 nilpotency_probe)
 from blobshift.blobfractal import build_hierarchy, classify
-from blobshift.errors import (NoPrimeInRange, NotZeroPreserving,
-                              RadiiNotIncreasing, UnsupportedFormat)
+from blobshift.errors import (InjectionNotPrime, NoPrimeInRange,
+                              NotZeroPreserving, RadiiNotIncreasing,
+                              UnsupportedFormat)
 from blobshift.pathcover import CellPath, trace_guided_path
 from blobshift.paths import (HeightWord, MoveWord, classify_path_space,
                              cut_path_search, deep_zigzag, derivative,
@@ -110,6 +111,8 @@ NOT_ZERO_PRESERVING = CARule(BINARY, 0, {"0": "1", "1": "1"})
      ValueError, "threshold \\+ length must stay within the window"),
     (lambda: dirichlet_isolated(2, scan_limit=0),
      NoPrimeInRange, "no verified isolated prime in 0 progression steps"),
+    (lambda: dirichlet_isolated(1, injection=[2, 3]),
+     InjectionNotPrime, "2 is not above 2n"),
 ], ids=["cut_path_search_empty", "classify_threshold", "hierarchy_radii",
         "width_2d_row", "gap_floor_at_limit", "gap_floor_one_prime",
         "char_pattern_end", "isolated_negative", "iterate_1d_negative",
@@ -126,7 +129,7 @@ NOT_ZERO_PRESERVING = CARule(BINARY, 0, {"0": "1", "1": "1"})
         "width_radius", "pad_radius",
         "components_mixed_dims", "components_3d", "alphabet_symbol",
         "format_symbol", "parse_dims", "parse_origin", "sieve_limit",
-        "late_contains_threshold", "dirichlet_scan"])
+        "late_contains_threshold", "dirichlet_scan", "dirichlet_low_prime"])
 def test_library_guards(call, error, message):
     if error is None:
         assert call() is None

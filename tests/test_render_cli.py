@@ -236,6 +236,10 @@ def test_cli_primes_dirichlet_takes_the_injection(capsys):
     assert main(["primes", "dirichlet", "--n", "1", "--injection", "9,5"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"kind": "InjectionNotPrime", "message": "9 is not prime"}
+    assert main(["primes", "dirichlet", "--n", "1", "--injection", "2,3"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"kind": "InjectionNotPrime",
+                     "message": "2 is not above 2n"}
 
 
 def test_cli_out_in_either_spelling_leaves_the_report_alone(files):
