@@ -9,7 +9,6 @@ decides anything about the full space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse, repeat
 from operator import add, getitem, gt
 from typing import Iterator, Mapping
@@ -25,6 +24,7 @@ from .limits import cell_cap, check_cells
 from .patterns import (
     Alphabet,
     BINARY,
+    _Record,
     alphabet_field,
     arrow,
     header_ints,
@@ -76,21 +76,19 @@ def _words(symbols, width: int) -> list[str]:
                     _spread(tails, 1, len(heads))))
 
 
-@dataclass(frozen=True)
-class CARule:
+class CARule(_Record):
     """Radius-rho local rule: (2 rho + 1)-word -> symbol, total."""
 
-    alphabet: Alphabet
-    radius: int
-    table: Mapping[str, str]
+    __slots__ = ("alphabet", "radius", "table")
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, alphabet: Alphabet, radius: int,
+                 table: Mapping[str, str]):
+        if radius < 0:
             raise ValueError("radius must be nonnegative")
-        _check_table(self.alphabet, self.radius, self.table)
-        for out in filterfalse(self.alphabet.symbols.__contains__,
-                               self.table.values()):
+        _check_table(alphabet, radius, table)
+        for out in filterfalse(alphabet.symbols.__contains__, table.values()):
             raise ValueError(f"table value {out!r} not in the alphabet")
+        self._fill(alphabet, radius, table)
 
     @property
     def zero_preserving(self) -> bool:
@@ -98,8 +96,7 @@ class CARule:
         return self.table[zero * (2 * self.radius + 1)] == zero
 
 
-@dataclass(frozen=True)
-class FiniteConfig:
+class FiniteConfig(_Record):
     """Finite-support configuration: a word at an offset, zeros outside.
 
     Canonical form never carries a leading or trailing zero; the all-zero
@@ -107,18 +104,17 @@ class FiniteConfig:
     the alphabet raises ValueError.
     """
 
-    alphabet: Alphabet
-    offset: int
-    word: str
+    __slots__ = ("alphabet", "offset", "word")
 
-    def __post_init__(self):
-        if foreign := set(self.word) - set(self.alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, offset: int, word: str):
+        if foreign := set(word) - set(alphabet.symbols):
             raise ValueError(f"symbol {min(foreign)!r} not in alphabet")
-        zero = self.alphabet.zero
-        if self.word and (self.word[0] == zero or self.word[-1] == zero):
+        zero = alphabet.zero
+        if word and (word[0] == zero or word[-1] == zero):
             raise ValueError("canonical form trims boundary zeros")
-        if not self.word and self.offset != 0:
+        if not word and offset != 0:
             raise ValueError("the all-zero configuration sits at offset 0")
+        self._fill(alphabet, offset, word)
 
     @classmethod
     def make(cls, word: str, offset: int = 0,
@@ -327,11 +323,13 @@ def find_glider(rule: CARule, max_width: int,
 # -- nilpotency ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
-    tag: str  # nilpotent_on_probe | not_nilpotent | inconclusive
-    steps: int | None = None
-    witness: dict = field(default_factory=dict)
+class NilpotencyVerdict(_Record):
+    # tag: nilpotent_on_probe | not_nilpotent | inconclusive
+    __slots__ = ("tag", "steps", "witness")
+
+    def __init__(self, tag: str, steps: int | None = None,
+                 witness: dict | None = None):
+        self._fill(tag, steps, {} if witness is None else witness)
 
 
 def _cyclic_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
@@ -409,18 +407,17 @@ def asymptotic_profile(rule: CARule, config: FiniteConfig,
 # -- topological full group -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TFGElement:
+class TFGElement(_Record):
     """Shift-cocycle table: central (2 rho + 1)-window -> shift in [-rho, rho]."""
 
-    alphabet: Alphabet
-    radius: int
-    table: Mapping[str, int]
+    __slots__ = ("alphabet", "radius", "table")
 
-    def __post_init__(self):
-        _check_table(self.alphabet, self.radius, self.table)
-        if any(map(gt, map(abs, self.table.values()), repeat(self.radius))):
+    def __init__(self, alphabet: Alphabet, radius: int,
+                 table: Mapping[str, int]):
+        _check_table(alphabet, radius, table)
+        if any(map(gt, map(abs, table.values()), repeat(radius))):
             raise ValueError("shift exceeds the radius")
+        self._fill(alphabet, radius, table)
 
 
 def tfg_validate(element: TFGElement) -> TFGElement:
@@ -526,11 +523,13 @@ def is_identity(element: TFGElement) -> bool:
     return all(v == 0 for v in element.table.values())
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    tag: str  # torsion | infinite_order | inconclusive
-    order: int | None = None
-    witness: dict = field(default_factory=dict)
+class OrderVerdict(_Record):
+    # tag: torsion | infinite_order | inconclusive
+    __slots__ = ("tag", "order", "witness")
+
+    def __init__(self, tag: str, order: int | None = None,
+                 witness: dict | None = None):
+        self._fill(tag, order, {} if witness is None else witness)
 
 
 def tfg_order_search(element: TFGElement, max_order: int,

@@ -17,7 +17,6 @@ refute anything; the radii may simply grow too slowly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import RadiiNotIncreasing
@@ -27,26 +26,28 @@ from .patterns import (
     Pattern,
     connected_components,
     translate_values,
+    _Record,
     _blob_scan,
 )
 from .pathcover import geodesic_witness
 
 
-@dataclass(frozen=True)
-class BlobPlacement:
-    anchor: Cell
-    blob: Blob
-    truncated: bool
+class BlobPlacement(_Record):
+    __slots__ = ("anchor", "blob", "truncated")
+
+    def __init__(self, anchor: Cell, blob: Blob, truncated: bool):
+        self._fill(anchor, blob, truncated)
 
     def absolute_support(self) -> frozenset:
         return frozenset(translate_values(
             dict.fromkeys(self.blob.support()), self.anchor))
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
-    radius: int
-    placements: tuple[BlobPlacement, ...]
+class HierarchyLevel(_Record):
+    __slots__ = ("radius", "placements")
+
+    def __init__(self, radius: int, placements: tuple[BlobPlacement, ...]):
+        self._fill(radius, placements)
 
     def distinct(self) -> dict[Blob, int]:
         """Occurrence counts of the non-truncated blobs."""
@@ -57,56 +58,60 @@ class HierarchyLevel:
         return counts
 
 
-@dataclass(frozen=True)
-class BlobHierarchy:
-    """Blob level per radius, scanned from ``source`` and from nothing else."""
+class BlobHierarchy(_Record):
+    """Blob level per radius, scanned from ``source`` and from nothing else.
 
-    source: Pattern
-    radii: tuple[int, ...]
-    levels: tuple[HierarchyLevel, ...] = field(init=False)
+    ``levels`` is computed from the other two fields.
+    """
 
-    def __post_init__(self):
-        radii = self.radii
+    __slots__ = ("source", "radii", "levels")
+
+    def __init__(self, source: Pattern, radii: tuple[int, ...]):
         if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
             raise RadiiNotIncreasing(
                 "radii must be nonempty and strictly increasing")
         if any(r < 0 for r in radii):
             raise RadiiNotIncreasing("radii must be nonnegative")
-        object.__setattr__(self, "levels", tuple(
+        self._fill(source, radii, tuple(
             HierarchyLevel(r, tuple(BlobPlacement(*found)
-                                    for found in _blob_scan(self.source, r)))
+                                    for found in _blob_scan(source, r)))
             for r in radii))
 
 
-@dataclass(frozen=True)
-class LevelPairReport:
-    lower_radius: int
-    upper_radius: int
-    checked: int
-    skipped_truncated: int
-    glue_exact: bool
-    contains_all: bool
-    splits_in_two: bool
-    counterexample: dict | None = None
+class LevelPairReport(_Record):
+    __slots__ = ("lower_radius", "upper_radius", "checked",
+                 "skipped_truncated", "glue_exact", "contains_all",
+                 "splits_in_two", "counterexample")
+
+    def __init__(self, lower_radius: int, upper_radius: int, checked: int,
+                 skipped_truncated: int, glue_exact: bool, contains_all: bool,
+                 splits_in_two: bool, counterexample: dict | None = None):
+        self._fill(lower_radius, upper_radius, checked, skipped_truncated,
+                   glue_exact, contains_all, splits_in_two, counterexample)
 
     def passed(self) -> bool:
         return (self.checked > 0 and self.glue_exact
                 and self.contains_all and self.splits_in_two)
 
 
-@dataclass(frozen=True)
-class FractalVerdict:
-    """Finite-scale classification: candidate tags only."""
+class FractalVerdict(_Record):
+    """Finite-scale classification: candidate tags only.
 
-    # finite_point | unbounded_component | blob_fractal (the first level
-    # pair passes the axioms) | inconclusive (no passing first pair)
-    tag: str
-    radius: int | None = None
-    witness_length: int | None = None
-    # finite_point: the trailing single-blob levels, no pair checked;
-    # blob_fractal | inconclusive: 1 plus the leading run of passing pairs
-    levels_verified: int | None = None
-    report: tuple[LevelPairReport, ...] = field(default=())
+    ``tag`` is finite_point, unbounded_component, blob_fractal (the first
+    level pair passes the axioms) or inconclusive (no passing first pair).
+    ``levels_verified`` is, for finite_point, the trailing single-blob
+    levels, no pair checked; for blob_fractal and inconclusive, 1 plus
+    the leading run of passing pairs.
+    """
+
+    __slots__ = ("tag", "radius", "witness_length", "levels_verified",
+                 "report")
+
+    def __init__(self, tag: str, radius: int | None = None,
+                 witness_length: int | None = None,
+                 levels_verified: int | None = None,
+                 report: tuple[LevelPairReport, ...] = ()):
+        self._fill(tag, radius, witness_length, levels_verified, report)
 
 
 def build_hierarchy(pattern: Pattern, radii: Sequence[int]) -> BlobHierarchy:

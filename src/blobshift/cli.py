@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -205,7 +204,7 @@ def _pair_reports(report):
     """Each pair's fields, with passed() inserted before its counterexample."""
     rows = []
     for pair in report:
-        row = asdict(pair)
+        row = pair._asdict()
         counterexample = row.pop("counterexample")
         rows.append({**row, "passed": pair.passed(),
                      "counterexample": counterexample})
@@ -251,7 +250,7 @@ def _cmd_fractal(args, inputs):
         report = _checked(blobfractal.verify_axioms, hierarchy)
     else:
         verdict = blobfractal._classify(hierarchy, args.threshold)
-        result.update(asdict(verdict))
+        result.update(verdict._asdict())
         del result["report"]
         report = verdict.report
     result["pairs"] = _pair_reports(report)
@@ -261,6 +260,8 @@ def _cmd_fractal(args, inputs):
 
 
 def _cmd_classify_path(args, inputs):
+    from dataclasses import asdict, replace
+
     from . import paths, substitution
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
@@ -317,8 +318,8 @@ def _cmd_ca(args, inputs):
             result.update({"word": config.word, "steps": n, "shift": m})
         return result
     if args.action == "nilpotent":
-        return asdict(automata.nilpotency_probe(rule, args.max_width,
-                                                args.max_time))
+        return automata.nilpotency_probe(rule, args.max_width,
+                                         args.max_time)._asdict()
     config = _checked(automata.FiniteConfig.make, args.config, args.offset,
                       rule.alphabet)
     return {"profile": automata.asymptotic_profile(rule, config, args.horizon)}
@@ -329,8 +330,8 @@ def _cmd_tfg(args, inputs):
 
     element = automata.parse_tfg_element(_read(args.rule, inputs))
     automata.tfg_validate(element)
-    return asdict(automata.tfg_order_search(element, args.max_order,
-                                            args.max_period))
+    return automata.tfg_order_search(element, args.max_order,
+                                     args.max_period)._asdict()
 
 
 def _cmd_primes(args, inputs):
@@ -338,7 +339,7 @@ def _cmd_primes(args, inputs):
 
     if args.action == "crt":
         injection = _int_list(args.injection) if args.injection else None
-        return asdict(_checked(primes.crt_zero_run, args.n, injection))
+        return _checked(primes.crt_zero_run, args.n, injection)._asdict()
     if args.action == "dirichlet":
         injection = _int_list(args.injection) if args.injection else None
         k, modulus, p = _checked(primes.dirichlet_isolated, args.n,

@@ -18,29 +18,27 @@ returned.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import EmptySupport
 from .limits import check_cells
-from .patterns import BINARY, Cell, Pattern, _half_ball
+from .patterns import BINARY, Cell, Pattern, _Record, _half_ball
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class CellPath:
+class CellPath(_Record):
     """Cell sequence with consecutive L1 steps bounded by `step`."""
 
-    cells: tuple[Cell, ...]
-    step: int
+    __slots__ = ("cells", "step")
 
-    def __post_init__(self):
-        for a, b in zip(self.cells, self.cells[1:]):
-            if sum(map(abs, map(sub, a, b))) > self.step:
+    def __init__(self, cells: tuple[Cell, ...], step: int):
+        for a, b in zip(cells, cells[1:]):
+            if sum(map(abs, map(sub, a, b))) > step:
                 raise ValueError("consecutive path cells exceed the step bound")
+        self._fill(cells, step)
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -30,7 +30,8 @@ class MoveWord:
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("step bound must be nonnegative")
-        if max(map(abs, self.moves), default=0) > self.bound:
+        moves = self.moves
+        if moves and max(max(moves), -min(moves)) > self.bound:
             raise ValueError("a move exceeds the step bound")
 
     def __len__(self) -> int:
@@ -41,7 +42,7 @@ def move_word(moves: Iterable[int], bound: int | None = None) -> MoveWord:
     """MoveWord with the bound inferred from the moves when not given."""
     moves = tuple(moves)
     if bound is None:
-        bound = max((abs(m) for m in moves), default=1)
+        bound = max(max(moves), -min(moves)) if moves else 1
     return MoveWord(moves, bound)
 
 

@@ -32,7 +32,6 @@ integers, hence arbitrary precision.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import wraps
 from math import prod
 from typing import Iterable, Iterator, Mapping, TypeVar
@@ -45,26 +44,77 @@ T = TypeVar("T")
 _ORIGIN = (0, 0)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    Two records are equal when they are of one class with equal fields,
+    and hash by their field tuple; a field can be neither assigned nor
+    deleted. A subclass's ``__init__`` checks its arguments and stores
+    them with :meth:`_fill`, in slot order.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _asdict(self) -> dict:
+        """Field name -> value, in field order."""
+        return dict(zip(self.__slots__, self._values()))
+
+    @classmethod
+    def _rebuilt(cls, *values):
+        self = object.__new__(cls)
+        self._fill(*values)
+        return self
+
+    def __reduce__(self):
+        # copy and pickle would set each slot through __setattr__
+        return self._rebuilt, self._values()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Record):
     """Ordered symbol list with a distinguished zero symbol.
 
     Each symbol is one character, since every word is read one character
     at a time.
     """
 
-    symbols: tuple[str, ...]
-    zero: str
+    __slots__ = ("symbols", "zero")
 
-    def __post_init__(self):
-        for symbol in self.symbols:
+    def __init__(self, symbols: tuple[str, ...], zero: str):
+        for symbol in symbols:
             if len(symbol) != 1:
                 raise ValueError("alphabet symbols must be single "
                                  f"characters, got {symbol!r}")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
-        if self.zero not in self.symbols:
+        if zero not in symbols:
             raise ValueError("zero symbol must be a member of the alphabet")
+        self._fill(symbols, zero)
 
 
 BINARY = Alphabet(("0", "1"), "0")

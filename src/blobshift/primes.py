@@ -25,7 +25,6 @@ falls back to that scan.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
@@ -36,7 +35,7 @@ from .errors import (
     NoPrimeInRange,
 )
 from .limits import check_cells
-from .patterns import BINARY, Pattern
+from .patterns import BINARY, Pattern, _Record
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -71,13 +70,13 @@ def is_composite(n: int) -> bool:
     return n >= 4 and not is_prime(n)
 
 
-@dataclass(frozen=True)
-class PrimeWindow:
+class PrimeWindow(_Record):
     """Primes up to a limit with the 0/1 characteristic word on [0, limit]."""
 
-    limit: int
-    primes: tuple[int, ...]
-    char_word: str
+    __slots__ = ("limit", "primes", "char_word")
+
+    def __init__(self, limit: int, primes: tuple[int, ...], char_word: str):
+        self._fill(limit, primes, char_word)
 
 
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -237,8 +236,7 @@ def _primes_above(bound: int, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CRTWitness:
+class CRTWitness(_Record):
     """Residue class whose members start all-composite runs of length n.
 
     k + i is divisible by injection[i], so once k + i is at least twice
@@ -247,11 +245,11 @@ class CRTWitness:
     composite cell by cell.
     """
 
-    n: int
-    injection: tuple[int, ...]
-    k: int
-    modulus: int
-    start: int
+    __slots__ = ("n", "injection", "k", "modulus", "start")
+
+    def __init__(self, n: int, injection: tuple[int, ...], k: int,
+                 modulus: int, start: int):
+        self._fill(n, injection, k, modulus, start)
 
 
 def _injection(injection: list[int], count: int, what: str) -> list[int]:

@@ -7,7 +7,6 @@ level and fails with :class:`SizeLimit` instead of exhausting memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UnsupportedFormat
@@ -16,6 +15,7 @@ from .patterns import (
     Alphabet,
     BINARY,
     Pattern,
+    _Record,
     alphabet_field,
     arrow,
     header_ints,
@@ -28,23 +28,22 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Substitution1D:
+class Substitution1D(_Record):
     """Symbol-to-word rule table; every symbol rewrites to a nonempty word."""
 
-    alphabet: Alphabet
-    rules: Mapping[str, str]
+    __slots__ = ("alphabet", "rules")
 
-    def __post_init__(self):
-        if unknown := set(self.rules) - set(self.alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, rules: Mapping[str, str]):
+        if unknown := set(rules) - set(alphabet.symbols):
             raise ValueError(f"rule for {min(unknown)!r} outside the alphabet")
-        for symbol in self.alphabet.symbols:
-            image = self.rules.get(symbol)
+        for symbol in alphabet.symbols:
+            image = rules.get(symbol)
             if not image:
                 raise ValueError(f"missing or empty rule for {symbol!r}")
             for ch in image:
-                if ch not in self.alphabet.symbols:
+                if ch not in alphabet.symbols:
                     raise ValueError(f"rule image uses unknown symbol {ch!r}")
+        self._fill(alphabet, rules)
 
     def apply(self, word: str) -> str:
         """The word's image; a foreign symbol raises ValueError."""
@@ -60,27 +59,26 @@ class Substitution1D:
                    for c, image in self.rules.items())
 
 
-@dataclass(frozen=True)
-class Substitution2D:
+class Substitution2D(_Record):
     """Symbol-to-block rule table with a common square side (expansion)."""
 
-    alphabet: Alphabet
-    expansion: int
-    rules: Mapping[str, Pattern]
+    __slots__ = ("alphabet", "expansion", "rules")
 
-    def __post_init__(self):
-        s = self.expansion
+    def __init__(self, alphabet: Alphabet, expansion: int,
+                 rules: Mapping[str, Pattern]):
+        s = expansion
         if s < 2:
             raise ValueError("expansion must be at least 2")
-        if unknown := set(self.rules) - set(self.alphabet.symbols):
+        if unknown := set(rules) - set(alphabet.symbols):
             raise ValueError(f"rule for {min(unknown)!r} outside the alphabet")
-        for symbol in self.alphabet.symbols:
-            block = self.rules.get(symbol)
+        for symbol in alphabet.symbols:
+            block = rules.get(symbol)
             if block is None:
                 raise ValueError(f"missing rule for {symbol!r}")
             if not _fills_square(block, s):
                 raise ValueError(
                     f"rule for {symbol!r} must be a full {s}x{s} block")
+        self._fill(alphabet, expansion, rules)
 
 
 def _fills_square(pattern: Pattern, side: int) -> bool:
@@ -169,8 +167,7 @@ def thinning_substitution(n: int) -> Substitution1D:
     return Substitution1D(BINARY, {"0": "0" * size, "1": "1" * (size - 1) + "0"})
 
 
-@dataclass(frozen=True)
-class DensityWord:
+class DensityWord(_Record):
     """Composed thinning word with its exact nonzero density.
 
     Every extra stage multiplies the length by another power of two, so
@@ -178,11 +175,11 @@ class DensityWord:
     and the density are exact regardless, computed by count recursion.
     """
 
-    k: int
-    length: int
-    ones: int
-    density: Fraction
-    word: str | None
+    __slots__ = ("k", "length", "ones", "density", "word")
+
+    def __init__(self, k: int, length: int, ones: int, density: Fraction,
+                 word: str | None):
+        self._fill(k, length, ones, density, word)
 
 
 def density_word(k: int) -> DensityWord:
@@ -238,16 +235,16 @@ def default_block_seeds(k: int) -> tuple[Pattern, ...]:
     return tuple(_assemble(k, singles, j, 1) for j in range(1, k + 1))
 
 
-@dataclass(frozen=True)
-class BlockHierarchySpec:
+class BlockHierarchySpec(_Record):
     """The unbounded-rows block construction for k, seeded by
     default_block_seeds(k)."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise ValueError("k must be at least 1")
+        self._fill(k)
 
     @property
     def seed_side(self) -> int:

@@ -37,7 +37,7 @@ def test_handlers_take_only_the_arguments_and_the_inputs():
 
 
 def test_no_dict_literal_copies_a_verdict():
-    # verdict records reach the report through dataclasses.asdict; a
+    # verdict records reach the report as their field-ordered dicts; a
     # hand-written map of a record's fields would declare them twice
     tagged = [node.lineno for node in ast.walk(TREE)
               if isinstance(node, ast.Dict)

@@ -344,6 +344,9 @@ def test_other_dimensions_are_refused():
         plane.translate((5,))
     with pytest.raises(ValueError):
         word.translate((1, 2))
+    # a cell of the other dimension is in neither pattern, so has no value
+    assert (0,) not in plane and (0, 0) not in word
+    assert word.get((0, 0)) is None
     empty = Pattern(BINARY, {})
     assert empty.translate((1, 2)) == empty
 
