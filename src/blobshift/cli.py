@@ -67,10 +67,11 @@ def _slope(raw: str) -> Fraction:
 
 
 def _int_list(raw: str) -> list[int]:
+    """argparse type for a comma-separated list of integers."""
     try:
         return [int(v) for v in raw.split(",")]
     except ValueError:
-        raise _UsageError(f"bad integer list {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"bad integer list {raw!r}") from None
 
 
 def _checked(call, *args):
@@ -100,7 +101,7 @@ def _cells(cells) -> list:
 
 
 def _emit(args, payload: bytes) -> None:
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_bytes(payload)
         except OSError as exc:
@@ -152,14 +153,14 @@ def _cmd_gen(args, inputs):
     from . import substitution
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
-    seed = args.seed or subst.alphabet.symbols[0]
+    seed = subst.alphabet.symbols[0] if args.seed is None else args.seed
     if isinstance(subst, substitution.Substitution1D):
-        if args.seed_file:
+        if args.seed_file is not None:
             raise _UsageError("--seed-file needs a 2D substitution")
         word = _checked(substitution.iterate_1d, subst, seed, args.iters)
         pattern = _checked(Pattern.from_word, word, subst.alphabet)
     else:
-        if args.seed_file:
+        if args.seed_file is not None:
             seed = parse_pattern(_read(args.seed_file, inputs))
         else:
             seed = _checked(Pattern, subst.alphabet, {(0, 0): seed})
@@ -237,8 +238,7 @@ def _cmd_fractal(args, inputs):
     pattern = parse_pattern(_read(args.pattern, inputs))
     if args.pad:
         pattern = pad(pattern, args.pad)
-    radii = (_int_list(args.radii) if args.radii
-             else blobfractal.auto_radii(pattern))
+    radii = args.radii or blobfractal.auto_radii(pattern)
     hierarchy = blobfractal.build_hierarchy(pattern, radii)
     rendered = _render_levels(args, hierarchy)
     result = {"radii": radii,
@@ -300,8 +300,7 @@ def _cmd_pathcover(args, inputs):
     else:
         if not args.steps or not args.offsets:
             raise _UsageError("guided needs --slope or --steps with --offsets")
-        steps = _int_list(args.steps)
-        offsets = _int_list(args.offsets)
+        steps, offsets = args.steps, args.offsets
     pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
     return _pattern_result(args, pattern, {"support": len(pattern.support())})
 
@@ -338,12 +337,10 @@ def _cmd_primes(args, inputs):
     from . import primes
 
     if args.action == "crt":
-        injection = _int_list(args.injection) if args.injection else None
-        return _checked(primes.crt_zero_run, args.n, injection)._asdict()
+        return _checked(primes.crt_zero_run, args.n, args.injection)._asdict()
     if args.action == "dirichlet":
-        injection = _int_list(args.injection) if args.injection else None
         k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
-                                 args.scan_limit, injection)
+                                 args.scan_limit, args.injection)
         return {"n": args.n, "k": k, "modulus": modulus, "prime": p}
     window = primes.sieve(args.limit)
     if args.action == "lang":
@@ -366,14 +363,14 @@ def _cmd_primes(args, inputs):
 def _cmd_render(args, inputs):
     from . import render
 
-    if args.moves:
+    if args.moves is not None:
         from . import paths
 
         word = _checked(paths.parse_moves, args.moves)
         if args.format != "svg-paths":
             raise _UsageError("move words render as --format svg-paths")
         return render.render_moves(word)
-    if not args.pattern:
+    if args.pattern is None:
         raise _UsageError("render needs --pattern or --moves")
     if args.format not in render.PATTERN_FORMATS:
         raise _UsageError("patterns render as --format text or pbm")
@@ -383,19 +380,53 @@ def _cmd_render(args, inputs):
 
 # -- parser ----------------------------------------------------------------------
 #
-# A command with actions has one parser per action, and each takes only the
-# flags its branch of the handler reads, so any other flag is a usage error.
-# Each command defines its flags once; its actions name the ones they take.
+# Every command is one _COMMANDS entry: its handler, its summary, its flag
+# definitions and the flags it takes, in order. A command with actions takes
+# them per action instead: one parser per action, holding only the flags its
+# branch of the handler reads, so any other flag is a usage error. Flags in a
+# tuple are a group, and the flags of a group exclude each other.
 
 _FORMATS = ("json", "text", "pbm")
+_PAD = dict(type=_at_least(0), default=0,
+            help="zero-pad the window by this radius first")
 
-# command: (handler, summary, flag definitions, each action's flags)
-_ACTIONS = {
+# command: (handler, summary, flag definitions, its flags or each action's)
+_COMMANDS = {
+    "gen": (_cmd_gen, "iterate a substitution", {
+        "--subst": dict(required=True),
+        "--seed": {},
+        "--seed-file": {},
+        "--iters": dict(type=_at_least(0), required=True),
+        "--format": dict(default="json", choices=_FORMATS),
+    }, ("--subst", ("--seed", "--seed-file"), "--iters", "--format")),
+    "blobs": (_cmd_blobs, "blob decomposition of a pattern", {
+        "--pattern": dict(required=True),
+        "--radius": dict(type=_at_least(0), required=True),
+        "--pad": _PAD,
+    }, ("--pattern", "--radius", "--pad")),
+    "glue": (_cmd_glue, "zero-glue two patterns", {
+        "--pattern": dict(action="append", required=True),
+        "--format": dict(default="json", choices=_FORMATS),
+    }, ("--pattern", "--format")),
+    "width": (_cmd_width, "essential width lower bound and sparsity", {
+        "--pattern": dict(required=True),
+        "--radius": dict(type=_at_least(0), required=True),
+    }, ("--pattern", "--radius")),
+    "classify-path": (_cmd_classify_path,
+                      "classify the path space of a move substitution", {
+        "--subst": dict(required=True),
+        "--horizon": dict(type=_at_least(1), required=True),
+    }, ("--subst", "--horizon")),
+    "render": (_cmd_render, "render a pattern or a move word", {
+        "--pattern": {},
+        "--moves": {},
+        "--format": dict(default="text", choices=("text", "pbm", "svg-paths")),
+    }, (("--pattern", "--moves"), "--format")),
     "fractal": (_cmd_fractal, "blob hierarchy verification", {
         "--pattern": dict(required=True),
-        "--pad": dict(type=_at_least(0), default=0,
-                      help="zero-pad the window by this radius first"),
-        "--radii": dict(help="comma-separated strictly increasing radii"),
+        "--pad": _PAD,
+        "--radii": dict(type=_int_list,
+                        help="comma-separated strictly increasing radii"),
         "--threshold": dict(type=_at_least(1), default=50),
         "--render-dir": dict(
             help="write one PBM per level blob into this directory"),
@@ -413,8 +444,9 @@ _ACTIONS = {
         "--length": dict(type=_at_least(0), default=64),
         "--slope": dict(type=_slope, help="rational slope p/q in [0, 1] "
                                           "for Sturmian offsets"),
-        "--steps": dict(help="comma-separated vertical steps"),
-        "--offsets": dict(help="comma-separated horizontal offsets"),
+        "--steps": dict(type=_int_list, help="comma-separated vertical steps"),
+        "--offsets": dict(type=_int_list,
+                          help="comma-separated horizontal offsets"),
         "--format": dict(default="json", choices=_FORMATS),
     }, {
         "geodesic": ("--pattern", "--radius"),
@@ -445,7 +477,7 @@ _ACTIONS = {
         "--length": dict(type=_at_least(1), default=3),
         "--threshold": dict(type=_at_least(0), default=10 ** 5),
         "--n": dict(type=_at_least(0), default=1),
-        "--injection": dict(),
+        "--injection": dict(type=_int_list),
         "--scan-limit": dict(type=_at_least(0), default=10 ** 5),
         "--start": dict(type=_at_least(0), default=0),
         "--end": dict(type=int, default=None),
@@ -460,10 +492,6 @@ _ACTIONS = {
 }
 
 
-# the commands without actions
-_PLAIN = ("gen", "blobs", "glue", "width", "classify-path", "render")
-
-
 def _named(argv: list[str]) -> tuple[str | None, str | None]:
     """The command and the action that argv names; None where it names none.
 
@@ -471,12 +499,12 @@ def _named(argv: list[str]) -> tuple[str | None, str | None]:
     command's parser does not know the flag, so it would read the flag's
     value as the action and name that in its error.
     """
-    if not argv or argv[0] not in _PLAIN and argv[0] not in _ACTIONS:
+    if not argv or argv[0] not in _COMMANDS:
         return None, None
-    command = argv[0]
-    if command in _PLAIN or len(argv) < 2:
+    command, actions = argv[0], _COMMANDS[argv[0]][3]
+    if not isinstance(actions, dict) or len(argv) < 2:
         return command, None
-    word, actions = argv[1], _ACTIONS[command][3]
+    word = argv[1]
     if word.startswith("-") and word not in ("-h", "--help"):
         flag = word.partition("=")[0]
         raise _UsageError(f"{flag} before the action: flags go after the "
@@ -498,67 +526,31 @@ def _build_parser(command: str | None = None,
     # each prog is the one argparse would format from the usage line, which
     # costs more than the rest of add_subparsers
     sub = parser.add_subparsers(dest="cmd", required=True, prog=parser.prog)
-
-    def add(parsers, name, handler, **kwargs):
-        p = parsers.add_parser(name, allow_abbrev=False, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        return p
-
-    if command in (None, "gen"):
-        p = add(sub, "gen", _cmd_gen, help="iterate a substitution")
-        p.add_argument("--subst", required=True)
-        seed = p.add_mutually_exclusive_group()
-        seed.add_argument("--seed")
-        seed.add_argument("--seed-file")
-        p.add_argument("--iters", type=_at_least(0), required=True)
-        p.add_argument("--format", default="json", choices=_FORMATS)
-
-    if command in (None, "blobs"):
-        p = add(sub, "blobs", _cmd_blobs,
-                help="blob decomposition of a pattern")
-        p.add_argument("--pattern", required=True)
-        p.add_argument("--radius", type=_at_least(0), required=True)
-        p.add_argument("--pad", type=_at_least(0), default=0,
-                       help="zero-pad the window by this radius first")
-
-    if command in (None, "glue"):
-        p = add(sub, "glue", _cmd_glue, help="zero-glue two patterns")
-        p.add_argument("--pattern", action="append", required=True)
-        p.add_argument("--format", default="json", choices=_FORMATS)
-
-    if command in (None, "width"):
-        p = add(sub, "width", _cmd_width,
-                help="essential width lower bound and sparsity")
-        p.add_argument("--pattern", required=True)
-        p.add_argument("--radius", type=_at_least(0), required=True)
-
-    if command in (None, "classify-path"):
-        p = add(sub, "classify-path", _cmd_classify_path,
-                help="classify the path space of a move substitution")
-        p.add_argument("--subst", required=True)
-        p.add_argument("--horizon", type=_at_least(1), required=True)
-
-    if command in (None, "render"):
-        p = add(sub, "render", _cmd_render,
-                help="render a pattern or a move word")
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--pattern")
-        source.add_argument("--moves")
-        p.add_argument("--format", default="text",
-                       choices=("text", "pbm", "svg-paths"))
-
-    for name, (handler, summary, flags, actions) in _ACTIONS.items():
+    for name, (handler, summary, flags, takes) in _COMMANDS.items():
         if command not in (None, name):
             continue
-        parsers = sub.add_parser(name, allow_abbrev=False, help=summary)
-        leaves = parsers.add_subparsers(dest="action", required=True,
-                                        prog=parsers.prog)
-        for leaf, names in actions.items():
-            if action in (None, leaf):
-                p = add(leaves, leaf, handler)
-                for flag in names:
-                    p.add_argument(flag, **flags[flag])
+        # (subparsers, name, flags taken, add_parser keywords) per leaf; an
+        # action's parser has no summary
+        leaves = [(sub, name, takes, {"help": summary})]
+        if isinstance(takes, dict):
+            parsers = sub.add_parser(name, allow_abbrev=False, help=summary)
+            actions = parsers.add_subparsers(dest="action", required=True,
+                                             prog=parsers.prog)
+            leaves = [(actions, leaf, names, {})
+                      for leaf, names in takes.items()
+                      if action in (None, leaf)]
+        for parsers, leaf, names, kwargs in leaves:
+            p = parsers.add_parser(leaf, allow_abbrev=False, **kwargs)
+            p.set_defaults(handler=handler)
+            p.add_argument("--out",
+                           help="write output to a file instead of stdout")
+            for entry in names:
+                if isinstance(entry, tuple):
+                    group = p.add_mutually_exclusive_group()
+                    for flag in entry:
+                        group.add_argument(flag, **flags[flag])
+                else:
+                    p.add_argument(entry, **flags[entry])
     return parser
 
 

@@ -43,9 +43,6 @@ class CellPath(_Record):
     def __len__(self) -> int:
         return len(self.cells)
 
-    def heights(self) -> list[int]:
-        return [c[-1] for c in self.cells]
-
 
 # -- the r-adjacency graph on packed cells -------------------------------------
 

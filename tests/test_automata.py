@@ -20,6 +20,7 @@ from blobshift.automata import (
     TFGElement,
     _check_probe_size,
     _cyclic_words,
+    _finite_fates,
     _stepper,
     asymptotic_profile,
     block_swap_element,
@@ -122,6 +123,28 @@ def test_zero_rule_no_glider():
 
 def test_xor_rule_no_small_glider():
     assert find_glider(xor_rule(), 4, 16) is None
+
+
+def fate_by_evolve(rule, config, max_time):
+    """(seed, n, m) of the first step to zero or a translate, by evolve."""
+    for n, image in enumerate(evolve(rule, config, max_time)[1:], 1):
+        if not image.word:
+            return config.word, n, None
+        if image.word == config.word:
+            return config.word, n, -image.offset
+    return config.word, None, None
+
+
+@pytest.mark.parametrize("make", [shift_rule, xor_rule, decrement_rule])
+def test_finite_fates_reports_one_fate_per_seed(make):
+    # drained to the end: every shift seed glides, and a generator resumed
+    # after a glider's fate must go on to the next seed, not report another
+    # fate for the same one
+    rule = make()
+    step_word, _ = _stepper(rule)
+    fates = list(_finite_fates(step_word, rule.alphabet, 3, 6))
+    assert fates == [fate_by_evolve(rule, config, 6)
+                     for config in canonical_configs(rule.alphabet, 3)]
 
 
 def test_glider_soundness_replay():

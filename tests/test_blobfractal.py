@@ -1,9 +1,6 @@
 """Blob hierarchies: levels, the three axioms, the trichotomy."""
-import inspect
 import json
 import random
-import sys
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -36,7 +33,8 @@ from blobshift.substitution import (
     plus_substitution,
 )
 
-from conftest import (DictPattern, ball_components, dilate, oracle_zero_glue,
+from conftest import (DictPattern, ball_components, dilate,
+                      function_body_lines, lines_run, oracle_zero_glue,
                       three_bfs_geodesic)
 
 CANTOR_RADII = (2, 4, 10, 28)  # 3^(i-1) + 1
@@ -459,39 +457,13 @@ def test_auto_radii_stabilizes():
 # ---------------------------------------------------------------- line gate
 
 
-def function_body_lines(path: str) -> set[int]:
-    """Lines that hold code of some function body in the module at path."""
-    todo = [compile(Path(path).read_text(), path, "exec")]
-    lines = set()
-    while todo:
-        code = todo.pop()
-        todo += [c for c in code.co_consts if inspect.iscode(c)]
-        if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class
-            # the def line only runs its RESUME, which fires no line event
-            lines |= {line for _, _, line in code.co_lines()
-                      if line is not None and line != code.co_firstlineno}
-    return lines
-
-
 def test_every_blobfractal_line_runs():
     # a line that no input reaches is dead code or an untested guard; the
     # trace covers blobfractal.py only, which keeps it cheap enough to gate
     path = blobfractal.__file__
-    ran = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
-
     rng = random.Random(0x11E5)
     one = pad(Pattern(BINARY, {(0,): "1"}), 4)
-    prior = sys.gettrace()
-    sys.settrace(tracer)
-    try:
+    with lines_run(path) as ran:
         for _ in range(100):
             window = random_window(rng)
             radii = sorted(rng.sample(range(9), rng.randint(2, 4)))
@@ -506,7 +478,5 @@ def test_every_blobfractal_line_runs():
                 (lambda: classify(one, (1, 2), 0), ValueError)]:
             with pytest.raises(error):
                 call()
-    finally:
-        sys.settrace(prior)
     missed = sorted(function_body_lines(path) - ran)
     assert not missed, f"blobfractal.py lines never run: {missed}"

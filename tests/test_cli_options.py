@@ -102,7 +102,17 @@ def test_readme_commands_parse():
 # argv that end in help, the version or an error of the parser
 HELP = [[], ["--help"], ["--version"], ["nonsense"], ["--out", "f.json"],
         ["gen", "-h"], ["primes"], ["primes", "-h"], ["primes", "bogus"],
-        ["primes", "lang", "--help"], ["pathcover", "geodesic", "-h"]]
+        ["primes", "lang", "--help"], ["pathcover", "geodesic", "-h"],
+        ["blobs", "-h"], ["glue", "-h"], ["width", "-h"],
+        ["classify-path", "-h"], ["render", "-h"], ["fractal", "-h"],
+        ["fractal", "verify", "-h"], ["fractal", "classify", "-h"],
+        ["pathcover", "-h"], ["pathcover", "ascend", "-h"],
+        ["pathcover", "guided", "-h"], ["ca", "-h"], ["ca", "glider", "-h"],
+        ["ca", "nilpotent", "-h"], ["ca", "profile", "-h"], ["tfg", "-h"],
+        ["tfg", "order", "-h"], ["primes", "lang", "-h"],
+        ["primes", "crt", "-h"], ["primes", "isolated", "-h"],
+        ["primes", "dirichlet", "-h"], ["primes", "gaps", "-h"],
+        ["primes", "export", "-h"]]
 ANSWERED = ([shlex.split(line)[1:] for line in readme_commands()]
             + [argv for argv, _ in BAD_ARGUMENTS] + HELP)
 

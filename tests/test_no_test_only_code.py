@@ -9,8 +9,11 @@ module, a ``perfbench`` script, the acceptance criteria in
 - a public top-level ``def`` or ``class`` that no reader spells as a
   ``Name``, an ``Attribute`` or an import alias, or README.md as a whole
   word;
-- a public method or property of a top-level class that no reader spells
-  as an attribute ``x.name``, or README.md as ``.name``;
+- a public method of a top-level class that no reader calls as
+  ``x.name(...)`` or passes as an argument ``f(x.name)``, or a public
+  property that no reader spells as an attribute ``x.name``; README.md
+  reaches either as ``.name``. A field of another class spelled
+  ``x.name`` does not reach a method of that name;
 - a defaulted parameter of a public top-level function that no reader's
   call passes, by position or by keyword. ``_checked(f, *args)``, the
   CLI's wrapper, counts as a call of ``f``.
@@ -46,8 +49,9 @@ def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
     """(line, reach) for each reach a tree makes.
 
     A reach is ("name", n) for a Name, an Attribute or an import alias
-    spelling n; ("attr", n) for an Attribute alone; ("pass", f, key) for
-    an argument that a call of f passes, key being its position or
+    spelling n; ("attr", n) for an Attribute alone; ("call", n) for an
+    Attribute that is called or passed as an argument; ("pass", f, key)
+    for an argument that a call of f passes, key being its position or
     keyword, ``*`` for a starred one and ``**`` for a double-starred one.
     """
     out = []
@@ -60,6 +64,9 @@ def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
         elif isinstance(node, ast.alias):
             out.append((line, ("name", node.name.split(".")[-1])))
         elif isinstance(node, ast.Call):
+            used = [node.func, *node.args, *(k.value for k in node.keywords)]
+            out += [(line, ("call", attr.attr)) for attr in used
+                    if isinstance(attr, ast.Attribute)]
             callee, args = _callee(node.func), node.args
             if callee == "_checked" and args:
                 callee, args = _callee(args[0]), args[1:]
@@ -69,6 +76,14 @@ def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
             out += [(line, ("pass", callee, kw.arg or "**"))
                     for kw in node.keywords]
     return out
+
+
+def needs(member: ast.AST) -> str:
+    """The reach a class member needs: a call for a plain method."""
+    plain = (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not any(isinstance(d, ast.Name) and d.id == "property"
+                         for d in member.decorator_list))
+    return "call" if plain else "attr"
 
 
 def defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
@@ -112,7 +127,7 @@ def unreached(modules: dict[str, str], readers: list[str],
             if isinstance(node, ast.ClassDef):
                 found += [f"{name}.{fn}.{method}"
                           for method, child in public_defs(node).items()
-                          if ("attr", method) not in reached(child)
+                          if (needs(child), method) not in reached(child)
                           and method not in dotted]
                 continue
             for at, param in defaulted(node):
@@ -149,6 +164,11 @@ class Shown:
     pass
 
 
+class Level:
+    def __init__(self, depth):
+        self.depth = depth
+
+
 class Benched:
     def run(self):
         return self.size
@@ -164,6 +184,9 @@ class Benched:
         pass
 
     def worded(self):
+        pass
+
+    def depth(self):
         pass
 
     def _private(self):
@@ -186,23 +209,26 @@ def _private(x=0):
 def test_the_lint_flags_only_what_tests_alone_reach():
     # tests are no reader: a name only they reach is flagged, and a
     # recursive call of a function or a method does not reach it; README
-    # reaches a method only as `.name`
+    # reaches a method only as `.name`, and Level's field depth does not
+    # reach the method depth
     bench = ("import blobshift.lib as L\nL.kept()\nL.Benched().run()\n"
-             "L.knobs(0, 1, d=2)\nargs = (0,)\nL.starred(*args)\n")
+             "L.knobs(0, 1, d=2)\nargs = (0,)\nL.starred(*args)\n"
+             "L.Level(1).depth\n")
     prose = "Run `Shown`, `worded` and `Benched.shown` here."
     assert unreached({"lib": LIB}, [bench], prose) == [
-        "lib.Benched.step", "lib.Benched.worded", "lib.knobs(c)",
-        "lib.knobs(e)", "lib.tested_only"]
-    # another library module reaches too, and the CLI's _checked(f, *args)
-    # is a call of f
+        "lib.Benched.depth", "lib.Benched.step", "lib.Benched.worded",
+        "lib.knobs(c)", "lib.knobs(e)", "lib.tested_only"]
+    # another library module reaches too, the CLI's _checked(f, *args) is
+    # a call of f, and a method passed as an argument is reached
     cli = ("from .lib import tested_only\n_checked(knobs, 0, 1, 2)\n"
-           "knobs(0, e=1)\nB().step()\n")
+           "knobs(0, e=1)\nB().step()\nmap(B().depth, [])\n")
     assert unreached({"lib": LIB, "cli": cli}, [bench],
                      "Shown, `.worded` and `.shown`") == []
     # helper is reached inside its own module, by kept, and size by run
     assert unreached({"lib": LIB}, [], "") == [
-        "lib.Benched", "lib.Benched.run", "lib.Benched.shown",
-        "lib.Benched.step", "lib.Benched.worded", "lib.Shown", "lib.kept",
+        "lib.Benched", "lib.Benched.depth", "lib.Benched.run",
+        "lib.Benched.shown", "lib.Benched.step", "lib.Benched.worded",
+        "lib.Level", "lib.Shown", "lib.kept",
         "lib.knobs", "lib.knobs(b)", "lib.knobs(c)", "lib.knobs(d)",
         "lib.knobs(e)", "lib.starred", "lib.starred(a)", "lib.starred(b)",
         "lib.tested_only"]

@@ -216,7 +216,7 @@ def test_ascending_vertical_column():
     path = find_ascending_path(p, 1, 1)
     assert path is not None
     assert len(path) == 10
-    heights = path.heights()
+    heights = [c[-1] for c in path.cells]
     assert all(b > a for a, b in zip(heights, heights[1:]))
 
 
@@ -238,7 +238,7 @@ def test_ascending_staircase():
     path = find_ascending_path(p, 1, 3)
     assert path is not None
     assert len(path) == len(p.support())
-    heights = path.heights()
+    heights = [c[-1] for c in path.cells]
     for j in range(len(heights) - 3):
         assert heights[j + 3] > heights[j]
 
@@ -247,7 +247,7 @@ def test_ascending_window_replay():
     p = trace_guided_path([1] * 40, [int(c) for c in sturmian_word(GOLDEN, 40)], 30)
     path = find_ascending_path(p, 1, 2)
     assert path is not None
-    heights = path.heights()
+    heights = [c[-1] for c in path.cells]
     for j in range(len(heights) - 2):
         assert heights[j + 2] > heights[j]
 

@@ -322,6 +322,18 @@ def test_cli_pathcover_ascend_reports_its_work(capsys, tmp_path):
         3, 3, False)
 
 
+def test_cli_empty_values_are_read(files, capsys):
+    # an empty 1D seed is the empty word, and empty moves the one-point walk
+    report = run_json(capsys, "gen", "--subst", str(files / "tau1.sub"),
+                      "--seed", "", "--iters", "2")
+    assert report["result"] == {
+        "cells": 0, "support": 0, "pattern": "dims 0\nalphabet +-\n"}
+    code, out = run_cli(capsys, "render", "--moves", "", "--format",
+                        "svg-paths")
+    assert code == 0
+    assert out.count("<polyline") == 1 and 'points="0,0"' in out
+
+
 def test_cli_render_moves_svg(capsys):
     code, out = run_cli(capsys, "render", "--moves", "++--++",
                         "--format", "svg-paths")
@@ -415,6 +427,19 @@ BAD_ARGUMENTS = [
     # a flag before the action: its value is not the action
     (["primes", "--out", "f.json", "crt"], 1),
     (["ca", "--rule", "xor.ca", "glider"], 1),
+    # an empty value is read, not taken for a flag left out
+    (["width", "--pattern", "word.pat", "--radius", "1", "--out", ""], 1),
+    (["gen", "--subst", "plus.sub", "--seed-file", "", "--iters", "1"], 1),
+    (["gen", "--subst", "tau1.sub", "--seed-file", "", "--iters", "1"], 1),
+    (["gen", "--subst", "plus.sub", "--seed", "", "--iters", "1"], 1),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", ""], 1),
+    (["primes", "crt", "--injection", ""], 1),
+    (["primes", "dirichlet", "--injection", ""], 1),
+    (["pathcover", "guided", "--slope", "1/2", "--steps", ""], 1),
+    # a file that is not UTF-8 text
+    (["render", "--pattern", "latin1.pat"], 2),
+    # glue takes exactly two patterns
+    (["glue", "--pattern", "a.pat"], 1),
 ]
 
 
@@ -432,6 +457,7 @@ def write_bad_files(files):
         "100 -> shift -1\n101 -> shift -1\n")
     (files / "xor.ca").write_text(
         "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n")
+    (files / "latin1.pat").write_bytes(b"dims 2\nalphabet 01\n\xff1\n")
 
 
 @pytest.mark.parametrize("argv,code", BAD_ARGUMENTS)
@@ -453,7 +479,7 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
         assert json.loads(err)["error"]["kind"] == kind
 
 
-@pytest.mark.parametrize("argv,message", [
+USAGE_MESSAGES = [
     (["pathcover", "guided"], "guided needs --slope or --steps with --offsets"),
     (["pathcover", "guided", "--steps", "1,1"],
      "guided needs --slope or --steps with --offsets"),
@@ -469,7 +495,15 @@ def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
     (["ca", "--rule", "xor.ca", "glider"],
      "--rule before the action: flags go after the action, as in blobshift "
      "ca {glider,nilpotent,profile} --rule ..."),
-])
+    # a list flag's error names the flag, before any file is read
+    (["pathcover", "guided", "--steps", "1,x", "--offsets", "0,1"],
+     "argument --steps: bad integer list '1,x'"),
+    (["fractal", "verify", "--pattern", "no_such.pat", "--radii", "1,x"],
+     "argument --radii: bad integer list '1,x'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_MESSAGES)
 def test_cli_usage_errors_name_the_missing_input(capsys, argv, message):
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {
