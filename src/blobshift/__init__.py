@@ -11,36 +11,3 @@ certify; nothing here decides properties of infinite configurations.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BlobshiftError,
-    GlueConflict,
-    InjectionNotDistinct,
-    InjectionNotPrime,
-    InvariantViolation,
-    NoPrimeInRange,
-    NotInvertible,
-    NotZeroPreserving,
-    PaddingUnavailable,
-    RadiiNotIncreasing,
-    EmptySupport,
-    SizeLimit,
-    UnsupportedFormat,
-)
-
-__all__ = [
-    "__version__",
-    "BlobshiftError",
-    "GlueConflict",
-    "InjectionNotDistinct",
-    "InjectionNotPrime",
-    "InvariantViolation",
-    "NoPrimeInRange",
-    "NotInvertible",
-    "NotZeroPreserving",
-    "PaddingUnavailable",
-    "RadiiNotIncreasing",
-    "EmptySupport",
-    "SizeLimit",
-    "UnsupportedFormat",
-]

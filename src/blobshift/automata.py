@@ -196,15 +196,6 @@ def _stepper(rule: CARule):
     return step_word, step_cycle
 
 
-def step(rule: CARule, config: FiniteConfig) -> FiniteConfig:
-    """One application of the rule; support grows at most rho per side.
-
-    A rule that is not zero-preserving maps every finite configuration to
-    one of infinite support, so it raises :class:`NotZeroPreserving`.
-    """
-    return evolve(rule, config, 1)[-1]
-
-
 def evolve(rule: CARule, config: FiniteConfig,
            steps: int) -> list[FiniteConfig]:
     """Trajectory [c, f(c), ..., f^steps(c)] for a zero-preserving rule."""

@@ -213,7 +213,7 @@ def _pair_reports(report):
 
 
 def _render_levels(args, hierarchy):
-    if not args.render_dir:
+    if args.render_dir is None:
         return None
     from . import render
 

@@ -4,8 +4,11 @@ The sieve feeds three kinds of probes: the late language (factors that
 keep occurring past a threshold), residue-class zero runs built with the
 Chinese remainder theorem, and isolated primes found either by scanning
 or by constructing an admissible progression and walking it until a
-prime appears. Everything returns verified witnesses; nothing relies on
-unproved bounds.
+prime appears. Everything returns verified witnesses, with one limit:
+`is_prime` is a proof only below psi_12 (about 3.2e23), so a prime past
+it, as `dirichlet_isolated` finds with its default injection from n = 8
+on, is a strong probable prime. Composites are certified by their
+injected divisors.
 
 The late language is searched for, not scanned for, by one lemma. Say
 the 1-positions S of a word w cover every residue mod some prime p. Then
@@ -41,7 +44,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact far beyond 64-bit inputs)."""
+    """Miller-Rabin to the twelve prime bases 2..37.
+
+    Exact below psi_12 = 318665857834031151167461, about 3.2e23, the least
+    strong pseudoprime to all twelve bases (Sorenson and Webster, "Strong
+    pseudoprimes to twelve prime bases", Math. Comp. 2017), which it
+    calls prime. At and above it, True means a strong probable prime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -241,8 +250,8 @@ class CRTWitness(_Record):
 
     k + i is divisible by injection[i], so once k + i is at least twice
     its divisor the whole stretch k..k+n-1 is composite; `start` is the
-    least member of the class making every quotient at least 2, verified
-    composite cell by cell.
+    least member of the class making every quotient at least 2, each cell
+    checked against its divisor.
     """
 
     __slots__ = ("n", "injection", "k", "modulus", "start")
@@ -279,9 +288,9 @@ def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
                            injection)
     floor = max(2 * p - i for i, p in enumerate(injection))
     start = k + ((floor - k + modulus - 1) // modulus) * modulus if k < floor else k
-    for i in range(n):
+    for i, p in enumerate(injection):
         # lemma: p = injection[i] divides start + i >= 2p > p: composite
-        if not is_composite(start + i):
+        if (start + i) % p or start + i < 2 * p:
             raise InvariantViolation(f"run member {start + i} is not composite")
     return CRTWitness(n, tuple(injection), k, modulus, start)
 
@@ -331,9 +340,10 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
             f"gcd({k}, {modulus}) is not 1, against the construction")
     for ell in range(scan_limit + 1):
         p = k + ell * modulus
+        # p - i is a positive multiple of its injected prime q, so it is
+        # composite exactly when it is not q itself
         if p > max(injection) and is_prime(p):
-            if all(is_composite(p - i) and is_composite(p + i)
-                   for i in range(1, n + 1)):
+            if all(p - i != q for i, q in zip(indices, injection)):
                 return k, modulus, p
     raise NoPrimeInRange(
         f"no verified isolated prime in {scan_limit} progression steps")

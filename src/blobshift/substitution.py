@@ -224,20 +224,9 @@ def _assemble(k: int, level: dict[int, Pattern], j: int, side: int) -> Pattern:
                             dict.fromkeys(range(big), (0, big)), 2)
 
 
-def default_block_seeds(k: int) -> tuple[Pattern, ...]:
-    """Seeds produced by one assembly step from single-cell blocks.
-
-    Side k+1; seed j carries a 1 at the corner and a row of k 1s at height
-    j, which gives pairwise disjoint nonzero rows above row zero across
-    the k seeds.
-    """
-    singles = dict.fromkeys(range(1, k + 1), Pattern(BINARY, {(0, 0): "1"}))
-    return tuple(_assemble(k, singles, j, 1) for j in range(1, k + 1))
-
-
 class BlockHierarchySpec(_Record):
-    """The unbounded-rows block construction for k, seeded by
-    default_block_seeds(k)."""
+    """The unbounded-rows block construction for k, grown from k single
+    cells."""
 
     __slots__ = ("k",)
 
@@ -252,16 +241,17 @@ class BlockHierarchySpec(_Record):
 
 
 def block_spec(k: int) -> BlockHierarchySpec:
-    """Spec with the default seeds (side k+1)."""
+    """Spec whose level-1 patterns have side k+1."""
     return BlockHierarchySpec(k)
 
 
 def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
     """Level-i block pattern number j.
 
-    Side m_i = (k+1)^(i-1) * seed_side. Level i+1 places the horizontal
-    slice of all k level-i patterns on block-row j and the j-th level-i
-    pattern at the bottom-left block; everything else is zero.
+    Side m_i = (k+1)^(i-1) * seed_side. Level 0 is k single cells, and
+    level i+1 places the horizontal slice of all k level-i patterns on
+    block-row j and the j-th level-i pattern at the bottom-left block;
+    everything else is zero.
     """
     if not 1 <= j <= spec.k:
         raise ValueError("j must be in [1, k]")
@@ -269,9 +259,10 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
         raise ValueError("i must be at least 1")
     side = block_side(spec, i)
     check_cells(side * side, f"level {i} pattern")
-    level = dict(enumerate(default_block_seeds(spec.k), 1))
-    current_side = spec.seed_side
-    for _ in range(i - 1):
+    level = dict.fromkeys(range(1, spec.k + 1),
+                          Pattern(BINARY, {(0, 0): "1"}))
+    current_side = 1
+    for _ in range(i):
         level = {jj: _assemble(spec.k, level, jj, current_side)
                  for jj in range(1, spec.k + 1)}
         current_side *= spec.k + 1

@@ -1,4 +1,5 @@
 """CA evolution, glider and nilpotency probes, full-group order search."""
+import ast
 import os
 import random
 import subprocess
@@ -36,16 +37,21 @@ from blobshift.automata import (
     parse_tfg_element,
     shift_element,
     shift_rule,
-    step,
     tfg_order_search,
     tfg_validate,
     xor_rule,
 )
 from blobshift.patterns import BINARY, Alphabet
+from conftest import function_body_lines, lines_run
 
 # the radius-0 rules that kill every cell and that keep every cell
 ZERO = CARule(BINARY, 0, {"0": "0", "1": "0"})
 IDENTITY = CARule(BINARY, 0, {"0": "0", "1": "1"})
+
+
+def step(rule, config):
+    """One application of the rule: the end of a one-step trajectory."""
+    return evolve(rule, config, 1)[-1]
 
 
 # ------------------------------------------------------------------ evolution
@@ -771,3 +777,92 @@ def test_certifying_checks_survive_python_O():
     assert done.stdout.splitlines() == [
         "light cone", "gcd", "table value '2' not in the alphabet",
         "shift exceeds the radius"]
+
+
+def test_every_automata_line_runs(monkeypatch):
+    # a line that no input reaches is dead code or an untested guard; the
+    # trace covers automata.py only, which keeps it cheap enough to gate
+    path = automata.__file__
+    # evolve's light-cone raise holds by construction of the stepper
+    evolve_def = next(node for node in ast.parse(Path(path).read_text()).body
+                      if getattr(node, "name", None) == "evolve")
+    allowed = {line for node in ast.walk(evolve_def)
+               if isinstance(node, ast.Raise)
+               and node.exc.func.id == "InvariantViolation"
+               for line in range(node.lineno, node.end_lineno + 1)}
+    assert len(allowed) == 2
+    rng = random.Random(0xCA)
+    with lines_run(path) as ran:
+        for _ in range(30):
+            alphabet = rng.choice(KERNEL_ALPHABETS)
+            rule = random_rule(rng, alphabet, rng.randrange(3))
+            word = random_word(rng, alphabet, rng.randrange(1, 9))
+            config = FiniteConfig.make(word, rng.randrange(-5, 5), alphabet)
+            assert asymptotic_profile(rule, config, 6)[0] == \
+                config.support_size()
+            find_glider(rule, 3, 6)
+            nilpotency_probe(rule, 3, 6)
+            element = random_element(rng, alphabet, rng.randrange(2))
+            for candidate in (element, compose(element, element)):
+                try:
+                    tfg_validate(candidate)
+                except NotInvertible:
+                    pass
+                tfg_order_search(candidate, 4, 3)
+            text = random_element_text(rng, alphabet, rng.randrange(2))
+            assert parse_tfg_element(text).alphabet == alphabet
+        for rule in (shift_rule(), xor_rule(), decrement_rule(), ZERO,
+                     IDENTITY):
+            nilpotency_probe(rule, 3, 8)
+        # the probes stop at a glider; the fates go on past it
+        assert len(list(_finite_fates(_stepper(shift_rule())[0], BINARY, 3,
+                                      4))) == 4
+        # xor's cyclic words neither die nor repeat in two steps
+        assert nilpotency_probe(xor_rule(), 3, 2).tag == "inconclusive"
+        # one power leaves no room to compose: the drift search runs last
+        assert tfg_order_search(shift_element(), 1, 2).tag == \
+            "infinite_order"
+        assert parse_ca_rule("ca 01 radius 0\n* -> 0\n1 -> 1\n") == IDENTITY
+        assert [c.word for c in canonical_configs(BINARY, 3)] == [
+            "1", "11", "101", "111"]
+        for element in (identity_element(), shift_element(-1),
+                        block_swap_element()):
+            tfg_order_search(tfg_validate(element), 4, 3)
+        not_zero = CARule(BINARY, 0, {"0": "1", "1": "1"})
+        for call, error in [
+                (lambda: CARule(BINARY, -1, {}), ValueError),
+                (lambda: CARule(BINARY, 0, {"0": "0", "x": "1"}), ValueError),
+                (lambda: CARule(BINARY, 0, {"0": "0", "11": "1"}),
+                 ValueError),
+                (lambda: CARule(BINARY, 0, {"0": "0"}), ValueError),
+                (lambda: CARule(BINARY, 0, {"0": "0", "1": "x"}), ValueError),
+                (lambda: FiniteConfig(BINARY, 0, "x"), ValueError),
+                (lambda: FiniteConfig(BINARY, 0, "10"), ValueError),
+                (lambda: FiniteConfig(BINARY, 1, ""), ValueError),
+                (lambda: evolve(xor_rule(), FiniteConfig.make("1"), -1),
+                 ValueError),
+                (lambda: evolve(not_zero, FiniteConfig.make("1"), 1),
+                 NotZeroPreserving),
+                (lambda: find_glider(xor_rule(), 0, 1), ValueError),
+                (lambda: find_glider(not_zero, 1, 1), NotZeroPreserving),
+                (lambda: nilpotency_probe(not_zero, 1, 1),
+                 NotZeroPreserving),
+                (lambda: TFGElement(BINARY, 0, {"0": 1, "1": 0}),
+                 ValueError),
+                (lambda: compose(identity_element(), TFGElement(
+                    KERNEL_ALPHABETS[1], 0, {"1": 0, "0": 0})), ValueError),
+                (lambda: parse_ca_rule("rule 01 radius 1\n"),
+                 UnsupportedFormat),
+                (lambda: parse_ca_rule("ca 01 radii 1\n"), UnsupportedFormat),
+                (lambda: parse_ca_rule("ca 01 radius -1\n"),
+                 UnsupportedFormat),
+                (lambda: parse_tfg_element("ca 01 radius 0\n* -> 0\n"),
+                 UnsupportedFormat)]:
+            with pytest.raises(error):
+                call()
+        # under this cap the swap's square cannot be composed
+        monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "159")
+        assert tfg_order_search(block_swap_element(), 6, 3).tag == \
+            "inconclusive"
+    missed = sorted(function_body_lines(path) - ran - allowed)
+    assert not missed, f"automata.py lines never run: {missed}"

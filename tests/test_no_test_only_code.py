@@ -4,15 +4,18 @@ Code that only tests call is code nothing uses. This lint walks the
 syntax tree of each ``src/blobshift/*.py`` module. A reader is the
 module itself outside the definition in question, another library
 module, a ``perfbench`` script, the acceptance criteria in
-``tests/test_acceptance.py``, or the text of README.md. The lint fails on
+``tests/test_acceptance.py``, or the code README.md shows: its python
+blocks and its inline code, not its prose or its shell blocks. The lint
+fails on
 
 - a public top-level ``def`` or ``class`` that no reader spells as a
-  ``Name``, an ``Attribute`` or an import alias, or README.md as a whole
-  word;
+  ``Name``, an ``Attribute`` or an import alias, or README.md's code as
+  a whole word. A ``Name`` that a parameter or a local of an enclosing
+  function binds is that function's, so it reaches nothing;
 - a public method of a top-level class that no reader calls as
   ``x.name(...)`` or passes as an argument ``f(x.name)``, or a public
-  property that no reader spells as an attribute ``x.name``; README.md
-  reaches either as ``.name``. A field of another class spelled
+  property that no reader spells as an attribute ``x.name``; README.md's
+  code reaches either as ``.name``. A field of another class spelled
   ``x.name`` does not reach a method of that name;
 - a defaulted parameter of a public top-level function that no reader's
   call passes, by position or by keyword. ``_checked(f, *args)``, the
@@ -45,6 +48,52 @@ def _callee(node: ast.expr) -> str | None:
     return None
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def binds(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds itself: its
+    parameters, and the names it assigns, defines or imports outside the
+    scopes nested in it."""
+    if isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp,
+                          ast.GeneratorExp)):
+        names, todo = set(), [g.target for g in scope.generators]
+    else:
+        a = scope.args
+        names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                     a.vararg, a.kwarg) if arg}
+        body = scope.body
+        todo = list(body) if isinstance(body, list) else [body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+            continue
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        if not isinstance(node, _SCOPES):
+            todo += ast.iter_child_nodes(node)
+    return names
+
+
+def _locals(tree: ast.AST) -> set[int]:
+    """ids of the Name nodes that some enclosing function binds."""
+    out = set()
+    todo = [(tree, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        if isinstance(node, ast.Name) and node.id in bound:
+            out.add(id(node))
+        if isinstance(node, _SCOPES):
+            bound = bound | binds(node)
+        todo += [(child, bound) for child in ast.iter_child_nodes(node)]
+    return out
+
+
 def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
     """(line, reach) for each reach a tree makes.
 
@@ -53,12 +102,16 @@ def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
     Attribute that is called or passed as an argument; ("pass", f, key)
     for an argument that a call of f passes, key being its position or
     keyword, ``*`` for a starred one and ``**`` for a double-starred one.
+    A Name bound by a parameter or a local of an enclosing function is
+    no reach.
     """
     out = []
+    local = _locals(tree)
     for node in ast.walk(tree):
         line = getattr(node, "lineno", None)
         if isinstance(node, ast.Name):
-            out.append((line, ("name", node.id)))
+            if id(node) not in local:
+                out.append((line, ("name", node.id)))
         elif isinstance(node, ast.Attribute):
             out += [(line, ("name", node.attr)), (line, ("attr", node.attr))]
         elif isinstance(node, ast.alias):
@@ -96,20 +149,30 @@ def defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
     return out
 
 
+def shown_code(markdown: str) -> str:
+    """The code a Markdown text shows: its ```python blocks and the inline
+    code of the rest, fenced blocks of any other language left out."""
+    blocks = re.findall(r"^```python\n(.*?)^```", markdown, re.M | re.S)
+    rest = re.sub(r"^```.*?^```", "", markdown, flags=re.M | re.S)
+    return "\n".join(blocks + re.findall(r"`([^`]+)`", rest))
+
+
 def unreached(modules: dict[str, str], readers: list[str],
-              text: str) -> list[str]:
+              markdown: str) -> list[str]:
     """module.name, module.Class.method and module.function(parameter)
     for each that no reader reaches.
 
     `modules` maps a library module's name to its source; `readers` are
-    the other sources that count, and `text` the prose that does.
+    the other sources that count, and `markdown` the document whose
+    shown code does.
     """
     trees = {name: ast.parse(source, name) for name, source in modules.items()}
     made = {name: reaches(tree) for name, tree in trees.items()}
     outside = {reach for source in readers for _, reach in reaches(
         ast.parse(source))}
-    words = set(re.findall(r"\w+", text))
-    dotted = set(re.findall(r"\.(\w+)", text))
+    code = shown_code(markdown)
+    words = set(re.findall(r"\w+", code))
+    dotted = set(re.findall(r"\.(\w+)", code))
     found = []
     for name, tree in sorted(trees.items()):
         others = outside | {reach for n, rs in made.items() if n != name
@@ -223,7 +286,7 @@ def test_the_lint_flags_only_what_tests_alone_reach():
     cli = ("from .lib import tested_only\n_checked(knobs, 0, 1, 2)\n"
            "knobs(0, e=1)\nB().step()\nmap(B().depth, [])\n")
     assert unreached({"lib": LIB, "cli": cli}, [bench],
-                     "Shown, `.worded` and `.shown`") == []
+                     "`Shown`, `.worded` and `.shown`") == []
     # helper is reached inside its own module, by kept, and size by run
     assert unreached({"lib": LIB}, [], "") == [
         "lib.Benched", "lib.Benched.depth", "lib.Benched.run",
@@ -232,3 +295,21 @@ def test_the_lint_flags_only_what_tests_alone_reach():
         "lib.knobs", "lib.knobs(b)", "lib.knobs(c)", "lib.knobs(d)",
         "lib.knobs(e)", "lib.starred", "lib.starred(a)", "lib.starred(b)",
         "lib.tested_only"]
+
+
+def test_only_code_reaches_a_name():
+    # a parameter or a local of an enclosing function, a comprehension's
+    # variable, and a word in README's prose or in a shell block are not
+    # the library's names; a README python block and inline code are
+    lib = "".join(f"def {fn}():\n    pass\n\n\n" for fn in (
+        "walked", "hopped", "shelled", "fenced", "quoted"))
+    bench = ("def go(hopped):\n    walked = hopped\n"
+             "    return lambda: walked, [shelled for shelled in ()]\n")
+    readme = ("Here walked, hopped, shelled and fenced are prose.\n"
+              "```sh\nblobshift shelled --quoted  # fenced\n```\n"
+              "```python\nfenced()\n```\nand `quoted` is inline.\n")
+    assert unreached({"lib": lib}, [bench], readme) == [
+        "lib.hopped", "lib.shelled", "lib.walked"]
+    # the same names outside any function do reach
+    assert unreached({"lib": lib}, ["walked\nhopped\nshelled\n"], "") == [
+        "lib.fenced", "lib.quoted"]

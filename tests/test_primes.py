@@ -290,6 +290,30 @@ def test_dirichlet_explicit_injection():
     assert dirichlet_isolated(1, injection=[7, 5]) == (6, 35, 41)
 
 
+def test_runs_and_neighbours_are_certified_by_their_divisors(monkeypatch):
+    # no member of a run and no neighbour of an isolated prime goes
+    # through a primality test; the values are those the Miller-Rabin
+    # checks gave
+    def refuse(n):
+        raise AssertionError(f"is_composite({n}) was called")
+
+    monkeypatch.setattr(primes, "is_composite", refuse)
+    runs = {n: (w.injection, w.k, w.modulus, w.start)
+            for n, w in ((n, crt_zero_run(n)) for n in (1, 2, 5, 8))}
+    assert runs == {
+        1: ((3,), 0, 3, 6),
+        2: ((5, 7), 20, 35, 20),
+        5: ((11, 13, 17, 19, 23), 420068, 1062347, 420068),
+        8: ((17, 19, 23, 29, 31, 37, 41, 43), 223098698382, 435656388001,
+            223098698382)}
+    assert crt_zero_run(3, [13, 11, 7]).start == 208
+    assert [dirichlet_isolated(n) for n in (1, 2, 3, 4)] == [
+        (11, 15, 11), (2498, 5005, 47543), (2009214, 7436429, 83809933),
+        (21703975784, 35336848261, 622430396221)]
+    assert dirichlet_isolated(2, injection=[11, 7, 5, 13]) == (
+        1406, 5005, 16421)
+
+
 def test_dirichlet_coprimality_random_injections():
     rng = random.Random(31)
     candidates = [p for p in sieve(500).primes if p > 10]
@@ -341,3 +365,15 @@ def test_primality_helpers():
     assert not is_prime(561)  # Carmichael
     assert is_composite(4) and not is_composite(3) and not is_composite(1)
     assert is_prime(2 ** 61 - 1)
+
+
+# the least strong pseudoprime to the twelve bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_is_a_proof_only_below_psi_12():
+    # psi_11, a strong pseudoprime to the bases 2..31, is caught by 37
+    assert not is_prime(3825123056546413051)
+    # psi_12 passes every base although it is composite
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(PSI_12)

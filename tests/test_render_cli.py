@@ -298,6 +298,19 @@ def test_cli_fractal_render_dir(files, capsys, tmp_path):
     assert all(f.read_bytes().startswith(b"P1\n") for f in rendered)
 
 
+def test_cli_empty_render_dir_is_the_working_directory(files, capsys,
+                                                       monkeypatch):
+    # Path('') names the working directory: the PBMs land there
+    monkeypatch.chdir(files)
+    report = run_json(capsys, "fractal", "verify", "--pattern", "word.pat",
+                      "--radii", "1,2", "--render-dir", "")
+    rendered = report["result"]["rendered"]
+    assert rendered and sorted(rendered) == sorted(
+        f.name for f in files.glob("*.pbm"))
+    assert all((files / name).read_bytes().startswith(b"P1\n")
+               for name in rendered)
+
+
 def test_cli_pathcover_geodesic(capsys, tmp_path):
     from blobshift.patterns import format_pattern
     p = Pattern(BINARY, {(0, y): "1" for y in range(5)})

@@ -12,7 +12,6 @@ from blobshift.substitution import (
     block_spec,
     build_unbounded_rows,
     cantor_substitution,
-    default_block_seeds,
     density_word,
     format_substitution,
     iterate_1d,
@@ -149,9 +148,10 @@ def test_block_invariants(k):
 
 
 def test_block_base_case_returns_seed():
-    spec, seeds = block_spec(2), default_block_seeds(2)
-    for j in (1, 2):
-        assert build_unbounded_rows(spec, 1, j) == seeds[j - 1]
+    # one assembly step from single cells: a corner 1 and k 1s on row j
+    spec = block_spec(2)
+    for j, rows in ((1, ["...", ".11", "1.."]), (2, [".11", "...", "1.."])):
+        assert build_unbounded_rows(spec, 1, j) == Pattern.from_rows(rows)
 
 
 def test_block_side_recursion():
