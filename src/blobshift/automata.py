@@ -5,12 +5,14 @@ The probes work on the two witness families that finite machinery can
 actually exhaust: finite-support configurations (evolved directly) and
 spatially periodic configurations (evolved as cyclic words). Verdicts
 carry replayable witnesses and an explicit inconclusive tag; none of this
-decides anything about the full space.
+decides anything about the full space. A linear rule over a prime
+alphabet is decided on the finite seeds from its coefficients instead
+(see _linear_coefficients), with the verdicts the seeds would give.
 """
 from __future__ import annotations
 
 from itertools import chain, compress, filterfalse, repeat
-from operator import add, getitem, gt
+from operator import add, getitem, gt, mul
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -292,17 +294,53 @@ def _finite_fates(step_word, alphabet: Alphabet, max_width: int,
             yield seed, None, None
 
 
+def _linear_coefficients(rule: CARule) -> tuple[int, ...] | None:
+    """(a_-rho, ..., a_rho) of a linear rule over a prime alphabet, else None.
+
+    Symbol i of the alphabet reads as (i - z) mod p, z the zero's index
+    and p = |A|; the rule is linear when every table entry reads as
+    sum_j a_j x_j mod p over its window's letters x_-rho .. x_rho.
+
+    Such a rule sends a finite configuration x, read as the Laurent
+    polynomial sum_i x_i X^i, to P x with P = sum_j a_j X^-j over Z_p.
+    Z_p is a field, so Z_p[X, X^-1] has no zero divisors, and the spread
+    between the highest and the lowest degree of a product is the sum of
+    its factors' spreads. With two or more nonzero a_j, P has a positive
+    spread; so for x != 0 and n >= 1, P^n x != 0 (no seed dies) and
+    P^n != X^m (a monomial has spread 0), so P^n x != X^m x (no seed
+    returns to a translate), at every width and time.
+    """
+    symbols, zero = rule.alphabet.symbols, rule.alphabet.zero
+    p = len(symbols)
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        return None
+    z = symbols.index(zero)
+    value = {symbol: (i - z) % p for i, symbol in enumerate(symbols)}
+    one, width, table = symbols[(z + 1) % p], 2 * rule.radius + 1, rule.table
+    coefficients = tuple(value[table[zero * j + one + zero * (width - 1 - j)]]
+                         for j in range(width))
+    for word, out in table.items():
+        if sum(map(mul, coefficients, map(value.__getitem__, word))) % p \
+                != value[out]:
+            return None
+    return coefficients
+
+
 def find_glider(rule: CARule, max_width: int,
                 max_time: int) -> tuple[FiniteConfig, int, int] | None:
     """First enumerated config whose trajectory revisits a translate.
 
     Returns (config, n, m) with f^n(config) equal to the config shifted by
     m. Finite nonzero configurations are never shift-periodic, so every
-    revisit qualifies, including m = 0.
+    revisit qualifies, including m = 0. A linear rule over a prime
+    alphabet with two or more nonzero coefficients has no glider of any
+    width or time (see _linear_coefficients): it gets None unstepped.
     """
     _check_probe_size(rule, max_width, max_time)
     if not rule.zero_preserving:
         raise NotZeroPreserving("glider search needs a zero-preserving rule")
+    if sum(map(bool, _linear_coefficients(rule) or ())) > 1:
+        return None
     step_word, _ = _stepper(rule)
     for seed, n, m in _finite_fates(step_word, rule.alphabet,
                                     max_width, max_time):
@@ -347,7 +385,11 @@ def nilpotency_probe(rule: CARule, max_width: int,
     Nilpotent-on-probe reports the max death time over all canonical
     finite configurations of bounded width, provided the cyclic words die
     too. A glider or a surviving cycle is a definite counterexample; a
-    survivor without either is inconclusive at this probe size.
+    survivor without either is inconclusive at this probe size. Under a
+    linear rule over a prime alphabet with two or more nonzero
+    coefficients every finite seed survives and none glides, at every
+    width and time (see _linear_coefficients), so the first canonical
+    word is the survivor, unstepped; the cyclic words run as for any rule.
     """
     _check_probe_size(rule, max_width, max_time)
     if not rule.zero_preserving:
@@ -355,17 +397,20 @@ def nilpotency_probe(rule: CARule, max_width: int,
     step_word, step_cycle = _stepper(rule)
     deaths = 0
     survivor = None
-    for seed, n, m in _finite_fates(step_word, rule.alphabet,
-                                    max_width, max_time):
-        if m is not None:
-            return NilpotencyVerdict(
-                "not_nilpotent",
-                witness={"kind": "glider", "word": seed,
-                         "time": n, "shift": m})
-        if n is None:
-            survivor = survivor or seed
-        else:
-            deaths = max(deaths, n)
+    if sum(map(bool, _linear_coefficients(rule) or ())) > 1:
+        survivor = next(_canonical_words(rule.alphabet, max_width))
+    else:
+        for seed, n, m in _finite_fates(step_word, rule.alphabet,
+                                        max_width, max_time):
+            if m is not None:
+                return NilpotencyVerdict(
+                    "not_nilpotent",
+                    witness={"kind": "glider", "word": seed,
+                             "time": n, "shift": m})
+            if n is None:
+                survivor = survivor or seed
+            else:
+                deaths = max(deaths, n)
     zero = rule.alphabet.zero
     for word in _cyclic_words(rule.alphabet, max_width):
         dead = zero * len(word)

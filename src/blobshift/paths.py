@@ -125,14 +125,15 @@ def _ascension_up_to(heights: list[int], m_max: int, fails) -> int | None:
 # -- move-word serialization ---------------------------------------------------
 #
 # "+" and "-" are unit moves, "0" a rest, and a sign with digits carries a
-# larger step, e.g. "+2" or "-3".
+# larger step, e.g. "+2" or "-3". A dot parts a larger step from a rest
+# right after it: "-2.0+" is -2, 0, +1, where "-20+" is -20, +1.
 
 
 def format_moves(word: MoveWord) -> str:
     parts = []
-    for m in word.moves:
+    for before, m in zip((0,) + word.moves, word.moves):
         if m == 0:
-            parts.append("0")
+            parts.append(".0" if abs(before) > 1 else "0")
         elif abs(m) == 1:
             parts.append("+" if m > 0 else "-")
         else:
@@ -159,7 +160,7 @@ def parse_moves(text: str) -> MoveWord:
         digits = text[pos + 1:end]
         if digits and int(digits) >= 2:
             moves.append(sign * int(digits))
-            pos = end
+            pos = end + text.startswith(".0", end)
         else:
             moves.append(sign)
             pos += 1

@@ -498,37 +498,40 @@ def oracle_cyclic_words(alphabet, max_len):
             yield canon
 
 
-def oracle_find_glider(rule, max_width, max_time):
+def oracle_fate(rule, config, max_time):
+    """(seed, n, m) as fate_by_evolve gives it, by per-cell steps."""
+    current = config
+    for n in range(1, max_time + 1):
+        current = oracle_step(rule, current)
+        if not current.word:
+            return config.word, n, None
+        if current.word == config.word:
+            return config.word, n, -current.offset
+    return config.word, None, None
+
+
+def oracle_find_glider(rule, max_width, max_time, fate=oracle_fate):
     for seed in canonical_configs(rule.alphabet, max_width):
-        current = seed
-        for n in range(1, max_time + 1):
-            current = oracle_step(rule, current)
-            if current.word == seed.word:
-                return seed, n, -current.offset
-            if not current.word:
-                break
+        _, n, m = fate(rule, seed, max_time)
+        if m is not None:
+            return seed, n, m
     return None
 
 
-def oracle_nilpotency_probe(rule, max_width, max_time):
+def oracle_nilpotency_probe(rule, max_width, max_time, fate=oracle_fate):
     deaths = [0]
     survivor = None
     for seed in canonical_configs(rule.alphabet, max_width):
-        current = seed
-        died = False
-        for t in range(1, max_time + 1):
-            current = oracle_step(rule, current)
-            if not current.word:
-                deaths.append(t)
-                died = True
-                break
-            if current.word == seed.word:
-                return NilpotencyVerdict(
-                    "not_nilpotent",
-                    witness={"kind": "glider", "word": seed.word,
-                             "time": t, "shift": -current.offset})
-        if not died:
+        _, n, m = fate(rule, seed, max_time)
+        if m is not None:
+            return NilpotencyVerdict(
+                "not_nilpotent",
+                witness={"kind": "glider", "word": seed.word,
+                         "time": n, "shift": m})
+        if n is None:
             survivor = survivor or seed.word
+        else:
+            deaths.append(n)
     zero = rule.alphabet.zero
     for word in oracle_cyclic_words(rule.alphabet, max_width):
         current = word
@@ -678,18 +681,82 @@ def test_probes_step_each_distinct_word_once(monkeypatch):
         return counted, step_cycle
 
     monkeypatch.setattr(automata, "_stepper", counting)
-    # xor's 256 seeds of width <= 9 all survive 64 steps (16 384 steps),
-    # its 1024 seeds of width <= 11 all run 16 steps (16 384 steps), and
-    # decrement's 1458 seeds of width <= 7 die within 2 (2852 steps)
+    # decrement's 1458 seeds of width <= 7 die within 2 (2852 steps); xor
+    # is linear, so its probes step no finite seed
     for probe, oracle, rule, width, time, distinct in [
             (nilpotency_probe, oracle_nilpotency_probe, xor_rule(), 9, 64,
-             8320),
-            (find_glider, oracle_find_glider, xor_rule(), 11, 16, 8704),
+             0),
+            (find_glider, oracle_find_glider, xor_rule(), 11, 16, 0),
             (nilpotency_probe, oracle_nilpotency_probe, decrement_rule(), 7,
              64, 1458)]:
         stepped.clear()
         assert probe(rule, width, time) == oracle(rule, width, time)
         assert len(stepped) == len(set(stepped)) == distinct
+    # xor's fates: its 256 seeds of width <= 9 all survive 64 steps
+    # (16 384 steps), its 1024 seeds of width <= 11 all run 16 steps
+    # (16 384 steps)
+    for width, time, distinct in [(9, 64, 8320), (11, 16, 8704)]:
+        stepped.clear()
+        step_word, _ = automata._stepper(xor_rule())
+        fates = _finite_fates(step_word, BINARY, width, time)
+        assert all(n is None for _, n, _ in fates)
+        assert len(stepped) == len(set(stepped)) == distinct
+
+
+# digit alphabets, each symbol read as its digit; the one over Z_3 puts its
+# zero second, where the library reads symbol i as (i - 1) mod 3 all the same
+DIGIT_ALPHABETS = {2: BINARY, 3: Alphabet(("2", "0", "1"), "0"),
+                   4: Alphabet(tuple("0123"), "0"),
+                   5: Alphabet(tuple("01234"), "0")}
+
+
+def linear_rule(p, coefficients):
+    """The rule x -> sum_j a_j x_j mod p over a window of len(a) digits."""
+    alphabet = DIGIT_ALPHABETS[p]
+    table = {"".join(window): str(sum(a * int(x) for a, x in
+                                      zip(coefficients, window)) % p)
+             for window in product(alphabet.symbols,
+                                   repeat=len(coefficients))}
+    return CARule(alphabet, len(coefficients) // 2, table)
+
+
+def test_linear_probes_match_the_evolve_oracle():
+    # every linear table over Z_2 (rho <= 2), Z_3 (rho <= 1), Z_5 and the
+    # composite Z_4 (rho = 1), then every zero-preserving binary radius-1
+    # table; Z_4 takes the search, like every nonlinear table
+    rules = []
+    for p, radii in [(2, (0, 1, 2)), (3, (0, 1)), (4, (1,)), (5, (1,))]:
+        for radius in radii:
+            for coefficients in product(range(p), repeat=2 * radius + 1):
+                rules.append(linear_rule(p, coefficients))
+                assert automata._linear_coefficients(rules[-1]) == (
+                    None if p == 4 else coefficients)
+    windows = ["".join(t) for t in product("01", repeat=3)]
+    rules += [CARule(BINARY, 1, dict(zip(windows, ("0",) + images)))
+              for images in product("01", repeat=7)]
+    kinds = set()
+    for rule in rules:
+        width, time = (5, 8) if len(rule.alphabet.symbols) == 2 else (2, 6)
+        assert find_glider(rule, width, time) == oracle_find_glider(
+            rule, width, time, fate=fate_by_evolve)
+        verdict = nilpotency_probe(rule, width, time)
+        assert verdict == oracle_nilpotency_probe(rule, width, time,
+                                                  fate=fate_by_evolve)
+        kinds.add(verdict.witness.get("kind", verdict.tag))
+    assert kinds >= {"glider", "periodic", "inconclusive",
+                     "nilpotent_on_probe"}
+
+
+def test_linear_rules_step_no_finite_seed(monkeypatch):
+    # P = 1 + X over Z_2: no seed of any width dies or glides
+    def refuse(*args):
+        raise AssertionError("a linear rule stepped its finite seeds")
+
+    monkeypatch.setattr(automata, "_finite_fates", refuse)
+    assert find_glider(xor_rule(), 11, 16) is None
+    assert nilpotency_probe(xor_rule(), 9, 64) == NilpotencyVerdict(
+        "not_nilpotent", witness={"kind": "periodic", "word": "001",
+                                  "time": 4})
 
 
 def random_element(rng, alphabet, radius):
@@ -811,8 +878,11 @@ def test_every_automata_line_runs(monkeypatch):
                 tfg_order_search(candidate, 4, 3)
             text = random_element_text(rng, alphabet, rng.randrange(2))
             assert parse_tfg_element(text).alphabet == alphabet
+        # xor is linear over Z_2 and shift a linear monomial; decrement's
+        # table fails the linearity check, and Z_4 is not a field
         for rule in (shift_rule(), xor_rule(), decrement_rule(), ZERO,
-                     IDENTITY):
+                     IDENTITY, linear_rule(4, (1, 0, 1))):
+            find_glider(rule, 3, 8)
             nilpotency_probe(rule, 3, 8)
         # the probes stop at a glider; the fates go on past it
         assert len(list(_finite_fates(_stepper(shift_rule())[0], BINARY, 3,

@@ -292,14 +292,19 @@ def test_is_cut_matches_the_oracle():
 
 
 def test_moves_round_trip():
-    for text in ("++--", "0+-0", "+2-3+", "-12"):
+    for text in ("++--", "0+-0", "+2-3+", "-12", "-2.0+", "+3.00", "+20.0"):
         assert format_moves(parse_moves(text)) == text
+    # a rest after a larger step once read back as that step's last digit
+    for moves in [(-2, 0, 1), (3, 0, 0), (20, 0), (0, -2, 0, 2)]:
+        assert parse_moves(format_moves(move_word(moves))).moves == moves
 
 
 def test_parse_moves_values():
     assert parse_moves("+2-3+0").moves == (2, -3, 1, 0)
-    with pytest.raises(ValueError):
-        parse_moves("x")
+    assert parse_moves("-20+").moves == (-20, 1)
+    for text in ("x", ".0", "+.0", "0.0", "+2.", "+2.+"):
+        with pytest.raises(ValueError):
+            parse_moves(text)
 
 
 # ------------------------------------------------------------- classification
@@ -435,7 +440,7 @@ def test_every_paths_line_runs(monkeypatch):
     rng = random.Random(0x9A75)
     with lines_run(path) as ran:
         for _ in range(40):
-            word = move_word(rng.randint(-1, 1)
+            word = move_word(rng.choice((-12, -3, -2, -1, 0, 0, 1, 2, 3, 12))
                              for _ in range(rng.randrange(12)))
             assert parse_moves(format_moves(word)).moves == word.moves
             heights = integrate(word)
