@@ -7,7 +7,9 @@ spatially periodic configurations (evolved as cyclic words). Verdicts
 carry replayable witnesses and an explicit inconclusive tag; none of this
 decides anything about the full space. A linear rule over a prime
 alphabet is decided on the finite seeds from its coefficients instead
-(see _linear_coefficients), with the verdicts the seeds would give.
+(see _linear_coefficients), and a nilpotent rule whose index fits the
+probe certifies that index (see _nilpotency_index); both give the
+verdicts the seeds would give.
 """
 from __future__ import annotations
 
@@ -378,6 +380,57 @@ def _cyclic_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
             yield min(rotations)
 
 
+def _nilpotency_index(rule: CARule, max_width: int,
+                      max_time: int) -> int | None:
+    """The index N of a nilpotent rule f when the probe would report it.
+
+    Tries N = 1, 2, ...: the N-fold local rule reads width-(2 N rho + 1)
+    words, so stepping every such word N times to one cell and seeing
+    only zero proves f^N x = 0 for every configuration x, which is what
+    nilpotent means (Culik, Pachl and Yu, SIAM J. Comput. 1989, show
+    these are the rules whose limit set is one point). The first such N
+    is the index: f^(N - 1) is not zero, so some word w of width
+    2 (N - 1) rho + 1 has a nonzero (N - 1)-fold image, and the finite
+    seed w, trimmed, lives N - 1 steps and dies at step N.
+
+    So when N <= max_time and w fits in max_width, every finite seed and
+    every cyclic word of the probe dies within N steps, and at least one
+    at step N: the probe's verdict is nilpotent_on_probe with N steps.
+    Stage N starts from |A|^(2 N rho + 1) words, and it runs only while
+    that is at most the (|A| - 1) |A|^(max_width - 1) canonical seeds
+    the probe would enumerate, so no stage steps more words than the
+    probe has seeds. That bound is below |A|^max_width, so it also keeps
+    2 N rho + 1, and with it w, under max_width. Returns None once a
+    bound stops it.
+    """
+    symbols, zero, rho = rule.alphabet.symbols, rule.alphabet.zero, rule.radius
+    table, span, k = rule.table, 2 * rule.radius + 1, len(symbols)
+    seeds = (k - 1) * k ** (max_width - 1)
+    # at radius 0 every stage starts from the alphabet A, so stage n is
+    # stage n - 1 stepped once more; as f(A) is within A the stages only
+    # shrink, and one that a step leaves as it was stays so for good
+    layer, stepped = set(), 0
+    for n in range(1, max_time + 1):
+        width = 2 * n * rho + 1
+        if k ** width > seeds:
+            return None
+        if rho or not stepped:
+            check_cells(k ** width * width,
+                        f"nilpotency certificate of index {n}")
+            layer, stepped = set(_words(symbols, width)), 0
+        before = layer
+        for _ in range(stepped, n):
+            layer = {"".join([table[word[j:j + span]]
+                              for j in range(len(word) - 2 * rho)])
+                     for word in layer}
+        stepped = n
+        if layer == {zero}:
+            return n
+        if not rho and layer == before:
+            return None
+    return None
+
+
 def nilpotency_probe(rule: CARule, max_width: int,
                      max_time: int) -> NilpotencyVerdict:
     """Bounded nilpotency probe over finite and periodic witnesses.
@@ -390,6 +443,10 @@ def nilpotency_probe(rule: CARule, max_width: int,
     coefficients every finite seed survives and none glides, at every
     width and time (see _linear_coefficients), so the first canonical
     word is the survivor, unstepped; the cyclic words run as for any rule.
+    Any other rule that is nilpotent, with an index that fits the probe's
+    width, time and seed count, certifies that index (see
+    _nilpotency_index) and gets the verdict the seeds would give, with
+    no seed stepped.
     """
     _check_probe_size(rule, max_width, max_time)
     if not rule.zero_preserving:
@@ -399,6 +456,8 @@ def nilpotency_probe(rule: CARule, max_width: int,
     survivor = None
     if sum(map(bool, _linear_coefficients(rule) or ())) > 1:
         survivor = next(_canonical_words(rule.alphabet, max_width))
+    elif index := _nilpotency_index(rule, max_width, max_time):
+        return NilpotencyVerdict("nilpotent_on_probe", steps=index)
     else:
         for seed, n, m in _finite_fates(step_word, rule.alphabet,
                                         max_width, max_time):

@@ -1,5 +1,9 @@
 """Constructive experiments on the characteristic sequence of the primes.
 
+A prime window is that sequence's 0/1 word on [0, limit], and the sieve
+builds only the word. The probes read the word itself; the tuple of the
+primes is built from it only when asked for, once per window.
+
 The sieve feeds three kinds of probes: the late language (factors that
 keep occurring past a threshold), residue-class zero runs built with the
 Chinese remainder theorem, and isolated primes found either by scanning
@@ -27,7 +31,7 @@ falls back to that scan.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import re
 from itertools import compress
 from math import gcd
 
@@ -79,34 +83,71 @@ def is_composite(n: int) -> bool:
     return n >= 4 and not is_prime(n)
 
 
-class PrimeWindow(_Record):
-    """Primes up to a limit with the 0/1 characteristic word on [0, limit]."""
+class _PrimesMemo:
+    """The slot where a window keeps its primes once they are read.
 
-    __slots__ = ("limit", "primes", "char_word")
+    It lives on a base of its own, so it is no field of the record:
+    equality, hash, repr, copy and pickle see only the window's fields.
+    """
 
-    def __init__(self, limit: int, primes: tuple[int, ...], char_word: str):
-        self._fill(limit, primes, char_word)
+    __slots__ = ("_primes",)
 
 
-_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+class PrimeWindow(_Record, _PrimesMemo):
+    """The 0/1 characteristic word of the primes on [0, limit].
+
+    `primes`, the tuple of the primes up to the limit, is read off the
+    word the first time it is asked for and kept with the window; no
+    probe in this module reads it.
+    """
+
+    __slots__ = ("limit", "char_word")
+
+    def __init__(self, limit: int, char_word: str):
+        self._fill(limit, char_word)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        try:
+            return self._primes
+        except AttributeError:
+            primes = _primes_of(self.char_word)
+            object.__setattr__(self, "_primes", primes)
+            return primes
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _primes_of(char_word: str) -> tuple[int, ...]:
+    """The primes a window's word marks: 2, then each odd 1-position."""
+    flags = char_word.encode("ascii").translate(_DIGIT_FLAGS)
+    return (2,) + tuple(compress(range(3, len(flags), 2), flags[3::2]))
 
 
 def sieve(limit: int) -> PrimeWindow:
-    """Sieve of Eratosthenes up to the limit, one cell per integer 0..limit."""
+    """Sieve of Eratosthenes up to the limit, one cell per integer 0..limit.
+
+    Only the odd numbers are sieved, as digits: cell i of `odd` is 2i + 1.
+    An odd prime q strikes its odd multiples from q^2 on, every q-th cell.
+    The word is then the odd cells at the odd positions, 2 a 1 and every
+    other even position a 0.
+    """
     if limit < 2:
         raise ValueError("limit must be at least 2")
     check_cells(limit + 1, f"sieve up to {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    i = 2
-    while i * i <= limit:
-        if flags[i]:
-            start = i * i
-            flags[start::i] = bytearray(len(range(start, limit + 1, i)))
-        i += 1
-    primes = (2,) + tuple(compress(range(3, limit + 1, 2), flags[3::2]))
-    char_word = flags.translate(_FLAG_DIGITS).decode("ascii")
-    return PrimeWindow(limit, primes, char_word)
+    odd = bytearray(b"1") * ((limit + 1) // 2)
+    odd[0] = ord("0")
+    q = 3
+    while q * q <= limit:
+        if odd[q // 2] == ord("1"):
+            start = q * q // 2
+            odd[start::q] = b"0" * len(range(start, len(odd), q))
+        q += 2
+    word = bytearray(b"0") * (limit + 1)
+    word[1::2] = odd
+    word[2] = ord("1")
+    return PrimeWindow(limit, word.decode("ascii"))
 
 
 def late_language(window: PrimeWindow, length: int, threshold: int) -> set[str]:
@@ -142,7 +183,7 @@ def late_language(window: PrimeWindow, length: int, threshold: int) -> set[str]:
     words = _slices(word, length, threshold, min(length, last))
     budget = (last - threshold + 1) * length
     spent = 0
-    small = window.primes[:bisect_right(window.primes, length)]
+    small = [p for p in range(2, length + 1) if word[p] == "1"]
     # a node: a prefix, its first occurrence, its 1-positions, and the
     # residue bitmask of those positions mod each prime up to their count
     # (a larger prime cannot be covered yet)
@@ -199,20 +240,25 @@ def late_contains(window: PrimeWindow, factor: str, threshold: int) -> bool:
 def gap_floor(window: PrimeWindow, threshold: int) -> int:
     """Minimum gap between consecutive primes that are both >= threshold.
 
-    Stops at the first gap of 1 (only 2, 3) or of 2 (twin odd primes):
-    every later gap is between odd primes, so none is smaller.
+    Walks the 1s of the characteristic word from the threshold on, one
+    `str.find` a prime. Stops at the first gap of 1 (only 2, 3) or of 2
+    (twin odd primes): every later gap is between odd primes, so none is
+    smaller.
     """
     if threshold >= window.limit:
         raise ValueError("threshold must be below the window limit")
-    start = bisect_left(window.primes, threshold)
-    if len(window.primes) - start < 2:
+    word = window.char_word
+    # a negative start would count from the word's end
+    p = word.find("1", max(threshold, 0))
+    q = word.find("1", p + 1) if p != -1 else -1
+    if q == -1:
         raise ValueError("fewer than two primes above the threshold")
-    primes = window.primes
     best = window.limit
-    for i in range(start + 1, len(primes)):
-        best = min(best, primes[i] - primes[i - 1])
+    while q != -1:
+        best = min(best, q - p)
         if best <= 2:
             break
+        p, q = q, word.find("1", q + 1)
     return best
 
 
@@ -296,19 +342,21 @@ def crt_zero_run(n: int, injection: list[int] | None = None) -> CRTWitness:
 
 
 def isolated_prime_search(n: int, window: PrimeWindow) -> int | None:
-    """Least prime whose n neighbors on both sides are all composite."""
+    """Least prime whose n neighbors on both sides are all composite.
+
+    One regex search of the characteristic word for a 1 with n 0s on
+    each side. A prime p also needs p - n >= 2 and p + n <= limit, and
+    the word implies both: the lookahead cannot pass the last cell, the
+    lookbehind cannot pass cell 0, and cells 0..3 read 0011, so n 0s on
+    each side of p rule out p - n < 2 (for p = 2, cell 3 is a 1). No
+    prime counts once 2n + 2 > limit, so then no regex is built.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    flags = window.char_word
-    for p in window.primes:
-        if p + n > window.limit:
-            return None
-        if p - n < 2:
-            continue
-        if all(flags[p - i] == "0" and flags[p + i] == "0"
-               for i in range(1, n + 1)):
-            return p
-    return None
+    if 2 * n + 2 > window.limit:
+        return None
+    found = re.search(f"(?<=0{{{n}}})1(?=0{{{n}}})", window.char_word)
+    return None if found is None else found.start()
 
 
 def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,

@@ -681,17 +681,24 @@ def test_probes_step_each_distinct_word_once(monkeypatch):
         return counted, step_cycle
 
     monkeypatch.setattr(automata, "_stepper", counting)
-    # decrement's 1458 seeds of width <= 7 die within 2 (2852 steps); xor
-    # is linear, so its probes step no finite seed
+    # xor is linear, so its probes step no finite seed; decrement certifies
+    # its index 2, so its probe steps none either
     for probe, oracle, rule, width, time, distinct in [
             (nilpotency_probe, oracle_nilpotency_probe, xor_rule(), 9, 64,
              0),
             (find_glider, oracle_find_glider, xor_rule(), 11, 16, 0),
             (nilpotency_probe, oracle_nilpotency_probe, decrement_rule(), 7,
-             64, 1458)]:
+             64, 0)]:
         stepped.clear()
         assert probe(rule, width, time) == oracle(rule, width, time)
         assert len(stepped) == len(set(stepped)) == distinct
+    # decrement's fates: its 1458 seeds of width <= 7 die within 2 (2852
+    # steps), each distinct word stepped once
+    stepped.clear()
+    step_word, _ = automata._stepper(decrement_rule())
+    fates = _finite_fates(step_word, decrement_rule().alphabet, 7, 64)
+    assert max(n for _, n, _ in fates) == 2
+    assert len(stepped) == len(set(stepped)) == 1458
     # xor's fates: its 256 seeds of width <= 9 all survive 64 steps
     # (16 384 steps), its 1024 seeds of width <= 11 all run 16 steps
     # (16 384 steps)
@@ -701,6 +708,52 @@ def test_probes_step_each_distinct_word_once(monkeypatch):
         fates = _finite_fates(step_word, BINARY, width, time)
         assert all(n is None for _, n, _ in fates)
         assert len(stepped) == len(set(stepped)) == distinct
+
+
+def test_nilpotency_certificate_matches_the_evolve_oracle(monkeypatch):
+    # every zero-preserving binary radius-1 table and Z_3 radius-0 table,
+    # at widths and times on both sides of each bound: a rule of index N
+    # is certified at width w and time t when N <= t and |A|^(2 N rho + 1)
+    # is at most the (|A| - 1) |A|^(w - 1) seeds; otherwise the seeds run
+    real, certified = automata._nilpotency_index, []
+
+    def recording(rule, max_width, max_time):
+        certified.append(real(rule, max_width, max_time))
+        return certified[-1]
+
+    monkeypatch.setattr(automata, "_nilpotency_index", recording)
+    windows = ["".join(t) for t in product("01", repeat=3)]
+    binary = [CARule(BINARY, 1, dict(zip(windows, ("0",) + images)))
+              for images in product("01", repeat=7)]
+    z3 = Alphabet(("0", "1", "2"), "0")
+    ternary = [CARule(z3, 0, {"0": "0", "1": one, "2": two})
+               for one, two in product("012", repeat=2)]
+    nilpotent = set()
+    for rules, pairs in [
+            (binary, [(2, 8), (4, 8), (5, 8), (6, 1), (6, 2), (6, 8),
+                      (7, 3), (8, 16)]),
+            (ternary, [(1, 4), (2, 1), (2, 2), (3, 8), (5, 3)])]:
+        for rule, (width, time) in product(rules, pairs):
+            certified.clear()
+            verdict = nilpotency_probe(rule, width, time)
+            assert verdict == oracle_nilpotency_probe(
+                rule, width, time, fate=fate_by_evolve), (rule, width, time)
+            if verdict.tag == "nilpotent_on_probe":
+                nilpotent.add((certified == [verdict.steps], verdict.steps))
+    # indices 1 and 2 are certified, and both also come from the seeds
+    # where a bound stops the certificate
+    assert nilpotent == {(True, 1), (True, 2), (False, 1), (False, 2)}
+
+
+def test_a_nilpotent_rule_steps_no_seed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified rule stepped its finite seeds")
+
+    monkeypatch.setattr(automata, "_finite_fates", refuse)
+    assert nilpotency_probe(decrement_rule(), 7, 64) == NilpotencyVerdict(
+        "nilpotent_on_probe", steps=2)
+    assert nilpotency_probe(ZERO, 2, 1) == NilpotencyVerdict(
+        "nilpotent_on_probe", steps=1)
 
 
 # digit alphabets, each symbol read as its digit; the one over Z_3 puts its
@@ -884,6 +937,15 @@ def test_every_automata_line_runs(monkeypatch):
                      IDENTITY, linear_rule(4, (1, 0, 1))):
             find_glider(rule, 3, 8)
             nilpotency_probe(rule, 3, 8)
+        # decrement certifies its index 2; at time 1 it runs out of time,
+        # and at width 1 its 2 seeds are fewer than its 3 symbols, so the
+        # seeds answer there, with the verdict the certificate gives
+        assert automata._nilpotency_index(decrement_rule(), 3, 8) == 2
+        assert automata._nilpotency_index(decrement_rule(), 3, 1) is None
+        assert automata._nilpotency_index(decrement_rule(), 1, 8) is None
+        assert nilpotency_probe(decrement_rule(), 1, 8) == \
+            nilpotency_probe(decrement_rule(), 3, 8) == \
+            NilpotencyVerdict("nilpotent_on_probe", steps=2)
         # the probes stop at a glider; the fates go on past it
         assert len(list(_finite_fates(_stepper(shift_rule())[0], BINARY, 3,
                                       4))) == 4

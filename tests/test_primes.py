@@ -1,13 +1,20 @@
 """Sieve cross-checks, late language, CRT runs, isolated primes, gaps."""
+import copy
+import hashlib
+import pickle
 import random
+from bisect import bisect_left
 from math import gcd
 
 import pytest
 
 from blobshift import primes
+from blobshift.cli import main
 from blobshift.errors import (
     InjectionNotDistinct,
     InjectionNotPrime,
+    InvariantViolation,
+    NoPrimeInRange,
     SizeLimit,
 )
 from blobshift.primes import (
@@ -23,7 +30,8 @@ from blobshift.primes import (
     late_language,
     sieve,
 )
-from conftest import scan_late_language
+from conftest import function_body_lines, lines_run, scan_late_language
+from test_report_digests import CASES
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +79,50 @@ def test_sieve_output_matches_the_old_generator():
     for limit in range(2, 3001):
         w = sieve(limit)
         assert (w.primes, w.char_word) == old_sieve(limit), limit
+
+
+def test_the_primes_are_read_off_the_word_once():
+    w = sieve(100)
+    assert w.primes is w.primes
+    assert w.primes == tuple(n for n, c in enumerate(w.char_word) if c == "1")
+    # the memo is no field: a fresh window, a copy and a pickle round trip
+    # are equal to it, hash alike and show the same repr
+    fresh = sieve(100)
+    for twin in (fresh, copy.copy(w), copy.deepcopy(w),
+                 pickle.loads(pickle.dumps(w))):
+        assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
+    assert repr(w) == f"PrimeWindow(limit=100, char_word={w.char_word!r})"
+    assert pickle.loads(pickle.dumps(w)).primes == w.primes
+
+
+def test_no_probe_builds_the_tuple_of_primes(monkeypatch, capsysbinary,
+                                             tmp_path):
+    def refuse(char_word):
+        raise AssertionError("the tuple of primes was built")
+
+    monkeypatch.setattr(primes, "_primes_of", refuse)
+    w = sieve(10 ** 4)
+    assert w.char_word == old_sieve(10 ** 4)[1]
+    assert late_language(w, 6, 100) == scan_late_language(w, 6, 100)
+    assert late_language(w, 40, 10) == scan_late_language(w, 40, 10)
+    assert late_contains(w, "100000101", 100)
+    assert gap_floor(w, 2) == 1 and gap_floor(w, 9000) == 2
+    assert [isolated_prime_search(n, w) for n in (0, 1, 2, 3)] == [
+        2, 5, 23, 23]
+    assert sorted(c for c, in char_pattern(w, 10, 20).support()) == [
+        11, 13, 17, 19]
+    # the README's primes commands give their pinned reports
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BLOBSHIFT_CELL_CAP", raising=False)
+    for name in ("primes_lang", "primes_isolated", "primes_gaps",
+                 "primes_export"):
+        command, code, digest = CASES[name]
+        argv = command.split()
+        assert main(argv) == code
+        out = capsysbinary.readouterr().out
+        if "--out" in argv:
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+        assert hashlib.sha256(out).hexdigest() == digest, name
 
 
 def test_sieve_small():
@@ -252,6 +304,32 @@ def brute_isolated(n, limit):
     return None
 
 
+def oracle_isolated_prime_search(n, window):
+    """The search before the regex: each prime's neighbours, cell by cell."""
+    flags = window.char_word
+    for p in window.primes:
+        if p + n > window.limit:
+            return None
+        if p - n < 2:
+            continue
+        if all(flags[p - i] == "0" and flags[p + i] == "0"
+               for i in range(1, n + 1)):
+            return p
+    return None
+
+
+def test_isolated_search_matches_the_prime_walk():
+    w = sieve(10 ** 5)
+    for n in range(51):
+        assert isolated_prime_search(n, w) == \
+            oracle_isolated_prime_search(n, w), n
+    for limit in range(2, 60):
+        small = sieve(limit)
+        for n in range(limit):
+            assert isolated_prime_search(n, small) == \
+                oracle_isolated_prime_search(n, small), (limit, n)
+
+
 def test_isolated_frozen_values():
     w = sieve(10 ** 4)
     assert isolated_prime_search(1, w) == 5
@@ -331,6 +409,41 @@ def test_dirichlet_coprimality_random_injections():
 # ----------------------------------------------------------------------- gaps
 
 
+def oracle_gap_floor(window, threshold):
+    """The gap floor before the word walk: over the tuple of primes."""
+    if threshold >= window.limit:
+        raise ValueError("threshold must be below the window limit")
+    tail = window.primes[bisect_left(window.primes, threshold):]
+    if len(tail) < 2:
+        raise ValueError("fewer than two primes above the threshold")
+    best = window.limit
+    for i in range(1, len(tail)):
+        best = min(best, tail[i] - tail[i - 1])
+        if best <= 2:
+            break
+    return best
+
+
+def test_gap_floor_matches_the_prime_walk():
+    # thresholds across a large window, and every threshold of the small
+    # windows, whose last primes sit far apart or are too few for a gap
+    rng = random.Random(41)
+    large = sieve(10 ** 5)
+    cases = [(large, threshold) for threshold in
+             [-3, 0, 1, 2, 3, 4, 5, 99_000, 99_990, 99_991, 99_999]
+             + [rng.randrange(10 ** 5) for _ in range(300)]]
+    cases += [(small, threshold) for small in map(sieve, range(3, 200))
+              for threshold in range(-1, small.limit + 1)]
+    for window, threshold in cases:
+        try:
+            expected = oracle_gap_floor(window, threshold)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                gap_floor(window, threshold)
+        else:
+            assert gap_floor(window, threshold) == expected, threshold
+
+
 def test_gap_floor_examples():
     assert gap_floor(sieve(10), 2) == 1
     assert gap_floor(sieve(100), 3) == 2
@@ -377,3 +490,66 @@ def test_is_prime_is_a_proof_only_below_psi_12():
     # psi_12 passes every base although it is composite
     assert PSI_12 == 399165290221 * 798330580441
     assert is_prime(PSI_12)
+
+
+# ---------------------------------------------------------------- line gate
+
+
+def test_every_primes_line_runs(monkeypatch):
+    # a line that no input reaches is dead code or an untested guard; the
+    # trace covers primes.py only, which keeps it cheap enough to gate
+    path = primes.__file__
+    with lines_run(path) as ran:
+        assert sum(map(is_prime, range(-1, 2000))) == 303
+        assert is_prime(PSI_12) and not is_prime(41 * 43)
+        # is_composite has no caller in src/: acceptance criterion 10
+        # states its witnesses with it, which keeps it in the library
+        assert [n for n in range(10) if is_composite(n)] == [4, 6, 8, 9]
+        window = sieve(2000)
+        assert window.primes is window.primes
+        assert late_language(window, 8, 100) == scan_late_language(
+            window, 8, 100)
+        # near the window's end the budget is a few cells: the scan answers
+        assert late_language(window, 20, 1950) == scan_late_language(
+            window, 20, 1950)
+        assert late_contains(window, "101", 10)
+        assert gap_floor(window, 1990) == 2
+        assert gap_floor(sieve(1996), 1975) == 6
+        assert isolated_prime_search(3, window) == 23
+        assert isolated_prime_search(1000, window) is None
+        assert crt_zero_run(3).start > 0 and crt_zero_run(2, [5, 7]).k == 20
+        assert dirichlet_isolated(1) == (11, 15, 11)
+        assert dirichlet_isolated(1, injection=[7, 5]) == (6, 35, 41)
+        assert char_pattern(window).value((2,)) == "1"
+        for call, error in [
+                (lambda: sieve(1), ValueError),
+                (lambda: late_language(window, 0, 10), ValueError),
+                (lambda: late_language(window, 3, -1), ValueError),
+                (lambda: late_language(window, 3, 1998), ValueError),
+                (lambda: late_contains(window, "1", -1), ValueError),
+                (lambda: late_contains(window, "11", 1999), ValueError),
+                (lambda: gap_floor(window, 2000), ValueError),
+                (lambda: gap_floor(window, 1998), ValueError),
+                (lambda: crt_solve([1, 2], [6, 4]), ValueError),
+                (lambda: crt_zero_run(0), ValueError),
+                (lambda: crt_zero_run(2, [5, 5]), InjectionNotDistinct),
+                (lambda: crt_zero_run(2, [5, 9]), InjectionNotPrime),
+                (lambda: isolated_prime_search(-1, window), ValueError),
+                (lambda: dirichlet_isolated(0), ValueError),
+                (lambda: dirichlet_isolated(1, injection=[2, 3]),
+                 InjectionNotPrime),
+                (lambda: dirichlet_isolated(1, scan_limit=0,
+                                            injection=[7, 5]),
+                 NoPrimeInRange),
+                (lambda: char_pattern(window, 5, 4), ValueError)]:
+            with pytest.raises(error):
+                call()
+        # the two lemmas' checks, each fed a class that breaks its lemma
+        monkeypatch.setattr(primes, "crt_solve", lambda residues, moduli: (
+            5, 35))
+        with pytest.raises(InvariantViolation):
+            crt_zero_run(2, [5, 7])
+        with pytest.raises(InvariantViolation):
+            dirichlet_isolated(1, injection=[7, 5])
+    missed = sorted(function_body_lines(path) - ran)
+    assert not missed, f"primes.py lines never run: {missed}"

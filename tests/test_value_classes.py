@@ -67,7 +67,7 @@ RECORDS = [
      (None, {})),
     (TFGElement, (BINARY, 0, {"0": 0, "1": 0}), ()),
     (OrderVerdict, ("torsion", 2, {"word": "01"}), (None, {})),
-    (PrimeWindow, (3, (2, 3), "0011"), ()),
+    (PrimeWindow, (3, "0011"), ()),
     (CRTWitness, (1, (3,), 2, 3, 2), ()),
 ]
 
