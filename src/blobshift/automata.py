@@ -549,6 +549,12 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     The composed window's inner shift c is read at letters ro..ro+2ri and
     the outer one at ri+c..ri+c+2ro (ro, ri the radii): the table is built
     column by column, one outer column per shift the inner element picks.
+    The table skips the constructor's per-window checks, which it passes
+    by construction: its keys are every word of the composed width, and
+    each shift, an inner one plus an outer one, is at most ri + ro in size.
+    Those two facts are checked once, over the distinct shifts. The test
+    oracle ``oracle_compose`` builds the same table window by window
+    through the constructor.
     """
     if outer.alphabet != inner.alphabet:
         raise ValueError("composition needs a common alphabet")
@@ -568,7 +574,12 @@ def compose(outer: TFGElement, inner: TFGElement) -> TFGElement:
     candidates = zip(*[_spread([c + v for v in outer_column],
                                k ** (ri - c), k ** (ri + c)) for c in index])
     table = dict(zip(_words(symbols, width), map(getitem, candidates, picks)))
-    return TFGElement(outer.alphabet, radius, table)
+    # lemma: the table is total, and |c + v| <= ri + ro for every shift
+    if len(table) != k ** width or max(
+            abs(c + v) for c in index for v in set(outer_column)) > radius:
+        raise InvariantViolation(f"composed table at radius {radius} "
+                                 "is not a full-group element")
+    return TFGElement._rebuilt(outer.alphabet, radius, table)
 
 
 def _table_cells(alphabet: Alphabet, width: int,

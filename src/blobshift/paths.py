@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, count, islice
 from operator import ge, le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -116,8 +116,17 @@ def visit_profile(word: MoveWord) -> VisitProfile:
 def _ascension_up_to(heights: list[int], m_max: int, fails) -> int | None:
     # every length-m window sums positive (le) or negative (ge) iff no
     # height m places on fails against the one it starts from
-    for m in range(1, min(m_max, len(heights) - 1) + 1):
-        if not any(map(fails, islice(heights, m, None), heights)):
+    n = len(heights)
+    last = n  # the start that refuted the previous lag; none yet
+    for m in range(1, min(m_max, n - 1) + 1):
+        # a lag is refuted iff some start refutes it, so one refuting
+        # start settles it; the one that refuted lag m - 1 usually
+        # refutes lag m too, and only when it does not is the walk scanned
+        if last + m < n and fails(heights[last + m], heights[last]):
+            continue
+        last = next(compress(count(), map(fails, islice(heights, m, None),
+                                          heights)), None)
+        if last is None:
             return m
     return None
 

@@ -845,9 +845,35 @@ def test_compose_matches_per_window_oracle():
         got, want = compose(*pair), oracle_compose(*pair)
         assert got == want
         assert list(got.table) == list(want.table)
+        # the checking constructor accepts what compose built unchecked
+        assert got == TFGElement(got.alphabet, got.radius, dict(got.table))
     with pytest.raises(ValueError):
         compose(identity_element(), TFGElement(KERNEL_ALPHABETS[1], 0,
                                                {"1": 0, "0": 0}))
+
+
+def test_compose_does_not_recheck_its_table(monkeypatch):
+    # the chain of the probes workload at seed 1, and the swap's order
+    pool = {"+": shift_element(), "-": shift_element(-1),
+            "s": block_swap_element()}
+    steps = [pool[c] for c in "++ss+-s"]
+    start, swap = identity_element(), pool["s"]
+    want, power = [], start
+    for element in steps:
+        power = oracle_compose(element, power)
+        want.append(power)
+
+    def refuse(*args):
+        raise AssertionError("compose re-checked a table it built")
+
+    monkeypatch.setattr(automata, "_check_table", refuse)
+    got, power = [], start
+    for element in steps:
+        power = compose(element, power)
+        got.append(power)
+    assert got == want
+    assert [list(el.table) for el in got] == [list(el.table) for el in want]
+    assert tfg_order_search(swap, 8, 4) == OrderVerdict("torsion", order=2)
 
 
 @pytest.mark.parametrize("width,time", [(0, 4), (3, 0), (-1, -3)])
@@ -903,14 +929,15 @@ def test_every_automata_line_runs(monkeypatch):
     # a line that no input reaches is dead code or an untested guard; the
     # trace covers automata.py only, which keeps it cheap enough to gate
     path = automata.__file__
-    # evolve's light-cone raise holds by construction of the stepper
-    evolve_def = next(node for node in ast.parse(Path(path).read_text()).body
-                      if getattr(node, "name", None) == "evolve")
-    allowed = {line for node in ast.walk(evolve_def)
+    # evolve's light-cone raise holds by construction of the stepper, and
+    # compose's table raise by construction of the table
+    allowed = {line for top in ast.parse(Path(path).read_text()).body
+               if getattr(top, "name", None) in ("evolve", "compose")
+               for node in ast.walk(top)
                if isinstance(node, ast.Raise)
                and node.exc.func.id == "InvariantViolation"
                for line in range(node.lineno, node.end_lineno + 1)}
-    assert len(allowed) == 2
+    assert len(allowed) == 4
     rng = random.Random(0xCA)
     with lines_run(path) as ran:
         for _ in range(30):

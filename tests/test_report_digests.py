@@ -74,6 +74,11 @@ CASES = {
     "classify_path": (
         "classify-path --subst tau.sub --horizon 32",
         0, "1f67660530ff63a576afd6d5db1a187a94b79e9b68b3a12e5464b9a1dac39229"),
+    # 100 000 lags: a lag test that rescans the window per lag takes
+    # minutes on this window, one that reuses the refuting start a second
+    "classify_path_horizon_100000": (
+        "classify-path --subst tau.sub --horizon 100000",
+        0, "5d8f413bfc57aebccbdb6146fdd44630dc989d7656f9c4dca735e5a6b3aa55bb"),
     "geodesic": (
         "pathcover geodesic --pattern window.pat --radius 1",
         0, "59ac4a3fd35b4d3a42c46a4914f2b6f109bad574263f856be9d5bf10979b0b8d"),
