@@ -655,6 +655,8 @@ def tfg_order_search(element: TFGElement, max_order: int,
     reads, or last. Were that many cells past the cap, so would be the
     power's: the same SizeLimit comes from the drift search, only sooner.
     """
+    if max_order < 1 or max_period < 1:
+        raise ValueError("max_order and max_period must be at least 1")
     alphabet = element.alphabet
     drift_cells = _table_cells(alphabet, max_period)
     drift = None

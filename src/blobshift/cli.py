@@ -574,7 +574,3 @@ def main(argv: list[str] | None = None) -> int:
 def _print_error(kind: str, exc: Exception) -> None:
     error = {"schema": 1, "error": {"kind": kind, "message": str(exc)}}
     print(json.dumps(error), file=sys.stderr)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -293,6 +293,8 @@ def sturmian_word(alpha: Fraction, length: int) -> str:
     """
     if not 0 <= alpha <= 1:
         raise ValueError("slope must lie in [0, 1]")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     check_cells(length, "Sturmian word")
     p, q = alpha.numerator, alpha.denominator
     return "".join(str((i + 1) * p // q - i * p // q) for i in range(length))

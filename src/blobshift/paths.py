@@ -103,6 +103,8 @@ def integrate(word: MoveWord) -> HeightWord:
 
 def normalize_heights(heights: Sequence[int]) -> HeightWord:
     """Shift a height window so it starts at zero."""
+    if not heights:
+        raise ValueError("need at least one height")
     base = heights[0]
     return HeightWord(tuple(h - base for h in heights))
 
@@ -306,6 +308,8 @@ def classify_path_space(subst: Substitution1D, horizon: int,
         raise ValueError("horizon must be positive")
     if moves is None:
         moves = {s: parse_move_symbol(s) for s in subst.alphabet.symbols}
+    elif missing := set(subst.alphabet.symbols) - moves.keys():
+        raise ValueError(f"no move given for {min(missing)!r}")
     to_moves = moves.__getitem__
 
     target = 4 * horizon

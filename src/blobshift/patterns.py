@@ -713,6 +713,8 @@ def interval_cover_count(xs: Iterable[int], r: int) -> int:
 
     Greedy left-to-right is optimal for 1D interval covering.
     """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
     count = 0
     end = None
     for x in sorted(xs):

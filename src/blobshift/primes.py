@@ -104,6 +104,8 @@ class PrimeWindow(_Record, _PrimesMemo):
     __slots__ = ("limit", "char_word")
 
     def __init__(self, limit: int, char_word: str):
+        if len(char_word) != limit + 1:
+            raise ValueError("the characteristic word needs limit + 1 digits")
         self._fill(limit, char_word)
 
     @property
@@ -373,6 +375,8 @@ def dirichlet_isolated(n: int, scan_limit: int = 10 ** 5,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if scan_limit < 0:
+        raise ValueError("scan_limit must be nonnegative")
     indices = list(range(-n, 0)) + list(range(1, n + 1))
     if injection is None:
         injection = _primes_above(2 * n, 2 * n)

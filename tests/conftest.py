@@ -1,12 +1,8 @@
 """Shared generators and independent oracles for the test suite."""
-import inspect
 import random
-import sys
 from bisect import bisect_left
 from collections import deque
-from contextlib import contextmanager
 from itertools import accumulate
-from pathlib import Path
 
 import pytest
 
@@ -321,47 +317,6 @@ def oracle_write_rows(pattern):
                else [(y,) for y in range(hi[1], lo[1] - 1, -1)])
     return ["".join(chars[pattern.values.get((x,) + tail)]
                     for x in range(lo[0], hi[0] + 1)) for tail in heights]
-
-
-# -- line gates: a trace of one module, cheap enough to run in every suite
-
-
-def function_body_lines(path: str) -> set[int]:
-    """Lines that hold code of some function body in the module at path."""
-    todo = [compile(Path(path).read_text(), path, "exec")]
-    lines = set()
-    while todo:
-        code = todo.pop()
-        todo += [c for c in code.co_consts if inspect.iscode(c)]
-        if code.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class
-            # the def line only runs its RESUME, which fires no line event
-            lines |= {line for _, _, line in code.co_lines()
-                      if line is not None and line != code.co_firstlineno}
-    return lines
-
-
-@contextmanager
-def lines_run(path: str):
-    """The set of lines of the module at path that run in the block.
-
-    Only frames of that module are traced line by line.
-    """
-    ran = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
-
-    prior = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        yield ran
-    finally:
-        sys.settrace(prior)
 
 
 @pytest.fixture

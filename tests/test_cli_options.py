@@ -5,14 +5,18 @@ nothing, so the surface is pinned here leaf by leaf, and every README
 command must still parse under it.
 """
 import argparse
+import importlib
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import blobshift.cli
 from blobshift.cli import _build_parser, main
-from test_render_cli import BAD_ARGUMENTS, write_bad_files, write_files
+from test_render_cli import (BAD_ARGUMENTS, USAGE_MESSAGES, write_bad_files,
+                             write_files)
 from test_report_digests import INPUTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -117,6 +121,13 @@ ANSWERED = ([shlex.split(line)[1:] for line in readme_commands()]
             + [argv for argv, _ in BAD_ARGUMENTS] + HELP)
 
 
+def write_inputs(directory):
+    """The digest inputs and the README's good and malformed files."""
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text)
+    write_bad_files(write_files(directory))
+
+
 def answer(capsys, argv):
     """(exit code, stdout, stderr) of one command."""
     try:
@@ -132,11 +143,29 @@ def answer(capsys, argv):
 def test_the_cut_parser_answers_as_the_full_tree(tmp_path, capsys,
                                                  monkeypatch, argv):
     # main builds only the command and action that argv names
-    for name, text in INPUTS.items():
-        (tmp_path / name).write_text(text)
-    write_bad_files(write_files(tmp_path))
+    write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     cut = answer(capsys, argv)
     monkeypatch.setattr("blobshift.cli._build_parser",
                         lambda *names: _build_parser())
     assert answer(capsys, argv) == cut
+
+
+def drive_cli(tmp_path, capsys, monkeypatch):
+    """Answer the README commands, the refused argv, the help argv and the
+    usage messages in process."""
+    write_inputs(tmp_path)
+    with monkeypatch.context() as patched:
+        patched.chdir(tmp_path)
+        patched.delenv("BLOBSHIFT_CELL_CAP", raising=False)
+        # cli.py is imported afresh, since the parser table runs code at
+        # import; the suite's module is put back afterwards
+        patched.setattr(blobshift, "cli", blobshift.cli)
+        patched.delitem(sys.modules, "blobshift.cli")
+        fresh = importlib.import_module("blobshift.cli").main
+        for argv in ANSWERED + [argv for argv, _ in USAGE_MESSAGES]:
+            try:
+                fresh(list(argv))
+            except SystemExit:  # help and --version exit in argparse
+                pass
+            capsys.readouterr()

@@ -11,7 +11,8 @@ import pytest
 import blobshift
 from blobshift import automata, pathcover, paths, patterns, primes, substitution
 from blobshift.cli import main
-from blobshift.errors import SizeLimit
+from blobshift.errors import BlobshiftError, SizeLimit
+from blobshift.limits import cell_cap
 from blobshift.patterns import BINARY, Pattern
 
 SOURCES = sorted(Path(blobshift.__file__).parent.glob("*.py"))
@@ -22,7 +23,7 @@ SHIFT = automata.shift_element()
 
 
 # each site, and an input whose cells pass a 10-cell cap
-@pytest.mark.parametrize("what,call", [
+SITES = [
     ("2-adjacency of 3 cells", lambda: pathcover._adjacency(
         {(0,), (1,), (2,)}, 2)),
     ("1-components of 6 cells", lambda: patterns.connected_components(
@@ -54,12 +55,27 @@ SHIFT = automata.shift_element()
         "ca 01 radius 2\n* -> 0\n")),
     ("guided trace", lambda: pathcover.trace_guided_path([1, 1], [5, 5], 2)),
     ("Sturmian word", lambda: pathcover.sturmian_word(Fraction(1, 2), 11)),
-])
+]
+
+
+@pytest.mark.parametrize("what,call", SITES)
 def test_every_guarded_site_names_what_passes_the_cap(monkeypatch, what, call):
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "10")
     with pytest.raises(SizeLimit, match=f"^{re.escape(what)} needs "
                                         r"\d+ cells, past the 10-cell cap$"):
         call()
+
+
+def drive_limits(monkeypatch):
+    """Pass a 10-cell cap at every site, then set a cap that is no number."""
+    with monkeypatch.context() as patched:
+        for what, call in SITES:
+            test_every_guarded_site_names_what_passes_the_cap(patched, what,
+                                                              call)
+        patched.setenv("BLOBSHIFT_CELL_CAP", "ten")
+        with pytest.raises(BlobshiftError, match="^BLOBSHIFT_CELL_CAP must "
+                           "be a positive integer, got 'ten'$"):
+            cell_cap()
 
 
 def test_size_limits_are_raised_only_by_the_guard():

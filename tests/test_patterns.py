@@ -9,7 +9,6 @@ from blobshift.errors import (
     GlueConflict,
     PaddingUnavailable,
     SizeLimit,
-    UnsupportedFormat,
 )
 from blobshift.pathcover import _adjacency, _bfs, _sweeps, geodesic_witness
 from blobshift.patterns import (
@@ -25,9 +24,11 @@ from blobshift.patterns import (
     parse_pattern,
     rows_of,
     sparsity,
+    text_parser,
     zero_glue,
 )
 from conftest import (
+    DictPattern,
     ball_bfs,
     dilate,
     ball_components,
@@ -35,6 +36,9 @@ from conftest import (
     random_padded_pattern,
     random_pattern_1d,
 )
+from test_sparse_patterns import (check_blobs, check_derived, check_equality,
+                                  check_glue)
+import test_value_classes
 
 
 # ---------------------------------------------------------------- components
@@ -328,15 +332,6 @@ def test_derived_patterns_match_checked_construction(rng):
                 assert_as_checked(blob.pattern.translate(anchor))
 
 
-def test_public_constructor_keeps_its_checks():
-    with pytest.raises(ValueError, match="not in alphabet"):
-        Pattern(BINARY, {(0,): "2"})
-    with pytest.raises(ValueError, match="mixed cell dimensions"):
-        Pattern(BINARY, {(0,): "1", (0, 1): "1"})
-    with pytest.raises(ValueError, match="1- or 2-dimensional"):
-        Pattern(BINARY, {(0, 0, 0): "1"})
-
-
 def test_other_dimensions_are_refused():
     plane = Pattern.from_rows(["111", "1.1"])
     word = Pattern.from_word("101")
@@ -375,12 +370,6 @@ def test_blobs_singleton_full_padding():
     assert anchor == (0,)
     assert sorted(blob.support()) == [(0,)]
     assert domain(blob.pattern) == frozenset((x,) for x in range(-2, 3))
-
-
-def test_blobs_padding_unavailable():
-    p = Pattern.from_word("1")
-    with pytest.raises(PaddingUnavailable):
-        blobs(p, 1)
 
 
 def test_a_scan_charges_the_ball_rows_it_probes(monkeypatch):
@@ -464,13 +453,6 @@ def test_zero_glue_disjoint():
     glued = zero_glue(p, q)
     assert sorted(glued.support()) == [(0,), (5,)]
     assert domain(glued) == domain(p) | domain(q)
-
-
-def test_zero_glue_conflict():
-    p = Pattern.from_word("001", start=1)
-    q = Pattern.from_word("100", start=3)
-    with pytest.raises(GlueConflict):
-        zero_glue(p, q)
 
 
 def test_zero_glue_commutative(rng):
@@ -602,25 +584,39 @@ def test_parse_dot_alias_and_alphabet():
     assert p.alphabet.zero == "0"
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(UnsupportedFormat):
-        parse_pattern("hello\n")
-    with pytest.raises(UnsupportedFormat):
-        parse_pattern("dims 2\nalphabet 01\n111\n")
-
-
-def test_from_rows_keeps_value_errors_and_parse_maps_them():
-    with pytest.raises(ValueError):
-        Pattern.from_rows(["12"])
-    with pytest.raises(UnsupportedFormat):
-        parse_pattern("dims 2\nalphabet 01\n12\n")
-    with pytest.raises(UnsupportedFormat):
-        parse_pattern("dims 2\nalphabet \n..\n")
-
-
 def test_rows_of_splits_by_height():
     p = Pattern.from_rows(["11", ".."])
     rows = rows_of(p)
     assert len(rows) == 2
     assert len(rows[0].support()) == 0  # y = 0 row is the blank one
     assert len(rows[1].support()) == 2
+
+
+# ------------------------------------------------------------------ line gate
+
+
+def drive_patterns():
+    """Check seeded windows against the oracles, and the records' value
+    behaviour."""
+    rng = random.Random(0x5A75)
+    inputs = list(derived_inputs(rng))
+    for p in inputs:
+        check_derived(p, DictPattern.of(p))
+        check_blobs(pad(p, rng.randrange(3)), (1,))
+        for q in inputs:
+            if q.alphabet == p.alphabet and rng.random() < 0.1:
+                check_equality(p, q)
+                if q.dimension == p.dimension:
+                    check_glue(p, q.translate(
+                        tuple(rng.randint(-6, 6) for _ in range(p.dimension))))
+    for test in (test_components_match_oracle, test_interval_cover_vs_brute,
+                 test_width_monotone_in_radius_and_bounded_by_sparsity,
+                 test_blob_partition_law):
+        test(rng)
+    test_sparsity_counts()
+    test_other_dimensions_are_refused()
+    for row in test_value_classes.RECORDS:
+        test_value_classes.test_a_record_is_a_frozen_value(*row)
+    assert BINARY._asdict() == {"symbols": ("0", "1"), "zero": "0"}
+    # text_parser runs at import; here it wraps a parser afresh
+    assert text_parser(int)("12") == 12

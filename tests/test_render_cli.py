@@ -4,7 +4,6 @@ import json
 import pytest
 
 from blobshift.cli import main
-from blobshift.errors import UnsupportedFormat
 from blobshift.paths import parse_moves
 from blobshift.patterns import (BINARY, Alphabet, Pattern, format_pattern,
                                  parse_pattern)
@@ -96,7 +95,8 @@ def test_render_moves_polyline_points():
 TERNARY = Alphabet(("0", "1", "2"), "0")
 
 
-@pytest.mark.parametrize("pattern,text,pbm", [
+# a pattern, its text and its PBM bytes
+GOLDEN = [
     (Pattern.from_word("0110"), "dims 4\nalphabet 01\n.11.\n",
      "P1\n4 1\n0110\n"),
     (Pattern(BINARY, {(-3,): "1", (-1,): "0"}),
@@ -109,7 +109,10 @@ TERNARY = Alphabet(("0", "1", "2"), "0")
     (Pattern.from_rows(["?a", "b?"], Alphabet(("a", "b"), "b")),
      "dims 2 2\nalphabet ba\n?a\n.?\n", "P1\n2 2\n01\n00\n"),
     (Pattern(BINARY, {}), "dims 0\nalphabet 01\n", "P1\n0 0\n"),
-])
+]
+
+
+@pytest.mark.parametrize("pattern,text,pbm", GOLDEN)
 def test_render_golden_bytes(pattern, text, pbm):
     assert render_pattern(pattern, "text") == text.encode()
     assert format_pattern(pattern) == text
@@ -119,9 +122,11 @@ def test_render_golden_bytes(pattern, text, pbm):
     assert back.alphabet.zero == pattern.alphabet.zero
 
 
-def test_render_unknown_format():
-    with pytest.raises(UnsupportedFormat):
-        render_pattern(Pattern(BINARY, {}), "gif")
+def drive_render():
+    """Render the golden patterns and a move word."""
+    for row in GOLDEN:
+        test_render_golden_bytes(*row)
+    test_render_moves_polyline_points()
 
 
 # ------------------------------------------------------------------ CLI paths

@@ -33,6 +33,7 @@ from conftest import (
     oracle_write_rows,
     oracle_zero_glue,
 )
+from test_substitution import iterate_2d_oracle
 
 TERNARY = Alphabet(("0", "1", "2"), "0")
 RADII = range(7)
@@ -112,9 +113,13 @@ def test_views_pad_and_rows_match_the_oracle(p):
 @settings(max_examples=120, deadline=None)
 @given(windows(), st.integers(0, 4))
 def test_blobs_flags_and_translates_match_the_oracle(p, margin):
-    window = pad(p, margin)
+    check_blobs(pad(p, margin))
+
+
+def check_blobs(window, radii=RADII):
+    """The blob scans of window, their blobs and translates."""
     oracle = DictPattern.of(window)
-    for r in RADII:
+    for r in radii:
         want = oracle_blob_scan(oracle, r)
         [level] = build_hierarchy(window, [r]).levels
         got = [(pl.anchor, DictPattern.of(pl.blob.pattern), pl.truncated)
@@ -150,7 +155,11 @@ def test_zero_glue_matches_the_oracle(data):
         q = Pattern(p.alphabet, {c: "1" if s != "0" else "0"
                                  for c, s in q.items()})
     shift = data.draw(st.tuples(*[st.integers(-6, 6)] * q.dimension))
-    q = q.translate(shift)
+    check_glue(p, q.translate(shift))
+
+
+def check_glue(p, q):
+    """zero_glue of p and q both ways against the oracle's glue."""
     want = glue_outcome(oracle_zero_glue, DictPattern.of(p), DictPattern.of(q))
     assert glue_outcome(zero_glue, p, q) == want
     assert glue_outcome(zero_glue, q, p) == want
@@ -161,6 +170,12 @@ def test_zero_glue_matches_the_oracle(data):
 @settings(max_examples=100, deadline=None)
 @given(windows(), windows())
 def test_equality_and_hash_follow_the_oracle(p, q):
+    check_equality(p, q)
+
+
+def check_equality(p, q):
+    """Equality and hash of p and q, and a translate and back, against the
+    oracle."""
     same = DictPattern.of(p) == DictPattern.of(q)
     assert (p == q) == same
     if same:
@@ -200,9 +215,5 @@ def test_dense_zero_block_iterates_every_domain_cell():
         "0": Pattern.from_rows(["1.", ".."]),
         "1": Pattern.from_rows(["..", ".1"])})
     seed = Pattern.from_rows(["1?", ".1"])
-    values = dict(seed.items())
-    for _ in range(3):
-        values = {(2 * x + dx, 2 * y + dy): b
-                  for (x, y), a in values.items()
-                  for (dx, dy), b in zero_grows.rules[a].items()}
-    assert iterate_2d(zero_grows, seed, 3) == Pattern(BINARY, values)
+    assert iterate_2d(zero_grows, seed, 3) == iterate_2d_oracle(zero_grows,
+                                                                seed, 3)

@@ -1,4 +1,5 @@
 """Substitution iteration, the plus fractal, blocks, density words."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,12 @@ def test_seed_without_zero_cells_needs_no_rule_for_its_zero():
     seed = Pattern(Alphabet(("x", "1"), "x"), {(0, 0): "1"})
     assert iterate_2d(plus_substitution(), seed, 2) == iterate_2d(
         plus_substitution(), Pattern(BINARY, {(0, 0): "1"}), 2)
+
+
+def test_a_seed_over_a_larger_alphabet_may_use_the_common_symbols():
+    seed = Pattern(Alphabet(("0", "1", "2"), "0"), {(0, 0): "1", (1, 0): "0"})
+    assert iterate_2d(plus_substitution(), seed, 1) == iterate_2d(
+        plus_substitution(), Pattern(BINARY, {(0, 0): "1", (1, 0): "0"}), 1)
 
 
 def test_size_limit_2d(monkeypatch):
@@ -246,14 +253,6 @@ def test_format_substitution_golden_bytes(subst, text):
     assert parse_substitution(text).rules.keys() == subst.rules.keys()
 
 
-def test_rules_for_symbols_outside_the_alphabet_are_refused():
-    with pytest.raises(ValueError):
-        Substitution1D(BINARY, {"0": "00", "1": "10", "2": "1"})
-    block = Pattern.from_rows(["..", ".."])
-    with pytest.raises(ValueError):
-        Substitution2D(BINARY, 2, {"0": block, "1": block, "2": block})
-
-
 def test_substitution_round_trip_1d():
     s = cantor_substitution()
     assert parse_substitution(format_substitution(s)).rules == s.rules
@@ -264,3 +263,56 @@ def test_substitution_round_trip_2d():
     back = parse_substitution(format_substitution(s))
     assert back.expansion == 3
     assert back.rules["1"] == s.rules["1"]
+
+
+# ----------------------------------------------------------------- line gate
+
+
+def iterate_2d_oracle(subst, seed, n):
+    """The level n values, one block per domain cell."""
+    values = dict(seed.items())
+    s = subst.expansion
+    for _ in range(n):
+        values = {(s * x + dx, s * y + dy): b
+                  for (x, y), a in values.items()
+                  for (dx, dy), b in subst.rules[a].items()}
+    return Pattern(subst.alphabet, values)
+
+
+def drive_substitution(monkeypatch):
+    """Iterate, format and parse seeded random substitutions, and build
+    the canned systems, density words and block patterns."""
+    rng = random.Random(0x5B57)
+    ternary = Alphabet(("0", "1", "2"), "0")
+    for _ in range(12):
+        alphabet = rng.choice([BINARY, ternary])
+        symbols = alphabet.symbols
+        subst = Substitution1D(alphabet, {s: "".join(rng.choices(
+            symbols, k=rng.randint(1, 3))) for s in symbols})
+        word = iterate_1d(subst, symbols[-1], 3)
+        assert subst.image_length(word) == len(subst.apply(word))
+        assert parse_substitution(format_substitution(subst)) == subst
+        s = rng.randint(2, 3)
+        blocks = Substitution2D(alphabet, s, {a: Pattern.from_rows(
+            ["".join(rng.choices(symbols, k=s)) for _ in range(s)], alphabet)
+            for a in symbols})
+        # a blank line between rules is skipped
+        assert parse_substitution(format_substitution(blocks).replace(
+            "\n", "\n\n", 1)) == blocks
+        seed = Pattern.from_rows(["".join(rng.choices(symbols + ("?",), k=3))
+                                  for _ in range(2)], alphabet)
+        assert iterate_2d(blocks, seed, 2) == iterate_2d_oracle(blocks, seed,
+                                                                2)
+    plus = iterate_2d(plus_substitution(), Pattern(BINARY, {(0, 0): "1"}), 2)
+    assert len(plus.support()) == 25
+    assert iterate_1d(cantor_substitution(), "1", 2) == "101000101"
+    for k in range(2, 6):
+        density = density_word(k)
+        assert density.word.count("1") == density.ones
+    for k in (1, 2, 3):
+        for j in range(1, k + 1):
+            assert len(build_unbounded_rows(block_spec(k), 2, j)) == \
+                block_side(block_spec(k), 2) ** 2
+    with monkeypatch.context() as patched:
+        patched.setenv("BLOBSHIFT_CELL_CAP", "100")
+        assert density_word(4).word is None
