@@ -74,14 +74,6 @@ def _int_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {raw!r}") from None
 
 
-def _checked(call, *args):
-    """Run a library call whose ValueError reports a bad argument."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _read(path: str, inputs: dict) -> str:
     import hashlib
 
@@ -146,7 +138,7 @@ def _pattern_result(args, pattern: Pattern, result: dict) -> dict | bytes:
 # Each handler imports the library modules it runs, so a command loads only
 # its own: most of a short command's time is compiling and importing them.
 # A handler returns its result dict, or the bytes of a render; the library
-# checks its own arguments, and _checked turns their ValueError into exit 1.
+# checks its own arguments, and main turns their ValueError into exit 1.
 
 
 def _cmd_gen(args, inputs):
@@ -157,14 +149,14 @@ def _cmd_gen(args, inputs):
     if isinstance(subst, substitution.Substitution1D):
         if args.seed_file is not None:
             raise _UsageError("--seed-file needs a 2D substitution")
-        word = _checked(substitution.iterate_1d, subst, seed, args.iters)
-        pattern = _checked(Pattern.from_word, word, subst.alphabet)
+        word = substitution.iterate_1d(subst, seed, args.iters)
+        pattern = Pattern.from_word(word, subst.alphabet)
     else:
         if args.seed_file is not None:
             seed = parse_pattern(_read(args.seed_file, inputs))
         else:
-            seed = _checked(Pattern, subst.alphabet, {(0, 0): seed})
-        pattern = _checked(substitution.iterate_2d, subst, seed, args.iters)
+            seed = Pattern(subst.alphabet, {(0, 0): seed})
+        pattern = substitution.iterate_2d(subst, seed, args.iters)
     return _pattern_result(args, pattern, {
         "cells": len(pattern), "support": len(pattern.support())})
 
@@ -187,7 +179,7 @@ def _cmd_glue(args, inputs):
         raise _UsageError("glue needs exactly two --pattern files")
     p = parse_pattern(_read(args.pattern[0], inputs))
     q = parse_pattern(_read(args.pattern[1], inputs))
-    glued = _checked(zero_glue, p, q)
+    glued = zero_glue(p, q)
     return _pattern_result(args, glued, {
         "cells": len(glued), "support": len(glued.support())})
 
@@ -247,7 +239,7 @@ def _cmd_fractal(args, inputs):
                           "distinct": len(lvl.distinct())}
                          for lvl in hierarchy.levels]}
     if args.action == "verify":
-        report = _checked(blobfractal.verify_axioms, hierarchy)
+        report = blobfractal.verify_axioms(hierarchy)
     else:
         verdict = blobfractal._classify(hierarchy, args.threshold)
         result.update(verdict._asdict())
@@ -265,7 +257,7 @@ def _cmd_classify_path(args, inputs):
     from . import paths, substitution
 
     subst = substitution.parse_substitution(_read(args.subst, inputs))
-    verdict = _checked(paths.classify_path_space, subst, args.horizon)
+    verdict = paths.classify_path_space(subst, args.horizon)
     witness = paths.format_moves(verdict.witness) if verdict.witness else None
     return asdict(replace(verdict, witness=witness))
 
@@ -294,14 +286,14 @@ def _cmd_pathcover(args, inputs):
         if args.steps or args.offsets:
             raise _UsageError("guided takes --slope or --steps with --offsets,"
                               " not both")
-        offsets = [int(c) for c in _checked(pathcover.sturmian_word,
-                                            args.slope, args.length)]
+        offsets = [int(c) for c in pathcover.sturmian_word(args.slope,
+                                                           args.length)]
         steps = [1] * args.length
     else:
         if not args.steps or not args.offsets:
             raise _UsageError("guided needs --slope or --steps with --offsets")
         steps, offsets = args.steps, args.offsets
-    pattern = _checked(pathcover.trace_guided_path, steps, offsets, args.length)
+    pattern = pathcover.trace_guided_path(steps, offsets, args.length)
     return _pattern_result(args, pattern, {"support": len(pattern.support())})
 
 
@@ -319,8 +311,8 @@ def _cmd_ca(args, inputs):
     if args.action == "nilpotent":
         return automata.nilpotency_probe(rule, args.max_width,
                                          args.max_time)._asdict()
-    config = _checked(automata.FiniteConfig.make, args.config, args.offset,
-                      rule.alphabet)
+    config = automata.FiniteConfig.make(args.config, args.offset,
+                                        rule.alphabet)
     return {"profile": automata.asymptotic_profile(rule, config, args.horizon)}
 
 
@@ -337,15 +329,15 @@ def _cmd_primes(args, inputs):
     from . import primes
 
     if args.action == "crt":
-        return _checked(primes.crt_zero_run, args.n, args.injection)._asdict()
+        return primes.crt_zero_run(args.n, args.injection)._asdict()
     if args.action == "dirichlet":
-        k, modulus, p = _checked(primes.dirichlet_isolated, args.n,
-                                 args.scan_limit, args.injection)
+        k, modulus, p = primes.dirichlet_isolated(args.n, args.scan_limit,
+                                                  args.injection)
         return {"n": args.n, "k": k, "modulus": modulus, "prime": p}
     window = primes.sieve(args.limit)
     if args.action == "lang":
-        words = sorted(_checked(primes.late_language, window, args.length,
-                                args.threshold))
+        words = sorted(primes.late_language(window, args.length,
+                                            args.threshold))
         return {"length": args.length, "threshold": args.threshold,
                 "limit": args.limit, "words": words}
     if args.action == "isolated":
@@ -353,10 +345,9 @@ def _cmd_primes(args, inputs):
                 "prime": primes.isolated_prime_search(args.n, window)}
     if args.action == "gaps":
         return {"threshold": args.threshold, "limit": args.limit,
-                "gap_floor": _checked(primes.gap_floor, window,
-                                      args.threshold)}
+                "gap_floor": primes.gap_floor(window, args.threshold)}
     # export
-    pattern = _checked(primes.char_pattern, window, args.start, args.end)
+    pattern = primes.char_pattern(window, args.start, args.end)
     return format_pattern(pattern).encode()
 
 
@@ -366,7 +357,7 @@ def _cmd_render(args, inputs):
     if args.moves is not None:
         from . import paths
 
-        word = _checked(paths.parse_moves, args.moves)
+        word = paths.parse_moves(args.moves)
         if args.format != "svg-paths":
             raise _UsageError("move words render as --format svg-paths")
         return render.render_moves(word)
@@ -563,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, result if isinstance(result, bytes)
               else _report(argv, inputs, result))
         return 0
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         _print_error("UsageError", exc)
         return 1
     except BlobshiftError as exc:

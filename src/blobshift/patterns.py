@@ -8,8 +8,8 @@ nonzero symbol.
 A :class:`Pattern` stores its support's symbols and its domain as rows
 of sorted, merged x-intervals: one row in 1D, and a ``?`` hole splits a
 row. Zeros are implied, so ``len`` is the domain size while the views
-that list cells (``cells()``, ``items()``, ``domain``) yield zeros
-lazily; pad, translation, gluing and rendering never visit a zero cell.
+that list cells (``cells()``, ``items()``) yield zeros lazily; pad,
+translation, gluing and rendering never visit a zero cell.
 
 A blob is an r-connected piece of the support: its values, moved so the
 least cell sits at the origin, plus its radius. Its domain, the piece's

@@ -255,8 +255,6 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
     """
     if not 1 <= j <= spec.k:
         raise ValueError("j must be in [1, k]")
-    if i < 1:
-        raise ValueError("i must be at least 1")
     side = block_side(spec, i)
     check_cells(side * side, f"level {i} pattern")
     level = dict.fromkeys(range(1, spec.k + 1),
@@ -271,6 +269,8 @@ def build_unbounded_rows(spec: BlockHierarchySpec, i: int, j: int) -> Pattern:
 
 def block_side(spec: BlockHierarchySpec, i: int) -> int:
     """m_i = (k+1)^(i-1) * seed_side."""
+    if i < 1:
+        raise ValueError("i must be at least 1")
     return spec.seed_side * (spec.k + 1) ** (i - 1)
 
 

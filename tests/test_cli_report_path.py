@@ -2,7 +2,8 @@
 
 Handlers return a result dict or the bytes of a render; only `main`
 builds the JSON report (`_report`) and writes it (`_emit`), so a report
-has one exit to check, serialize or replay.
+has one exit to check, serialize or replay. Errors leave through `main`
+too: it alone turns a library `ValueError` into the usage error.
 """
 import ast
 from pathlib import Path
@@ -44,3 +45,13 @@ def test_no_dict_literal_copies_a_verdict():
               and any(isinstance(key, ast.Constant) and key.value == "tag"
                       for key in node.keys)]
     assert tagged == []
+
+
+def test_only_main_catches_a_value_error():
+    # the argparse types catch int()'s ValueError to name the flag instead
+    catchers = {getattr(top, "name", None) for top in TREE.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.ExceptHandler) and node.type
+                and "ValueError" in {n.id for n in ast.walk(node.type)
+                                     if isinstance(n, ast.Name)}}
+    assert catchers == {"_int_list", "_slope", "main"}

@@ -18,8 +18,7 @@ fails on
   code reaches either as ``.name``. A field of another class spelled
   ``x.name`` does not reach a method of that name;
 - a defaulted parameter of a public top-level function that no reader's
-  call passes, by position or by keyword. ``_checked(f, *args)``, the
-  CLI's wrapper, counts as a call of ``f``.
+  call passes, by position or by keyword.
 """
 import ast
 import re
@@ -120,12 +119,10 @@ def reaches(tree: ast.Module) -> list[tuple[int, tuple]]:
             used = [node.func, *node.args, *(k.value for k in node.keywords)]
             out += [(line, ("call", attr.attr)) for attr in used
                     if isinstance(attr, ast.Attribute)]
-            callee, args = _callee(node.func), node.args
-            if callee == "_checked" and args:
-                callee, args = _callee(args[0]), args[1:]
+            callee = _callee(node.func)
             out += [(line, ("pass", callee,
                             "*" if isinstance(arg, ast.Starred) else at))
-                    for at, arg in enumerate(args)]
+                    for at, arg in enumerate(node.args)]
             out += [(line, ("pass", callee, kw.arg or "**"))
                     for kw in node.keywords]
     return out
@@ -281,9 +278,9 @@ def test_the_lint_flags_only_what_tests_alone_reach():
     assert unreached({"lib": LIB}, [bench], prose) == [
         "lib.Benched.depth", "lib.Benched.step", "lib.Benched.worded",
         "lib.knobs(c)", "lib.knobs(e)", "lib.tested_only"]
-    # another library module reaches too, the CLI's _checked(f, *args) is
-    # a call of f, and a method passed as an argument is reached
-    cli = ("from .lib import tested_only\n_checked(knobs, 0, 1, 2)\n"
+    # another library module reaches too, and a method passed as an
+    # argument is reached
+    cli = ("from .lib import tested_only\nknobs(0, 1, 2)\n"
            "knobs(0, e=1)\nB().step()\nmap(B().depth, [])\n")
     assert unreached({"lib": LIB, "cli": cli}, [bench],
                      "`Shown`, `.worded` and `.shown`") == []

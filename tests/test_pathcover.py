@@ -218,13 +218,6 @@ def test_ascending_horizontal_row_absent():
     assert find_ascending_path(p, 1, 1) is None
 
 
-@pytest.mark.parametrize("budget", [0, -5])
-def test_ascending_needs_a_positive_budget(budget):
-    p = Pattern(BINARY, {(0, y): "1" for y in range(4)})
-    with pytest.raises(ValueError):
-        find_ascending_path(p, 1, 1, budget=budget)
-
-
 def test_ascending_staircase():
     offsets = [int(c) for c in sturmian_word(GOLDEN, 200)]
     p = trace_guided_path([1] * 200, offsets, 120)

@@ -141,11 +141,6 @@ def test_sieve_char_word_consistent():
     assert w.char_word.count("1") == len(w.primes)
 
 
-def test_sieve_cap():
-    with pytest.raises(SizeLimit):
-        sieve(10 ** 9)
-
-
 def test_sieve_checks_the_cell_cap(monkeypatch):
     # one cell per integer 0..limit
     monkeypatch.setenv("BLOBSHIFT_CELL_CAP", "1001")

@@ -366,203 +366,307 @@ def test_cli_ca_profile(files, capsys):
     assert report["result"]["profile"] == [1] * 6
 
 
-def test_cli_usage_error_is_exit_one(capsys):
-    assert main(["nonsense"]) == 1
-    assert main(["glue", "--pattern", "only-one.pat"]) == 1
-
-
 BAD_ARGUMENTS = [
-    (["blobs", "--pattern", "word.pat", "--radius", "-1"], 1),
-    (["blobs", "--pattern", "word.pat", "--radius", "1", "--pad", "-2"], 1),
-    (["pathcover", "ascend", "--pattern", "word.pat", "--window", "0"], 1),
-    (["blobs", "--pattern", "bad_dims.pat", "--radius", "1"], 2),
-    (["blobs", "--pattern", "bad_origin.pat", "--radius", "1"], 2),
-    (["gen", "--subst", "plus.sub", "--iters", "-1"], 1),
-    (["primes", "crt", "--n", "0"], 1),
-    (["primes", "dirichlet", "--n", "0"], 1),
-    (["primes", "lang", "--limit", "1"], 1),
-    (["primes", "lang", "--limit", "100", "--threshold", "99"], 1),
-    (["pathcover", "guided", "--slope", "x"], 1),
-    (["pathcover", "guided", "--slope", "1/0"], 1),
-    (["pathcover", "guided", "--slope", "3/2"], 1),
-    (["pathcover", "guided", "--slope", "1/2", "--length", "-1"], 1),
-    (["pathcover", "guided", "--steps", "1,x", "--offsets", "0,1"], 1),
-    (["primes", "crt", "--n", "2", "--injection", "5,x"], 1),
-    (["classify-path", "--subst", "tau1.sub", "--horizon", "0"], 1),
+    (["blobs", "--pattern", "word.pat", "--radius", "-1"], 1, "UsageError",
+     "argument --radius: must be at least 0"),
+    (["blobs", "--pattern", "word.pat", "--radius", "1", "--pad", "-2"],
+     1, "UsageError", "argument --pad: must be at least 0"),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--window", "0"],
+     1, "UsageError", "argument --window: must be at least 1"),
+    (["blobs", "--pattern", "bad_dims.pat", "--radius", "1"],
+     2, "UnsupportedFormat", "header line 'dims x' needs integer fields"),
+    (["blobs", "--pattern", "bad_origin.pat", "--radius", "1"],
+     2, "UnsupportedFormat", "header line 'origin 1.5' needs integer fields"),
+    (["gen", "--subst", "plus.sub", "--iters", "-1"], 1, "UsageError",
+     "argument --iters: must be at least 0"),
+    (["primes", "crt", "--n", "0"], 1, "UsageError", "n must be at least 1"),
+    (["primes", "dirichlet", "--n", "0"], 1, "UsageError",
+     "n must be at least 1"),
+    (["primes", "lang", "--limit", "1"], 1, "UsageError",
+     "argument --limit: must be at least 2"),
+    (["primes", "lang", "--limit", "100", "--threshold", "99"],
+     1, "UsageError", "threshold + length must stay within the window"),
+    (["pathcover", "guided", "--slope", "x"], 1, "UsageError",
+     "argument --slope: 'x' is not p/q"),
+    (["pathcover", "guided", "--slope", "1/0"], 1, "UsageError",
+     "argument --slope: '1/0' is not p/q"),
+    (["pathcover", "guided", "--slope", "3/2"], 1, "UsageError",
+     "slope must lie in [0, 1]"),
+    (["pathcover", "guided", "--slope", "1/2", "--length", "-1"],
+     1, "UsageError", "argument --length: must be at least 0"),
+    (["pathcover", "guided", "--steps", "1,x", "--offsets", "0,1"],
+     1, "UsageError", "argument --steps: bad integer list '1,x'"),
+    (["primes", "crt", "--n", "2", "--injection", "5,x"], 1, "UsageError",
+     "argument --injection: bad integer list '5,x'"),
+    (["classify-path", "--subst", "tau1.sub", "--horizon", "0"],
+     1, "UsageError", "argument --horizon: must be at least 1"),
     (["ca", "nilpotent", "--rule", "shift.ca", "--max-width", "-1",
-      "--max-time", "-3"], 1),
-    (["ca", "nilpotent", "--rule", "shift.ca", "--max-width", "0"], 1),
-    (["ca", "glider", "--rule", "shift.ca", "--max-time", "0"], 1),
-    (["ca", "profile", "--rule", "shift.ca", "--horizon", "-2"], 1),
-    (["ca", "profile", "--rule", "shift.ca", "--config", "102"], 1),
-    (["tfg", "order", "--rule", "shift.ca", "--max-order", "0"], 1),
-    (["render", "--moves", "+x", "--format", "svg-paths"], 1),
-    (["pathcover", "ascend", "--pattern", "word.pat", "--budget", "-5"], 1),
-    (["pathcover", "ascend"], 1),
-    (["pathcover", "geodesic"], 1),
-    (["gen", "--subst", "tau1.sub", "--seed", "x", "--iters", "1"], 1),
-    (["gen", "--subst", "plus.sub", "--seed", "7", "--iters", "1"], 1),
-    (["gen", "--subst", "plus.sub", "--seed-file", "a.pat", "--iters", "1"], 1),
-    (["gen", "--subst", "tau1.sub", "--seed-file", "a.pat", "--iters", "1"], 1),
+      "--max-time", "-3"], 1, "UsageError",
+     "argument --max-width: must be at least 1"),
+    (["ca", "nilpotent", "--rule", "shift.ca", "--max-width", "0"],
+     1, "UsageError", "argument --max-width: must be at least 1"),
+    (["ca", "glider", "--rule", "shift.ca", "--max-time", "0"],
+     1, "UsageError", "argument --max-time: must be at least 1"),
+    (["ca", "profile", "--rule", "shift.ca", "--horizon", "-2"],
+     1, "UsageError", "argument --horizon: must be at least 0"),
+    (["ca", "profile", "--rule", "shift.ca", "--config", "102"],
+     1, "UsageError", "symbol '2' not in alphabet"),
+    (["tfg", "order", "--rule", "shift.ca", "--max-order", "0"],
+     1, "UsageError", "argument --max-order: must be at least 1"),
+    (["render", "--moves", "+x", "--format", "svg-paths"], 1, "UsageError",
+     "bad move token at 'x'"),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--budget", "-5"],
+     1, "UsageError", "argument --budget: must be at least 1"),
+    (["pathcover", "ascend"], 1, "UsageError",
+     "the following arguments are required: --pattern"),
+    (["pathcover", "geodesic"], 1, "UsageError",
+     "the following arguments are required: --pattern"),
+    (["gen", "--subst", "tau1.sub", "--seed", "x", "--iters", "1"],
+     1, "UsageError", "symbol 'x' not in alphabet"),
+    (["gen", "--subst", "plus.sub", "--seed", "7", "--iters", "1"],
+     1, "UsageError", "symbol '7' not in alphabet"),
+    (["gen", "--subst", "plus.sub", "--seed-file", "a.pat", "--iters", "1"],
+     1, "UsageError", "iterate_2d needs a 2D seed"),
+    (["gen", "--subst", "tau1.sub", "--seed-file", "a.pat", "--iters", "1"],
+     1, "UsageError", "--seed-file needs a 2D substitution"),
     (["gen", "--subst", "plus.sub", "--seed-file", "ternary.pat", "--iters",
-      "1"], 1),
-    (["pathcover", "geodesic", "--pattern", "word.pat", "--format", "pbm"], 1),
-    (["pathcover", "ascend", "--pattern", "word.pat", "--format", "text"], 1),
-    (["tfg", "order", "--rule", "r6.tfg"], 2),
-    (["tfg", "order", "--rule", "swap.tfg", "--max-order", "1",
-      "--max-period", "40"], 2),
-    (["ca", "nilpotent", "--rule", "xor.ca", "--max-width", "40",
-      "--max-time", "2"], 2),
-    (["fractal", "verify", "--pattern", "word.pat", "--radii", "2"], 1),
-    (["ca", "glider", "--rule", "xor.ca", "--max-width", "1",
-      "--max-time", "1000000"], 2),
-    (["ca", "profile", "--rule", "xor.ca", "--horizon", "1000000"], 2),
-    (["primes", "lang", "--limit", str(2 ** 26)], 2),
-    (["glue", "--pattern", "a.pat", "--pattern", "plane.pat"], 1),
-    (["glue", "--pattern", "a.pat", "--pattern", "ternary_word.pat"], 1),
-    (["classify-path", "--subst", "ab.sub", "--horizon", "8"], 1),
+      "1"], 1, "UsageError",
+     "seed symbol '2' outside the substitution's alphabet"),
+    (["pathcover", "geodesic", "--pattern", "word.pat", "--format", "pbm"],
+     1, "UsageError", "unrecognized arguments: --format pbm"),
+    (["pathcover", "ascend", "--pattern", "word.pat", "--format", "text"],
+     1, "UsageError", "unrecognized arguments: --format text"),
+    (["tfg", "order", "--rule", "r6.tfg"], 2, "SizeLimit",
+     "injectivity check at radius 6 needs 838860800 cells, past the "
+     "67108864-cell cap"),
+    (["tfg", "order", "--rule", "swap.tfg", "--max-order", "1", "--max-period",
+      "40"], 2, "SizeLimit",
+     "drift search up to period 40 needs 5368709120 cells, past the "
+     "67108864-cell cap"),
+    (["ca", "nilpotent", "--rule", "xor.ca", "--max-width", "40", "--max-time",
+      "2"], 2, "SizeLimit",
+     "probe of width 40 and time 2 needs 16911433728 cells, past the "
+     "67108864-cell cap"),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", "2"],
+     1, "UsageError", "axiom checks need at least two levels"),
+    (["ca", "glider", "--rule", "xor.ca", "--max-width", "1", "--max-time",
+      "1000000"], 2, "SizeLimit",
+     "probe of width 1 and time 1000000 needs 2000004000002 cells, past the "
+     "67108864-cell cap"),
+    (["ca", "profile", "--rule", "xor.ca", "--horizon", "1000000"],
+     2, "SizeLimit",
+     "trajectory of 1000000 steps needs 1000002000001 cells, past the "
+     "67108864-cell cap"),
+    (["primes", "lang", "--limit", "67108864"], 2, "SizeLimit",
+     "sieve up to 67108864 needs 67108865 cells, past the 67108864-cell cap"),
+    (["glue", "--pattern", "a.pat", "--pattern", "plane.pat"], 1, "UsageError",
+     "zero_glue needs a common dimension"),
+    (["glue", "--pattern", "a.pat", "--pattern", "ternary_word.pat"],
+     1, "UsageError", "zero_glue needs a common alphabet"),
+    (["classify-path", "--subst", "ab.sub", "--horizon", "8"], 1, "UsageError",
+     "bad move token at 'a'"),
     (["width", "--pattern", "word.pat", "--radius", "1", "--out",
-      "no_such_dir/width.json"], 1),
+      "no_such_dir/width.json"], 1, "UsageError",
+     "cannot write no_such_dir/width.json: No such file or directory"),
     (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
-      "--render-dir", "word.pat/levels"], 1),
-    (["blobs", "--pattern", "word.pat", "--radius", "1", "--ou", "o.json"], 1),
+      "--render-dir", "word.pat/levels"], 1, "UsageError",
+     "cannot write word.pat/levels: Not a directory"),
+    (["blobs", "--pattern", "word.pat", "--radius", "1", "--ou", "o.json"],
+     1, "UsageError", "unrecognized arguments: --ou o.json"),
     # a flag the action does not read
-    (["primes", "crt", "--n", "3", "--scan-limit", "7", "--start", "5"], 1),
-    (["primes", "lang", "--n", "2"], 1),
-    (["ca", "glider", "--rule", "xor.ca", "--config", "1"], 1),
-    (["ca", "profile", "--rule", "xor.ca", "--max-width", "3"], 1),
+    (["primes", "crt", "--n", "3", "--scan-limit", "7", "--start", "5"],
+     1, "UsageError", "unrecognized arguments: --scan-limit 7 --start 5"),
+    (["primes", "lang", "--n", "2"], 1, "UsageError",
+     "unrecognized arguments: --n 2"),
+    (["ca", "glider", "--rule", "xor.ca", "--config", "1"], 1, "UsageError",
+     "unrecognized arguments: --config 1"),
+    (["ca", "profile", "--rule", "xor.ca", "--max-width", "3"],
+     1, "UsageError", "unrecognized arguments: --max-width 3"),
     (["fractal", "verify", "--pattern", "word.pat", "--radii", "1,2",
-      "--threshold", "5"], 1),
-    (["pathcover", "geodesic", "--pattern", "word.pat", "--budget", "5"], 1),
-    (["pathcover", "guided", "--slope", "1/2", "--radius", "2"], 1),
+      "--threshold", "5"], 1, "UsageError",
+     "unrecognized arguments: --threshold 5"),
+    (["pathcover", "geodesic", "--pattern", "word.pat", "--budget", "5"],
+     1, "UsageError", "unrecognized arguments: --budget 5"),
+    (["pathcover", "guided", "--slope", "1/2", "--radius", "2"],
+     1, "UsageError", "unrecognized arguments: --radius 2"),
     # two flags where one would override the other
     (["gen", "--subst", "plus.sub", "--seed", "1", "--seed-file", "plane.pat",
-      "--iters", "1"], 1),
+      "--iters", "1"], 1, "UsageError",
+     "argument --seed-file: not allowed with argument --seed"),
     (["pathcover", "guided", "--slope", "1/2", "--steps", "1,1", "--offsets",
-      "0,1"], 1),
+      "0,1"], 1, "UsageError",
+     "guided takes --slope or --steps with --offsets, not both"),
     (["render", "--pattern", "word.pat", "--moves", "++", "--format",
-      "svg-paths"], 1),
+      "svg-paths"], 1, "UsageError",
+     "argument --moves: not allowed with argument --pattern"),
     # a flag before the action: its value is not the action
-    (["primes", "--out", "f.json", "crt"], 1),
-    (["ca", "--rule", "xor.ca", "glider"], 1),
+    (["primes", "--out", "f.json", "crt"], 1, "UsageError",
+     "--out before the action: flags go after the action, as in blobshift "
+     "primes {lang,crt,isolated,dirichlet,gaps,export} --out ..."),
+    (["primes", "--out=f.json", "crt"], 1, "UsageError",
+     "--out before the action: flags go after the action, as in blobshift "
+     "primes {lang,crt,isolated,dirichlet,gaps,export} --out ..."),
+    (["ca", "--rule", "xor.ca", "glider"], 1, "UsageError",
+     "--rule before the action: flags go after the action, as in blobshift "
+     "ca {glider,nilpotent,profile} --rule ..."),
     # an empty value is read, not taken for a flag left out
-    (["width", "--pattern", "word.pat", "--radius", "1", "--out", ""], 1),
-    (["gen", "--subst", "plus.sub", "--seed-file", "", "--iters", "1"], 1),
-    (["gen", "--subst", "tau1.sub", "--seed-file", "", "--iters", "1"], 1),
-    (["gen", "--subst", "plus.sub", "--seed", "", "--iters", "1"], 1),
-    (["fractal", "verify", "--pattern", "word.pat", "--radii", ""], 1),
-    (["primes", "crt", "--injection", ""], 1),
-    (["primes", "dirichlet", "--injection", ""], 1),
-    (["pathcover", "guided", "--slope", "1/2", "--steps", ""], 1),
+    (["width", "--pattern", "word.pat", "--radius", "1", "--out", ""],
+     1, "UsageError", "cannot write : Is a directory"),
+    (["gen", "--subst", "plus.sub", "--seed-file", "", "--iters", "1"],
+     1, "UsageError", "cannot read : Is a directory"),
+    (["gen", "--subst", "tau1.sub", "--seed-file", "", "--iters", "1"],
+     1, "UsageError", "--seed-file needs a 2D substitution"),
+    (["gen", "--subst", "plus.sub", "--seed", "", "--iters", "1"],
+     1, "UsageError", "symbol '' not in alphabet"),
+    (["fractal", "verify", "--pattern", "word.pat", "--radii", ""],
+     1, "UsageError", "argument --radii: bad integer list ''"),
+    (["primes", "crt", "--injection", ""], 1, "UsageError",
+     "argument --injection: bad integer list ''"),
+    (["primes", "dirichlet", "--injection", ""], 1, "UsageError",
+     "argument --injection: bad integer list ''"),
+    (["pathcover", "guided", "--slope", "1/2", "--steps", ""], 1, "UsageError",
+     "argument --steps: bad integer list ''"),
     # a file that is not UTF-8 text
-    (["render", "--pattern", "latin1.pat"], 2),
-    # glue takes exactly two patterns
-    (["glue", "--pattern", "a.pat"], 1),
+    (["render", "--pattern", "latin1.pat"], 2, "UnsupportedFormat",
+     "latin1.pat is not UTF-8 text"),
+    # glue takes exactly two patterns, counted before either is read
+    (["glue", "--pattern", "a.pat"], 1, "UsageError",
+     "glue needs exactly two --pattern files"),
+    (["glue", "--pattern", "only-one.pat"], 1, "UsageError",
+     "glue needs exactly two --pattern files"),
+    # an input the handler itself refuses
+    (["pathcover", "guided"], 1, "UsageError",
+     "guided needs --slope or --steps with --offsets"),
+    (["pathcover", "guided", "--steps", "1,1"], 1, "UsageError",
+     "guided needs --slope or --steps with --offsets"),
+    (["render", "--moves", "++", "--format", "text"], 1, "UsageError",
+     "move words render as --format svg-paths"),
+    (["render", "--format", "pbm"], 1, "UsageError",
+     "render needs --pattern or --moves"),
+    # refused before the pattern file is read, so it need not exist
+    (["render", "--pattern", "no_such.pat", "--format", "svg-paths"],
+     1, "UsageError", "patterns render as --format text or pbm"),
+    # a list flag's error names the flag, before any file is read
+    (["fractal", "verify", "--pattern", "no_such.pat", "--radii", "1,x"],
+     1, "UsageError", "argument --radii: bad integer list '1,x'"),
+    # a command that does not exist
+    (["nonsense"], 1, "UsageError",
+     "argument cmd: invalid choice: 'nonsense' (choose from 'gen', 'blobs', "
+     "'glue', 'width', 'classify-path', 'render', 'fractal', 'pathcover', "
+     "'ca', 'tfg', 'primes')"),
+    # a rule, substitution or pattern file that does not parse
+    (["ca", "glider", "--rule", "partial.ca"], 2, "UnsupportedFormat",
+     "table must be total"),
+    (["ca", "glider", "--rule", "radius_x.ca"], 2, "UnsupportedFormat",
+     "header line 'ca 01 radius x' needs integer fields"),
+    (["ca", "glider", "--rule", "value_2.ca"], 2, "UnsupportedFormat",
+     "table value '2' not in the alphabet"),
+    (["ca", "glider", "--rule", "alphabet_00.ca"], 2, "UnsupportedFormat",
+     "alphabet '00' must list distinct symbols, zero first"),
+    (["ca", "glider", "--rule", "value_5.ca"], 2, "UnsupportedFormat",
+     "table value '5' not in the alphabet"),
+    (["ca", "glider", "--rule", "no_arrow.ca"], 2, "UnsupportedFormat",
+     "expected 'left -> right', got '001 1'"),
+    (["ca", "glider", "--rule", "window_x.ca"], 2, "UnsupportedFormat",
+     "window 'x' leaves the alphabet"),
+    (["tfg", "order", "--rule", "window_x.tfg"], 2, "UnsupportedFormat",
+     "window 'x' leaves the alphabet"),
+    (["tfg", "order", "--rule", "shift_x.tfg"], 2, "UnsupportedFormat",
+     "header line 'shift x' needs integer fields"),
+    (["tfg", "order", "--rule", "shift_5.tfg"], 2, "UnsupportedFormat",
+     "shift exceeds the radius"),
+    (["tfg", "order", "--rule", "no_shift.tfg"], 2, "UnsupportedFormat",
+     "expected 'shift <k>', got '0'"),
+    (["gen", "--subst", "expansion_x.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat",
+     "header line 'subst 2d x 01' needs integer fields"),
+    (["gen", "--subst", "block_symbol.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat", "symbol '2' not in alphabet"),
+    (["gen", "--subst", "block_rule_2.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat", "rule for '2' outside the alphabet"),
+    (["gen", "--subst", "image_2.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat", "rule image uses unknown symbol '2'"),
+    (["gen", "--subst", "rule_2.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat", "rule for '2' outside the alphabet"),
+    (["gen", "--subst", "no_arrow.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat", "expected 'left -> right', got '1 10'"),
+    (["gen", "--subst", "alphabet_00.sub", "--seed", "1", "--iters", "1"],
+     2, "UnsupportedFormat",
+     "alphabet '00' must list distinct symbols, zero first"),
+    (["render", "--pattern", "symbol_2.pat"], 2, "UnsupportedFormat",
+     "symbol '2' not in alphabet"),
+    (["render", "--pattern", "no_alphabet.pat"], 2, "UnsupportedFormat",
+     "alphabet '' must list distinct symbols, zero first"),
 ]
+
+# name: text, beside the files of write_files
+BAD_FILES = {
+    "bad_dims.pat": "dims x\nalphabet 01\n1\n",
+    "bad_origin.pat": "dims 1\nalphabet 01\norigin 1.5\n1\n",
+    "ternary.pat": "dims 2 1\nalphabet 012\n2.\n",
+    "ternary_word.pat": "dims 2\nalphabet 012\n2.\n",
+    "plane.pat": "dims 2 1\nalphabet 01\n1.\n",
+    "ab.sub": "subst 1d ab\na -> ab\nb -> ba\n",
+    "r6.tfg": "ca 01 radius 6\n* -> shift 0\n",
+    "swap.tfg": ("ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n"
+                 "110 -> shift 1\n100 -> shift -1\n101 -> shift -1\n"),
+    "xor.ca": ("ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n"
+               "110 -> 1\n"),
+    "latin1.pat": "dims 2\nalphabet 01\n\xff1\n",
+    "partial.ca": "ca 01 radius 1\n001 -> 1\n",
+    "radius_x.ca": "ca 01 radius x\n* -> 0\n",
+    "value_2.ca": "ca 01 radius 1\n* -> 2\n",
+    "alphabet_00.ca": "ca 00 radius 1\n* -> 0\n",
+    "value_5.ca": "ca 01 radius 1\n* -> 0\n001 -> 5\n",
+    "no_arrow.ca": "ca 01 radius 1\n* -> 0\n001 1\n",
+    "window_x.ca": "ca 01 radius 0\n0 -> 0\nx -> 1\n",
+    "window_x.tfg": "ca 01 radius 0\n0 -> shift 0\nx -> shift 0\n",
+    "shift_x.tfg": "ca 01 radius 1\n* -> shift x\n",
+    "shift_5.tfg": "ca 01 radius 1\n* -> shift 5\n",
+    "no_shift.tfg": "ca 01 radius 1\n* -> 0\n",
+    "expansion_x.sub": "subst 2d x 01\n",
+    "block_symbol.sub": "subst 2d 2 01\n0 ->\n..\n..\n1 ->\n12\n..\n",
+    "block_rule_2.sub": ("subst 2d 2 01\n0 ->\n..\n..\n1 ->\n11\n11\n"
+                         "2 ->\n..\n..\n"),
+    "image_2.sub": "subst 1d 01\n0 -> 00\n1 -> 12\n",
+    "rule_2.sub": "subst 1d 01\n0 -> 00\n1 -> 10\n2 -> 1\n",
+    "no_arrow.sub": "subst 1d 01\n0 -> 00\n1 10\n",
+    "alphabet_00.sub": "subst 1d 00\n0 -> 00\n",
+    "symbol_2.pat": "dims 2\nalphabet 01\n12\n",
+    "no_alphabet.pat": "dims 2\nalphabet \n..\n",
+}
 
 
 def write_bad_files(files):
     """The files of BAD_ARGUMENTS beside those of write_files."""
-    (files / "bad_dims.pat").write_text("dims x\nalphabet 01\n1\n")
-    (files / "bad_origin.pat").write_text("dims 1\nalphabet 01\norigin 1.5\n1\n")
-    (files / "ternary.pat").write_text("dims 2 1\nalphabet 012\n2.\n")
-    (files / "ternary_word.pat").write_text("dims 2\nalphabet 012\n2.\n")
-    (files / "plane.pat").write_text("dims 2 1\nalphabet 01\n1.\n")
-    (files / "ab.sub").write_text("subst 1d ab\na -> ab\nb -> ba\n")
-    (files / "r6.tfg").write_text("ca 01 radius 6\n* -> shift 0\n")
-    (files / "swap.tfg").write_text(
-        "ca 01 radius 1\n* -> shift 0\n010 -> shift 1\n110 -> shift 1\n"
-        "100 -> shift -1\n101 -> shift -1\n")
-    (files / "xor.ca").write_text(
-        "ca 01 radius 1\n* -> 0\n001 -> 1\n010 -> 1\n101 -> 1\n110 -> 1\n")
-    (files / "latin1.pat").write_bytes(b"dims 2\nalphabet 01\n\xff1\n")
+    for name, text in BAD_FILES.items():
+        (files / name).write_bytes(text.encode("latin-1"))
 
 
-@pytest.mark.parametrize("argv,code", BAD_ARGUMENTS)
+@pytest.mark.parametrize("argv,code,kind,message", BAD_ARGUMENTS,
+                         ids=[" ".join(row[0]) for row in BAD_ARGUMENTS])
 def test_cli_bad_arguments_and_files_exit_cleanly(files, capsys, monkeypatch,
-                                                  argv, code):
+                                                  argv, code, kind, message):
+    # no report on stdout, and one JSON line on stderr: no traceback
     write_bad_files(files)
     monkeypatch.chdir(files)
+    monkeypatch.delenv("BLOBSHIFT_CELL_CAP", raising=False)
     assert main(argv) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == 1:
-        error = json.loads(err)
-        assert error["schema"] == 1 and error["error"]["kind"] == "UsageError"
-        assert error["error"]["message"]
-    if code == 2:
-        # the probes and the sieve pass the cell cap; the files do not parse
-        kind = ("SizeLimit" if argv[0] in ("ca", "tfg", "primes")
-                else "UnsupportedFormat")
-        assert json.loads(err)["error"]["kind"] == kind
+    error = {"schema": 1, "error": {"kind": kind, "message": message}}
+    assert capsys.readouterr() == ("", json.dumps(error) + "\n")
 
 
-USAGE_MESSAGES = [
-    (["pathcover", "guided"], "guided needs --slope or --steps with --offsets"),
-    (["pathcover", "guided", "--steps", "1,1"],
-     "guided needs --slope or --steps with --offsets"),
-    (["render", "--moves", "++", "--format", "text"],
-     "move words render as --format svg-paths"),
-    (["render", "--format", "pbm"], "render needs --pattern or --moves"),
-    # refused before the pattern file is read, so it need not exist
-    (["render", "--pattern", "no_such.pat", "--format", "svg-paths"],
-     "patterns render as --format text or pbm"),
-    (["primes", "--out=f.json", "crt"],
-     "--out before the action: flags go after the action, as in blobshift "
-     "primes {lang,crt,isolated,dirichlet,gaps,export} --out ..."),
-    (["ca", "--rule", "xor.ca", "glider"],
-     "--rule before the action: flags go after the action, as in blobshift "
-     "ca {glider,nilpotent,profile} --rule ..."),
-    # a list flag's error names the flag, before any file is read
-    (["pathcover", "guided", "--steps", "1,x", "--offsets", "0,1"],
-     "argument --steps: bad integer list '1,x'"),
-    (["fractal", "verify", "--pattern", "no_such.pat", "--radii", "1,x"],
-     "argument --radii: bad integer list '1,x'"),
-]
+def test_cli_reports_any_library_value_error_as_a_usage_error(
+        files, capsys, monkeypatch):
+    # no handler wraps auto_radii: main turns any ValueError into exit 1
+    def boom(pattern):
+        raise ValueError("boom")
 
-
-@pytest.mark.parametrize("argv,message", USAGE_MESSAGES)
-def test_cli_usage_errors_name_the_missing_input(capsys, argv, message):
-    assert main(argv) == 1
-    assert json.loads(capsys.readouterr().err) == {
-        "schema": 1, "error": {"kind": "UsageError", "message": message}}
-
-
-@pytest.mark.parametrize("command,text", [
-    ("ca", "ca 01 radius 1\n001 -> 1\n"),
-    ("ca", "ca 01 radius x\n* -> 0\n"),
-    ("ca", "ca 01 radius 1\n* -> 2\n"),
-    ("ca", "ca 00 radius 1\n* -> 0\n"),
-    ("ca", "ca 01 radius 1\n* -> 0\n001 -> 5\n"),
-    ("ca", "ca 01 radius 1\n* -> 0\n001 1\n"),
-    ("ca", "ca 01 radius 0\n0 -> 0\nx -> 1\n"),
-    ("tfg", "ca 01 radius 0\n0 -> shift 0\nx -> shift 0\n"),
-    ("tfg", "ca 01 radius 1\n* -> shift x\n"),
-    ("tfg", "ca 01 radius 1\n* -> shift 5\n"),
-    ("tfg", "ca 01 radius 1\n* -> 0\n"),
-    ("gen", "subst 2d x 01\n"),
-    ("gen", "subst 2d 2 01\n0 ->\n..\n..\n1 ->\n12\n..\n"),
-    ("gen", "subst 2d 2 01\n0 ->\n..\n..\n1 ->\n11\n11\n2 ->\n..\n..\n"),
-    ("gen", "subst 1d 01\n0 -> 00\n1 -> 12\n"),
-    ("gen", "subst 1d 01\n0 -> 00\n1 -> 10\n2 -> 1\n"),
-    ("gen", "subst 1d 01\n0 -> 00\n1 10\n"),
-    ("gen", "subst 1d 00\n0 -> 00\n"),
-    ("render", "dims 2\nalphabet 01\n12\n"),
-    ("render", "dims 2\nalphabet \n..\n"),
-    ("render", "dims 2\nalphabet 01\n\xff1\n"),
-])
-def test_cli_malformed_files_are_unsupported_format(tmp_path, capsys,
-                                                    command, text):
-    path = str(tmp_path / "input")
-    (tmp_path / "input").write_bytes(text.encode("latin-1"))
-    argv = {"ca": ["ca", "glider", "--rule", path],
-            "tfg": ["tfg", "order", "--rule", path],
-            "gen": ["gen", "--subst", path, "--seed", "1", "--iters", "1"],
-            "render": ["render", "--pattern", path]}[command]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert json.loads(err)["error"]["kind"] == "UnsupportedFormat"
+    monkeypatch.setattr("blobshift.blobfractal.auto_radii", boom)
+    monkeypatch.chdir(files)
+    assert main(["fractal", "classify", "--pattern", "word.pat"]) == 1
+    assert capsys.readouterr().err == (
+        '{"schema": 1, "error": {"kind": "UsageError", "message": "boom"}}\n')
 
 
 @pytest.mark.parametrize("text,horizon", [
